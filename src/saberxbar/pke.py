@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS, constants
-from .ring import Poly, PolyVec, PolyMatrix, gen_matrix, sample_secret, round_shift
+from .ring import (Poly, PolyVec, PolyMatrix, gen_matrix, sample_secret, round_shift,
+                   fold_negacyclic)
 from .polymult import MultAlgorithm, conv_raw
 
 
@@ -54,10 +55,7 @@ class SoftwareBackend:
         self.mult_count += 1
         conv = conv_raw(self.algorithm, a.coeffs,
                         np.asarray(s_poly_centered, dtype=np.int64))
-        n = a.n
-        full = np.zeros(2 * n, dtype=np.int64)
-        full[: len(conv)] = conv
-        return full[:n] - full[n:]
+        return fold_negacyclic(conv, a.n)
 
     def mul(self, a: Poly, s_poly_centered: np.ndarray) -> Poly:
         return Poly(self.mul_raw(a, s_poly_centered), a.modulus)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS
-from .ring import Poly, DimensionError, _check_pair, reduce_negacyclic
+from .ring import Poly, DimensionError, _check_pair, fold_negacyclic
 
 
 class MultAlgorithm(enum.Enum):
@@ -63,10 +63,7 @@ def schoolbook_mul(a: Poly, b: Poly) -> Poly:
 
 
 def _reduce(conv: np.ndarray, like: Poly) -> Poly:
-    n = like.n
-    full = np.zeros(2 * n, dtype=np.int64)
-    full[: len(conv)] = conv
-    return Poly(full[:n] - full[n:], like.modulus)
+    return Poly(fold_negacyclic(conv, like.n), like.modulus)
 
 
 def _karatsuba_conv(a: np.ndarray, b: np.ndarray, levels: int) -> np.ndarray:

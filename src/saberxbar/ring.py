@@ -120,28 +120,47 @@ class PolyMatrix:
         return self.rows[0][0].modulus
 
 
-def reduce_negacyclic(coeffs, params: RingParams = DEFAULT_PARAMS,
-                      modulus: int = None) -> Poly:
-    """Reduce an up-to-(2n-1)-coefficient polynomial modulo (x^n + 1, modulus).
+def fold_negacyclic(coeffs, n: int) -> np.ndarray:
+    """Fold an up-to-(2n-1)-coefficient product modulo x^n + 1, unreduced.
 
     Coefficient i of the result is coeffs[i] - coeffs[i + n] since x^n = -1.
     """
-    n = params.n
     c = np.asarray(coeffs, dtype=np.int64)
     if c.ndim != 1 or len(c) > 2 * n - 1:
         raise DimensionError(f"expected at most {2 * n - 1} coefficients, got {c.shape}")
     full = np.zeros(2 * n, dtype=np.int64)
     full[: len(c)] = c
-    return Poly(full[:n] - full[n:], modulus if modulus is not None else params.q)
+    return full[:n] - full[n:]
+
+
+def reduce_negacyclic(coeffs, params: RingParams = DEFAULT_PARAMS,
+                      modulus: int = None) -> Poly:
+    """Reduce an up-to-(2n-1)-coefficient polynomial modulo (x^n + 1, modulus)."""
+    return Poly(fold_negacyclic(coeffs, params.n),
+                modulus if modulus is not None else params.q)
+
+
+# float64 represents every integer below 2^53 exactly
+_EXACT_FLOAT_LIMIT = float(1 << 53)
 
 
 def negacyclic_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Signed negacyclic convolution of two equal-length coefficient arrays."""
-    n = len(a)
-    conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    full = np.zeros(2 * n, dtype=np.int64)
-    full[: len(conv)] = conv
-    return full[:n] - full[n:]
+    """Signed negacyclic convolution of two equal-length coefficient arrays.
+
+    Convolves in float64, which is exact while every partial sum stays below
+    2^53. Partial sums are bounded by max|a| * sum|b| (SABER needs < 2^23);
+    each call checks that bound and raises ArithmeticError when it is broken.
+    The check itself runs in float64: rounding is monotone and 2^53 is
+    representable, so the computed bound is below 2^53 exactly when the
+    integer one is.
+    """
+    af = np.asarray(a, dtype=np.float64)
+    bf = np.asarray(b, dtype=np.float64)
+    if len(af) != len(bf):
+        raise DimensionError(f"length mismatch: {len(af)} vs {len(bf)}")
+    if not np.abs(af).max() * np.abs(bf).sum() < _EXACT_FLOAT_LIMIT:
+        raise ArithmeticError("negacyclic product operands exceed float64's exact range")
+    return fold_negacyclic(np.convolve(af, bf).astype(np.int64), len(af))
 
 
 def round_shift(poly: Poly, from_bits: int, to_bits: int) -> Poly:

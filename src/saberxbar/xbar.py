@@ -12,10 +12,13 @@ dedicated all-ones unit column provides. Columns whose stored-bit population
 exceeds half the rows are stored complemented (flip encoding) so that no
 bitline current exceeds rows/2; the complement is undone after readout.
 
-`crossbar_polymult` is the explicit per-cycle, per-sample pipeline including
-noise and ADC quantization. `XbarBackend` is an algebraically identical
-vectorized ideal path fast enough for large Monte-Carlo runs; the test suite
-pins the two to each other bit-exactly.
+`crossbar_polymult` is the one physical model: the explicit per-cycle,
+per-sample pipeline including noise and ADC quantization. The backends used
+by the PKE do not rerun it. `XbarBackend` is the ideal crossbar as ring
+arithmetic (the exact negacyclic product) plus write accounting for the
+programmed secrets, fast enough for large Monte-Carlo runs, and
+`NoisySampleBackend` adds sample-referred read errors on top. The test suite
+pins the ideal pipeline and `XbarBackend` to each other bit-exactly.
 """
 
 import math
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS
-from .ring import Poly
+from .ring import Poly, negacyclic_product
 
 DEFAULT_TILE_ROWS = 128
 DEFAULT_TILE_COLS = 128
@@ -334,11 +337,15 @@ def crossbar_polymult(a: Poly, s_centered: np.ndarray,
 
 
 class XbarBackend:
-    """Ideal crossbar backend: vectorized, bit-exact against the pipeline.
+    """Ideal crossbar backend: ring arithmetic plus write accounting.
 
-    result = sum_c 2^c * (a_bits_c @ (M + bias)) - bias * sum_c 2^c * pc_c,
-    reduced mod 2^target -- the same algebra the sampled pipeline performs,
-    with the per-sample ADC loop collapsed into one integer matmul.
+    An ideal crossbar yields the exact negacyclic product mod a.modulus, so
+    `mul_raw` computes that product directly. What the backend models is the
+    stationary secret: which secret polynomials the boot and work slots hold,
+    and the cell bits written to program them. The work slot holds at most
+    l polynomials, its physical size; multiplying by a secret held in neither
+    slot programs it into the work slot ad hoc, evicting the oldest entry,
+    and counts its writes.
     """
 
     def __init__(self, params: RingParams = DEFAULT_PARAMS):
@@ -347,17 +354,13 @@ class XbarBackend:
         self.cell_bits_written = 0
         self.boot_cell_bits = 0
         # boot slot holds the long-lived key-generation/decryption secret;
-        # work slot holds the per-encryption ephemeral secret
+        # work slot holds the per-encryption ephemeral secret. Each maps the
+        # bytes of a programmed polynomial to None, oldest first.
         self._slots = {"boot": {}, "work": {}}
 
     def _install(self, s_centered: np.ndarray, slot: str) -> None:
         s = np.asarray(s_centered, dtype=np.int64)
-        bias = self.params.mu // 2
-        self._slots[slot] = {
-            s[j].tobytes():
-                (build_negacyclic_matrix(s[j]).entries + bias).astype(np.float64)
-            for j in range(s.shape[0])
-        }
+        self._slots[slot] = dict.fromkeys(row.tobytes() for row in s)
         bits = s.size * DEFAULT_BITS_PER_COEFF
         if slot == "boot":
             self.boot_cell_bits += bits
@@ -370,29 +373,22 @@ class XbarBackend:
     def program_secret(self, s_centered: np.ndarray, params: RingParams) -> None:
         self._install(s_centered, "work")
 
-    def _matrix_for(self, s_poly_centered: np.ndarray) -> np.ndarray:
-        key = np.asarray(s_poly_centered, dtype=np.int64).tobytes()
-        for slot in ("work", "boot"):
-            if key in self._slots[slot]:
-                return self._slots[slot][key]
+    def _ensure_programmed(self, s_poly_centered: np.ndarray) -> None:
+        key = s_poly_centered.tobytes()
+        if key in self._slots["work"] or key in self._slots["boot"]:
+            return
         # operand was never programmed; install ad hoc (counts as writes)
-        bias = self.params.mu // 2
-        m = (build_negacyclic_matrix(s_poly_centered).entries + bias).astype(np.float64)
-        self._slots["work"][key] = m
+        work = self._slots["work"]
+        while len(work) >= self.params.l:
+            del work[next(iter(work))]
+        work[key] = None
         self.cell_bits_written += len(s_poly_centered) * DEFAULT_BITS_PER_COEFF
-        return m
 
     def mul_raw(self, a: Poly, s_poly_centered: np.ndarray) -> np.ndarray:
         self.mult_count += 1
-        target = a.modulus.bit_length() - 1
-        biased = self._matrix_for(s_poly_centered)
-        bits = ((a.coeffs[None, :] >> np.arange(target)[:, None]) & 1)
-        # float64 matmul is exact here (dots <= 256*8 < 2^53) and runs on BLAS
-        sums = (bits.astype(np.float64) @ biased).astype(np.int64)
-        pc = bits.sum(axis=1)                     # per-cycle input popcount
-        signed = sums - (self.params.mu // 2) * pc[:, None]
-        weights = (np.int64(1) << np.arange(target, dtype=np.int64))
-        return (weights @ (signed % a.modulus)) % a.modulus
+        s = np.asarray(s_poly_centered, dtype=np.int64)
+        self._ensure_programmed(s)
+        return negacyclic_product(a.coeffs, s) % a.modulus
 
     def mul(self, a: Poly, s_poly_centered: np.ndarray) -> Poly:
         return Poly(self.mul_raw(a, s_poly_centered), a.modulus)

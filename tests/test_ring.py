@@ -89,6 +89,28 @@ def test_negacyclic_product_symbolic_degree3():
                              a0 * b2 + a1 * b1 + a2 * b0]
 
 
+def test_negacyclic_product_exact_at_worst_saber_magnitude():
+    params = RingParams()
+    a = np.full(params.n, params.q - 1, dtype=np.int64)
+    b = np.full(params.n, -(params.mu // 2), dtype=np.int64)
+    conv = np.convolve(a, b)  # int64, exact
+    want = conv[: params.n].copy()
+    want[: len(conv) - params.n] -= conv[params.n:]
+    assert np.array_equal(negacyclic_product(a, b), want)
+
+
+def test_negacyclic_product_rejects_operands_past_float64_exact_range():
+    a = np.full(256, 1 << 45, dtype=np.int64)
+    b = np.full(256, -16, dtype=np.int64)  # bound 2^45 * 2^12 = 2^57
+    with pytest.raises(ArithmeticError):
+        negacyclic_product(a, b)
+    # the bound max|a| * sum|b| < 2^53 is checked exactly at its edge
+    edge = np.array([(1 << 52) - 1, 0], dtype=np.int64)
+    assert list(negacyclic_product(edge, np.array([1, -1]))) == [(1 << 52) - 1, -(1 << 52) + 1]
+    with pytest.raises(ArithmeticError):
+        negacyclic_product(np.array([1 << 52, 0]), np.array([1, -1]))
+
+
 def test_round_shift_drops_low_bits():
     p = Poly([0b1101101, 0b0000111], 1 << 7)
     out = round_shift(p, 7, 3)

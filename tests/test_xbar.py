@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,18 @@ def test_xbar_backend_matches_software_backend():
                               sw.mul_raw(a, s) % modulus)
 
 
+def test_xbar_backend_matches_crossbar_pipeline_exactly():
+    # the pipeline, not negacyclic_product, is the independent reference:
+    # XbarBackend computes with negacyclic_product itself
+    rng = np.random.default_rng(11)
+    xb = XbarBackend(P)
+    for modulus in (P.p, P.q):
+        for _ in range(2):
+            a = Poly(rng.integers(0, modulus, P.n), modulus)
+            s = rng.integers(-4, 5, P.n)
+            assert np.array_equal(xb.mul_raw(a, s), crossbar_polymult(a, s, P).coeffs)
+
+
 def test_xbar_backend_write_accounting():
     rng = np.random.default_rng(8)
     xb = XbarBackend(P)
@@ -192,6 +206,29 @@ def test_xbar_backend_write_accounting():
     xb.mul_raw(a, boot[0])
     xb.mul_raw(a, work[1])
     assert xb.cell_bits_written == 3072
+
+
+def test_xbar_backend_ad_hoc_installs_are_bounded():
+    rng = np.random.default_rng(12)
+    xb = XbarBackend(P)
+    a = Poly(rng.integers(0, P.q, P.n), P.q)
+    secrets = rng.integers(-4, 5, (50, P.n))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for s in secrets:
+            xb.mul_raw(a, s)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(xb._slots["work"]) <= P.l
+    assert grown < 1 << 20
+    assert xb.cell_bits_written == 50 * P.n * 4
+    # the newest l operands stay programmed; an evicted one is written again
+    xb.mul_raw(a, secrets[-1])
+    assert xb.cell_bits_written == 50 * P.n * 4
+    xb.mul_raw(a, secrets[0])
+    assert xb.cell_bits_written == 51 * P.n * 4
 
 
 def test_noisy_backend_zero_variance_is_exact():
