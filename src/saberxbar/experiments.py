@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.cell_variance < 0 or self.tia_variance < 0:
             raise ConfigError("variances must be >= 0")
 
@@ -313,6 +315,8 @@ def run_noise(config: ExperimentConfig,
     """
     if not variance_grid or not retries_grid:
         raise ConfigError("variance and retries grids must be non-empty")
+    if min(retries_grid) < 0:
+        raise ConfigError("retry budgets must be >= 0")
     max_r = max(retries_grid)
     points = []
     for var in variance_grid:

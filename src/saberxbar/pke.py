@@ -2,8 +2,12 @@
 
 Key generation, encryption and decryption are parameterized over a
 polynomial-multiplication backend so the same code path runs on the software
-algorithms and on the crossbar simulator. One operand of every multiplication
-is a small centered secret; backends receive it in centered form.
+algorithms and on the crossbar simulator. Each operation multiplies public
+polynomials by one small centered secret vector, and multiplies the way a
+crossbar does: it programs the secret once (`backend.program`) and streams
+every product against it in one `backend.matvec` call, whose rows are the
+rows of A (its columns for A^T s) and the vector b. Backends receive the
+secret in centered form.
 """
 
 import zlib
@@ -12,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS, constants
-from .ring import (Poly, PolyVec, PolyMatrix, gen_matrix, sample_secret, round_shift,
-                   fold_negacyclic)
-from .polymult import MultAlgorithm, conv_raw
+from .ring import Poly, PolyVec, gen_matrix, sample_secret, round_shift
+from .polymult import MultAlgorithm, Programmed, program, matvec
 
 
 @dataclass(frozen=True)
@@ -35,11 +38,18 @@ class Ciphertext:
 
 
 class SoftwareBackend:
-    """Multiplies with one of the software algorithms; counts PolyMult calls."""
+    """Multiplies with one of the software algorithms.
+
+    `program` evaluates a secret vector once at the algorithm's points and
+    `matvec` streams public operands against it. `mult_count` counts logical
+    PolyMults; `secret_evaluations` counts secret polynomials evaluated, one
+    per polynomial and evaluation point of `plan_for(algorithm)`.
+    """
 
     def __init__(self, algorithm: MultAlgorithm = MultAlgorithm.TC4K2):
         self.algorithm = algorithm
         self.mult_count = 0
+        self.secret_evaluations = 0
         self.cell_bits_written = 0
 
     def install_boot_secret(self, s_centered: np.ndarray, params: RingParams) -> None:
@@ -48,47 +58,38 @@ class SoftwareBackend:
     def program_secret(self, s_centered: np.ndarray, params: RingParams) -> None:
         pass
 
+    def program(self, s_centered: np.ndarray) -> Programmed:
+        """Evaluate the (l, n) centered secret for any number of `matvec`s.
+        Feeding the centered secret keeps the intermediates small; any
+        representative is valid before the final mod."""
+        handle = program(self.algorithm, s_centered)
+        self.secret_evaluations += handle.evaluations
+        return handle
+
+    def matvec(self, rows, handle: Programmed) -> np.ndarray:
+        """Sum over j of rows[i][j] * s_j for every row i, as signed length-n
+        arrays not yet reduced modulo the rows' moduli."""
+        self.mult_count += len(rows) * len(rows[0])
+        return matvec(handle, [[p.coeffs for p in row] for row in rows])
+
     def mul_raw(self, a: Poly, s_poly_centered: np.ndarray) -> np.ndarray:
-        """Negacyclic product as a signed length-n array, not yet reduced
-        modulo a.modulus. Feeding the centered secret directly keeps the
-        intermediates small; any representative is valid before the final mod."""
-        self.mult_count += 1
-        conv = conv_raw(self.algorithm, a.coeffs,
-                        np.asarray(s_poly_centered, dtype=np.int64))
-        return fold_negacyclic(conv, a.n)
+        """One negacyclic product, not yet reduced modulo a.modulus."""
+        return self.matvec([[a]], self.program(np.asarray(s_poly_centered)[None]))[0]
 
     def mul(self, a: Poly, s_poly_centered: np.ndarray) -> Poly:
         return Poly(self.mul_raw(a, s_poly_centered), a.modulus)
 
     def reset_counters(self) -> None:
         self.mult_count = 0
+        self.secret_evaluations = 0
         self.cell_bits_written = 0
 
 
-def _matvec_T(A: PolyMatrix, s_centered: np.ndarray, backend) -> list:
-    """(A^T s)_i = sum_j A[j][i] * s_j, one backend call per product."""
-    l = A.l
-    out = []
-    for i in range(l):
-        acc = sum(backend.mul_raw(A[j, i], s_centered[j]) for j in range(l))
-        out.append(Poly(acc, A.modulus))
-    return out
-
-
-def _matvec(A: PolyMatrix, s_centered: np.ndarray, backend) -> list:
-    """(A s)_i = sum_j A[i][j] * s_j; encryption hides s' behind the
-    untransposed product so that b^T s' and b'^T s cancel in decryption."""
-    l = A.l
-    out = []
-    for i in range(l):
-        acc = sum(backend.mul_raw(A[i, j], s_centered[j]) for j in range(l))
-        out.append(Poly(acc, A.modulus))
-    return out
-
-
-def _vecvec(b: PolyVec, s_centered: np.ndarray, backend) -> Poly:
-    acc = sum(backend.mul_raw(b[j], s_centered[j]) for j in range(len(b)))
-    return Poly(acc, b.modulus)
+def _inner_products(backend, rows, s_centered: np.ndarray) -> list:
+    """Poly i is sum_j rows[i][j] * s_j in the modulus of rows[i]: the secret
+    is programmed once and every row streams against it."""
+    sums = backend.matvec(rows, backend.program(s_centered))
+    return [Poly(acc, row[0].modulus) for acc, row in zip(sums, rows)]
 
 
 def keygen(seed_A: bytes, r: bytes, params: RingParams = DEFAULT_PARAMS,
@@ -99,7 +100,7 @@ def keygen(seed_A: bytes, r: bytes, params: RingParams = DEFAULT_PARAMS,
     A = gen_matrix(seed_A, params, xof_cls)
     s = sample_secret(r, params, xof_cls)
     backend.install_boot_secret(s, params)
-    As = _matvec_T(A, s, backend)
+    As = _inner_products(backend, list(zip(*A.rows)), s)  # A^T s
     h1 = Poly(cst.h1(), params.q)
     b = PolyVec(tuple(
         round_shift(p + h1, params.eps_q, params.eps_p) for p in As
@@ -116,14 +117,13 @@ def encrypt(pk: PublicKey, m: Poly, r_prime: bytes,
     A = gen_matrix(pk.seed_A, params, xof_cls)
     s_prime = sample_secret(r_prime, params, xof_cls)
     backend.program_secret(s_prime, params)
-
-    As = _matvec(A, s_prime, backend)
+    # A s' rather than A^T s', so that b^T s' and b'^T s cancel in decryption
+    *As, v_prime = _inner_products(backend, [*A.rows, pk.b.polys], s_prime)
     h1_q = Poly(cst.h1(), params.q)
     b_prime = PolyVec(tuple(
         round_shift(p + h1_q, params.eps_q, params.eps_p) for p in As
     ))
 
-    v_prime = _vecvec(pk.b, s_prime, backend)  # in R_p
     shifted_m = Poly(m.coeffs.astype(np.int64) << (params.eps_p - 1), params.p)
     pre = v_prime + Poly(cst.h1(), params.p) - shifted_m
     c_m = round_shift(pre, params.eps_p, params.eps_T)
@@ -134,7 +134,7 @@ def decrypt(sk: SecretKey, ct: Ciphertext, params: RingParams = DEFAULT_PARAMS,
             backend=None) -> Poly:
     backend = backend or SoftwareBackend()
     cst = constants(params)
-    v = _vecvec(ct.b_prime, sk.s_centered, backend)  # in R_p
+    [v] = _inner_products(backend, [ct.b_prime.polys], sk.s_centered)  # in R_p
     scaled_c = Poly(ct.c_m.coeffs.astype(np.int64) << (params.eps_p - params.eps_T),
                     params.p)
     pre = v - scaled_c + Poly(cst.h2(), params.p)

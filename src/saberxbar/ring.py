@@ -121,16 +121,17 @@ class PolyMatrix:
 
 
 def fold_negacyclic(coeffs, n: int) -> np.ndarray:
-    """Fold an up-to-(2n-1)-coefficient product modulo x^n + 1, unreduced.
+    """Fold up-to-(2n-1)-coefficient products (the last axis) modulo
+    x^n + 1, unreduced.
 
     Coefficient i of the result is coeffs[i] - coeffs[i + n] since x^n = -1.
     """
     c = np.asarray(coeffs, dtype=np.int64)
-    if c.ndim != 1 or len(c) > 2 * n - 1:
+    if c.ndim == 0 or c.shape[-1] > 2 * n - 1:
         raise DimensionError(f"expected at most {2 * n - 1} coefficients, got {c.shape}")
-    full = np.zeros(2 * n, dtype=np.int64)
-    full[: len(c)] = c
-    return full[:n] - full[n:]
+    full = np.zeros(c.shape[:-1] + (2 * n,), dtype=np.int64)
+    full[..., : c.shape[-1]] = c
+    return full[..., :n] - full[..., n:]
 
 
 def reduce_negacyclic(coeffs, params: RingParams = DEFAULT_PARAMS,
@@ -141,7 +142,7 @@ def reduce_negacyclic(coeffs, params: RingParams = DEFAULT_PARAMS,
 
 
 # float64 represents every integer below 2^53 exactly
-_EXACT_FLOAT_LIMIT = float(1 << 53)
+_EXACT_FLOAT_LIMIT = 1 << 53
 
 
 def negacyclic_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -91,6 +91,8 @@ class AdcSpec:
     def __post_init__(self):
         if self.bits < 1:
             raise ValueError("ADC resolution must be >= 1 bit")
+        if not self.range_max > 0:
+            raise ValueError("ADC range_max must be > 0")
 
 
 def adc_read(value, adc: AdcSpec):
@@ -383,6 +385,17 @@ class XbarBackend:
             del work[next(iter(work))]
         work[key] = None
         self.cell_bits_written += len(s_poly_centered) * DEFAULT_BITS_PER_COEFF
+
+    def program(self, s_centered: np.ndarray) -> np.ndarray:
+        """The handle `matvec` multiplies by. The secret's cell bits are
+        written by `install_boot_secret` or `program_secret`, or ad hoc by
+        the first product that needs it, not here."""
+        return np.asarray(s_centered, dtype=np.int64)
+
+    def matvec(self, rows, handle: np.ndarray) -> list:
+        """Sum over j of rows[i][j] * s_j for every row i, one `mul_raw` per
+        product in row-major order, each reduced modulo its row's modulus."""
+        return [sum(self.mul_raw(a, s) for a, s in zip(row, handle)) for row in rows]
 
     def mul_raw(self, a: Poly, s_poly_centered: np.ndarray) -> np.ndarray:
         self.mult_count += 1

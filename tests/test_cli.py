@@ -56,6 +56,15 @@ def test_noise_cli_bad_grid_exits_two():
         == EXIT_CONFIG_ERROR
 
 
+def test_negative_seed_or_retry_budget_exits_two(tmp_path, capsys):
+    assert main(["roundtrip", "--seed", "-1"]) == EXIT_CONFIG_ERROR
+    out = tmp_path / "noise"
+    assert main(["noise", "--trials", "1", "--variances", "0.0",
+                 "--retries=-1", "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
+    assert capsys.readouterr().err.count("config error") == 2
+
+
 def test_cost_reports_configured_point(tmp_path, capsys):
     cfg = tmp_path / "point.cfg"
     cfg.write_text("operation = dec\nalgorithm = K2\narchitecture = adcshare\n")

@@ -3,7 +3,7 @@ import pytest
 
 from saberxbar.params import DEFAULT_PARAMS
 from saberxbar.ring import Poly, negacyclic_product, gen_matrix, sample_secret
-from saberxbar.polymult import MultAlgorithm
+from saberxbar.polymult import MultAlgorithm, plan_for
 from saberxbar.pke import (SoftwareBackend, keygen, encrypt, decrypt,
                            encode_message, decode_message, frame_payload,
                            check_frame, pack_values, unpack_values,
@@ -51,6 +51,24 @@ def test_polymult_census_per_operation():
     backend.reset_counters()
     decrypt(sk, ct, P, backend)
     assert backend.mult_count == P.l  # b'^T s
+
+
+@pytest.mark.parametrize("alg", list(MultAlgorithm))
+def test_secret_evaluation_census_per_operation(alg):
+    # each operation programs its secret once: l polynomials evaluated at
+    # every point of the plan, however many products stream against it
+    rng = np.random.default_rng(2)
+    backend = SoftwareBackend(alg)
+    per_op = P.l * plan_for(alg, P).sub_mults
+    pk, sk = keygen(rng.bytes(32), rng.bytes(32), P, backend)
+    assert (backend.secret_evaluations, backend.mult_count) == (per_op, 9)
+    backend.reset_counters()
+    msg = frame_payload(rng.bytes(P.n // 8 - 4), P)
+    ct = encrypt(pk, encode_message(msg, P), rng.bytes(32), P, backend)
+    assert (backend.secret_evaluations, backend.mult_count) == (per_op, 12)
+    backend.reset_counters()
+    assert decode_message(decrypt(sk, ct, P, backend)) == msg
+    assert (backend.secret_evaluations, backend.mult_count) == (per_op, 3)
 
 
 def test_keygen_matches_direct_formula():

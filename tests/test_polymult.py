@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from saberxbar.params import DEFAULT_PARAMS
-from saberxbar.ring import Poly
+from saberxbar.ring import Poly, fold_negacyclic
 from saberxbar.polymult import (MultAlgorithm, plan_for, schoolbook_mul,
-                                karatsuba_mul, toomcook4_mul, tc4k2_mul,
-                                multiply, conv_raw)
+                                multiply, conv_raw, program, matvec, _TABLES)
+from saberxbar.pke import SoftwareBackend
+from saberxbar.xbar import XbarBackend
 
 Q = DEFAULT_PARAMS.q
 N = DEFAULT_PARAMS.n
@@ -33,6 +35,9 @@ def test_plan_counts():
     assert plan_for(MultAlgorithm.TC4K2).sub_mults == 21
     assert plan_for(MultAlgorithm.TC4).sub_degree == N // 4
     assert plan_for(MultAlgorithm.TC4K2).sub_degree == N // 8
+    # the core evaluates at exactly the points the plan counts
+    for alg in MultAlgorithm:
+        assert program(alg, np.zeros((1, N))).evaluations == plan_for(alg).sub_mults
 
 
 def test_schoolbook_matches_oracle_convolution():
@@ -63,12 +68,15 @@ def test_variants_match_schoolbook_full_size(alg):
 
 
 def test_named_entry_points_agree_with_dispatcher():
+    # multiply, conv_raw folded by hand, and a one-pair matvec against the
+    # programmed operand are three entries into the same core
     rng = np.random.default_rng(7)
     a, b = _rand_pair(rng)
-    assert karatsuba_mul(a, b, 1) == multiply(MultAlgorithm.K2, a, b)
-    assert karatsuba_mul(a, b, 2) == multiply(MultAlgorithm.K4, a, b)
-    assert toomcook4_mul(a, b) == multiply(MultAlgorithm.TC4, a, b)
-    assert tc4k2_mul(a, b) == multiply(MultAlgorithm.TC4K2, a, b)
+    for alg in MultAlgorithm:
+        want = multiply(alg, a, b)
+        assert want == Poly(fold_negacyclic(conv_raw(alg, a.coeffs, b.coeffs), N), Q)
+        got = matvec(program(alg, b.coeffs[None]), a.coeffs[None, None])
+        assert Poly(got[0], Q) == want
 
 
 def test_small_ring_exhaustive_style():
@@ -88,12 +96,12 @@ def test_small_ring_exhaustive_style():
 def test_dimension_requirements():
     a = Poly(np.arange(4), Q)
     with pytest.raises(ValueError):
-        tc4k2_mul(a, a)
+        multiply(MultAlgorithm.TC4K2, a, a)
     b = Poly(np.arange(6), Q)
     with pytest.raises(ValueError):
-        toomcook4_mul(b, b)
+        multiply(MultAlgorithm.TC4, b, b)
     with pytest.raises(ValueError):
-        karatsuba_mul(Poly([1], Q), Poly([1], Q), 1)
+        multiply(MultAlgorithm.K2, Poly([1], Q), Poly([1], Q))
 
 
 def test_multiplication_by_x_rotates_with_sign():
@@ -105,3 +113,52 @@ def test_multiplication_by_x_rotates_with_sign():
         got = multiply(alg, a, x)
         assert got.coeffs[0] == (-a.coeffs[N - 1]) % Q
         assert np.array_equal(got.coeffs[1:], a.coeffs[: N - 1])
+
+
+@st.composite
+def _small_rings(draw):
+    """A random l x l public matrix, vector and secret over a small ring."""
+    n = draw(st.sampled_from([8, 16, 32]))
+    l = draw(st.integers(1, 4))
+    q = 1 << draw(st.integers(1, 13))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(0, q, (l, l, n))
+    b = rng.integers(0, q, (l, n))
+    s = rng.integers(-(q // 2), q // 2 + 1, (l, n))
+    return q, A, b, s
+
+
+@settings(max_examples=150, deadline=None)
+@given(backend=st.sampled_from([SoftwareBackend(alg) for alg in MultAlgorithm]
+                               + [XbarBackend()]),
+       ring=_small_rings())
+def test_batched_products_match_schoolbook_sums(backend, ring):
+    q, A, b, s = ring
+    l = len(s)
+    polys = [[Poly(A[i, j], q) for j in range(l)] for i in range(l)]
+    transposed = [list(col) for col in zip(*polys)]
+    handle = backend.program(s)
+    for rows in (polys, transposed, [[Poly(x, q) for x in b]]):
+        got = backend.matvec(rows, handle)
+        for i, row in enumerate(rows):
+            want = Poly.zero(len(b[0]), q)
+            for j in range(l):
+                want = want + schoolbook_mul(row[j], Poly(s[j], q))
+            assert Poly(got[i], q) == want
+
+
+@pytest.mark.parametrize("alg", list(MultAlgorithm))
+def test_leaf_bound_is_checked_at_its_edge(alg):
+    # max|a| * sum|s| * growth^2 must stay below the table's limit: at the
+    # largest passing magnitude the product is exact, one past it raises
+    table = _TABLES[alg]
+    s = np.zeros(16, dtype=np.int64)
+    s[[0, 5]] = (1, -1)
+    edge = (table.limit - 1) // (table.growth ** 2 * 2)
+    a = np.random.default_rng(13).choice([-edge, edge], 16)
+    assert list(conv_raw(alg, a, s)) == _oracle_conv(a, s)
+    a[3] = edge + 1
+    with pytest.raises(ArithmeticError):
+        conv_raw(alg, a, s)
+    with pytest.raises(ArithmeticError):
+        matvec(program(alg, s[None]), a[None, None])

@@ -47,6 +47,12 @@ def test_adc_read_exact_on_integers():
     assert adc_read(-3.0, adc) == 0
 
 
+def test_adc_spec_rejects_non_positive_range():
+    for bad in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            AdcSpec(4, bad)
+
+
 def test_adc_bits_for_covers_range():
     assert adc_bits_for(63) == 6
     assert adc_bits_for(64) == 7
