@@ -8,9 +8,11 @@ Configuration is a flat dotted key=value text format, e.g.:
     trials = 10000
     catalog.write_energy_pj_per_cell_bit = 0.1
 
-All runs are deterministic for a given (config, seed): every trial derives
-its RNG stream from the master seed and trial index, so results do not
-depend on execution order.
+All runs are deterministic for a given (config, seed). Each noise
+Monte Carlo trial derives its streams from the master seed, its trial index
+and the variance's value, and trials run in fixed-size batches, so a
+failure-curve point does not depend on trial order, batching or the rest of
+the grid.
 """
 
 import dataclasses
@@ -22,10 +24,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS
-from .ring import Poly, negacyclic_product
+from .ring import Poly, negacyclic_product, gen_matrix, sample_secret
 from .polymult import MultAlgorithm, multiply, schoolbook_mul
 from .pke import (SoftwareBackend, keygen, encrypt, decrypt, encode_message,
-                  decode_message, frame_payload, check_frame)
+                  decode_message, frame_payload, check_frame, keygen_arrays,
+                  encrypt_arrays, decrypt_arrays)
 from .xbar import (XbarBackend, NoisySampleBackend, NoiseSpec, DEFAULT_NOISE_GAIN,
                    build_negacyclic_matrix, program_operand, crossbar_polymult)
 from .schedule import PrecisionMap, accumulate_coefficient, truncate_to_required
@@ -33,7 +36,7 @@ from .sac import SacVariant, build_sac_tree, sac_accumulate
 from .costmodel import (Operation, Architecture, ArchConfig, ComponentCatalog,
                         DEFAULT_CATALOG, CostReport, estimate)
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 class ConfigError(ValueError):
@@ -268,12 +271,23 @@ def run_verify(config: ExperimentConfig, stuck_fault=None,
 # noise Monte Carlo
 
 @dataclass(frozen=True)
+class Margin:
+    """Smallest decryption margin over the successful and over the failed
+    trials of a point; None where there were none."""
+
+    successful: float = None
+    failed: float = None
+
+
+@dataclass(frozen=True)
 class FailurePoint:
     cell_variance: float
     max_retries: int
     failure_probability: float
     trials: int
     ci_half_width: float
+    injected_errors: int  # sample errors in encryption and the budget's decryptions
+    min_margin: Margin
 
 
 @dataclass(frozen=True)
@@ -302,52 +316,144 @@ def wilson_interval(failures: int, trials: int, z: float = 1.96):
 
 DEFAULT_VARIANCE_GRID = (0.0, 0.02, 0.04, 0.05, 0.06, 0.08, 0.10)
 
+# Trials multiplied together. It bounds the Monte Carlo's working memory;
+# results do not depend on it.
+_TRIALS_PER_BATCH = 64
+
+
+def decryption_margins(pre: np.ndarray, m: np.ndarray, params: RingParams) -> np.ndarray:
+    """Signed distance of each pre-rounding coefficient (mod p) from the
+    nearer edge of the interval that decodes to its message bit m, in units
+    of 1 mod p: positive exactly when the bit decodes correctly."""
+    half = params.p // 2
+    offset = (pre - m * half + half // 2) % params.p - half  # from the interval's center
+    return half / 2 - np.abs(offset + 0.5)
+
+
+def _trial_seed(seed: int, trial: int, variance: float = None) -> np.random.SeedSequence:
+    """Seed of trial `trial`'s key and message stream, or of its sample noise
+    at `variance`: children of the master seed, keyed by the trial index and
+    the variance's value."""
+    key = (trial,) if variance is None else (
+        trial, int(np.float64(variance).view(np.uint64)))
+    return np.random.SeedSequence(seed, spawn_key=key)
+
+
+@dataclass(frozen=True)
+class _Outcomes:
+    """Per-trial results at one variance, for max_retries + 1 attempts."""
+
+    first_success: np.ndarray  # attempt that first decrypted correctly, -1 if none
+    margins: np.ndarray        # (trials, attempts) worst coefficient's margin, nan if not made
+    errors: np.ndarray         # (trials, attempts + 1) encryption's, then each attempt's
+
+    def at_budget(self, r: int):
+        """(success, decisive attempt's margin, injected errors) per trial
+        at retry budget r."""
+        success = (self.first_success >= 0) & (self.first_success <= r)
+        last = np.minimum(r, (~np.isnan(self.margins)).sum(axis=1) - 1)
+        decisive = np.where(success, self.first_success, last)
+        margin = self.margins[np.arange(len(decisive)), decisive]
+        return success, margin, self.errors[:, : r + 2].sum(axis=1)
+
+
+def _run_trials(config: ExperimentConfig, variance_grid, max_r: int, trials) -> dict:
+    """{variance: _Outcomes} for the trial indices `trials`, all multiplied
+    together. Each (trial, variance) draws everything from its own streams,
+    so its outcome does not depend on which other trials or variances run.
+    """
+    p = config.params
+    variances = list(dict.fromkeys(variance_grid))
+    draws = [np.random.default_rng(_trial_seed(config.seed, t)).bytes(96 + p.n // 8 - 4)
+             for t in trials]
+    A = np.stack([gen_matrix(d[:32], p).as_array() for d in draws])
+    s = np.stack([sample_secret(d[32:64], p) for d in draws])
+    s_enc = np.stack([sample_secret(d[64:96], p) for d in draws])
+    m = np.stack([encode_message(frame_payload(d[96:], p), p).coeffs for d in draws])
+
+    backend = NoisySampleBackend(NoiseSpec(), p, config.noise_gain)
+    backend.noisy = False
+    b = keygen_arrays(A, s, p, backend)  # exact, so one key serves every variance
+    backend.noisy = True
+    # one crossbar per (variance, trial); exact products broadcast over them
+    noise = np.array([[NoiseSpec(var, config.tia_variance, _trial_seed(config.seed, t, var))
+                       for t in trials] for var in variances], dtype=object)
+    backend.trial_noise = noise
+    c_m, b_prime = encrypt_arrays(A, b, m, s_enc, p, backend)
+
+    # per (variance, trial) entry, flattened
+    first_success = np.full(noise.size, -1)
+    margins = np.full((noise.size, max_r + 1), np.nan)
+    errors = np.zeros((noise.size, max_r + 2), dtype=np.int64)
+    errors[:, 0] = backend.last_injected.ravel()
+    s, m = (np.broadcast_to(x, noise.shape + x.shape[1:]).reshape(noise.size, *x.shape[1:])
+            for x in (s, m))
+    c_m, b_prime = c_m.reshape(noise.size, p.n), b_prime.reshape(noise.size, p.l, p.n)
+    retryable = np.repeat(np.array(variances) > 0, len(draws))  # exact decryption is final
+    pending = np.arange(noise.size)
+    for attempt in range(max_r + 1):
+        backend.trial_noise = noise.ravel()[pending]
+        pre = decrypt_arrays(s[pending], c_m[pending], b_prime[pending], p, backend)
+        margin = decryption_margins(pre, m[pending], p).min(axis=-1)
+        margins[pending, attempt] = margin
+        errors[pending, attempt + 1] = backend.last_injected
+        ok = margin > 0
+        first_success[pending[ok]] = attempt
+        pending = pending[~ok & retryable[pending]]
+        if not len(pending):
+            break
+    shape = noise.shape
+    first_success, margins, errors = (x.reshape(shape + x.shape[1:])
+                                      for x in (first_success, margins, errors))
+    return {var: _Outcomes(first_success[v], margins[v], errors[v])
+            for v, var in enumerate(variances)}
+
 
 def run_noise(config: ExperimentConfig,
               variance_grid=DEFAULT_VARIANCE_GRID,
               retries_grid=(0,)) -> FailureCurve:
     """Empirical decryption-failure curve over (variance, retries).
 
-    Key generation is exact; encryption and every decryption attempt see
-    fresh sample noise. A trial at retry budget r fails when the first r+1
-    decryptions all mis-frame the CRC, so the curve is monotone in r by
-    construction.
+    Key generation is exact, so each trial's key serves every variance;
+    encryption and every decryption attempt see fresh sample noise. A trial
+    at retry budget r fails when the first r+1 decryptions all mis-frame the
+    CRC, so the curve is monotone in r by construction; retries re-run only
+    the trials that still fail. Trial t draws its keys and message from its
+    own child stream of `config.seed`, and its sample noise from a child
+    keyed by t and the variance's value, so a point does not depend on the
+    trial order, on the batching, or on the other variances in the grid.
+    Trials run in fixed-size batches, so memory does not grow with
+    `config.trials`.
+
+    Each point also counts the sample errors injected (in encryption and in
+    the decryptions its budget allows) and the smallest decryption margin
+    (`decryption_margins` of a trial's worst coefficient in the attempt that
+    decided it) over its successful and over its failed trials.
     """
     if not variance_grid or not retries_grid:
         raise ConfigError("variance and retries grids must be non-empty")
     if min(retries_grid) < 0:
         raise ConfigError("retry budgets must be >= 0")
     max_r = max(retries_grid)
+    keys = [(var, r) for var in variance_grid for r in retries_grid]
+    fails, errors = dict.fromkeys(keys, 0), dict.fromkeys(keys, 0)
+    worst = {key: [math.inf, math.inf] for key in keys}
+    for start in range(0, config.trials, _TRIALS_PER_BATCH):
+        trials = range(start, min(start + _TRIALS_PER_BATCH, config.trials))
+        for var, out in _run_trials(config, variance_grid, max_r, trials).items():
+            for r in dict.fromkeys(retries_grid):  # a repeated budget is tallied once
+                success, margin, errs = out.at_budget(r)
+                fails[var, r] += int((~success).sum())
+                errors[var, r] += int(errs.sum())
+                for i, group in enumerate((margin[success], margin[~success])):
+                    if len(group):
+                        worst[var, r][i] = min(worst[var, r][i], float(group.min()))
     points = []
-    for var in variance_grid:
-        fails_by_budget = {r: 0 for r in retries_grid}
-        noise = NoiseSpec(var, config.tia_variance, seed=config.seed ^ 0x5ac)
-        backend = NoisySampleBackend(noise, config.params, config.noise_gain)
-        rng = np.random.default_rng(config.seed)
-        for _ in range(config.trials):
-            seed_a, r_kg, r_enc = rng.bytes(32), rng.bytes(32), rng.bytes(32)
-            backend.noisy = False
-            pk, sk = keygen(seed_a, r_kg, config.params, backend)
-            backend.noisy = var > 0
-            payload = rng.bytes(config.params.n // 8 - 4)
-            msg = frame_payload(payload, config.params)
-            ct = encrypt(pk, encode_message(msg, config.params), r_enc,
-                         config.params, backend)
-            first_success = None
-            for attempt in range(max_r + 1):
-                out = decode_message(decrypt(sk, ct, config.params, backend))
-                if check_frame(out) and out == msg:
-                    first_success = attempt
-                    break
-                if var == 0:
-                    break  # exact mode cannot change on retry
-            for r in retries_grid:
-                if first_success is None or first_success > r:
-                    fails_by_budget[r] += 1
-        for r in retries_grid:
-            _, half = wilson_interval(fails_by_budget[r], config.trials)
-            points.append(FailurePoint(var, r, fails_by_budget[r] / config.trials,
-                                       config.trials, half))
+    for key in keys:
+        _, half = wilson_interval(fails[key], config.trials)
+        margin = Margin(*(None if w == math.inf else w for w in worst[key]))
+        points.append(FailurePoint(*key, fails[key] / config.trials, config.trials,
+                                   half, errors[key], margin))
     return FailureCurve(tuple(points), config.as_dict())
 
 
@@ -445,11 +551,14 @@ def noise_to_csv(curve: FailureCurve) -> str:
     buf = io.StringIO()
     buf.write(f"# schema_version={SCHEMA_VERSION}\n")
     buf.write(f"# config={json.dumps(curve.config, sort_keys=True)}\n")
-    buf.write("cell_variance,max_retries,failure_probability,trials,ci_half_width\n")
+    buf.write("cell_variance,max_retries,failure_probability,trials,ci_half_width,"
+              "injected_errors,min_margin_successful,min_margin_failed\n")
     for pt in curve.points:
+        margins = ["" if v is None else str(v)
+                   for v in (pt.min_margin.successful, pt.min_margin.failed)]
         buf.write(f"{pt.cell_variance},{pt.max_retries},"
                   f"{pt.failure_probability:.6f},{pt.trials},"
-                  f"{pt.ci_half_width:.6f}\n")
+                  f"{pt.ci_half_width:.6f},{pt.injected_errors},{','.join(margins)}\n")
     return buf.getvalue()
 
 

@@ -8,16 +8,22 @@ crossbar does: it programs the secret once (`backend.program`) and streams
 every product against it in one `backend.matvec` call, whose rows are the
 rows of A (its columns for A^T s) and the vector b. Backends receive the
 secret in centered form.
+
+The equations themselves (`keygen_arrays`, `encrypt_arrays`,
+`decrypt_arrays`) work on coefficient arrays with an optional leading axis
+of independent instances, so the noise Monte Carlo runs a whole batch of
+trials through one call each; `keygen`, `encrypt` and `decrypt` run them on
+one message.
 """
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS, constants
-from .ring import Poly, PolyVec, gen_matrix, sample_secret, round_shift
-from .polymult import MultAlgorithm, Programmed, program, matvec
+from .ring import Poly, PolyVec, gen_matrix, sample_secret
+from .polymult import MultAlgorithm, Programmed, program, matvec, row_operands
 
 
 @dataclass(frozen=True)
@@ -59,18 +65,21 @@ class SoftwareBackend:
         pass
 
     def program(self, s_centered: np.ndarray) -> Programmed:
-        """Evaluate the (l, n) centered secret for any number of `matvec`s.
-        Feeding the centered secret keeps the intermediates small; any
-        representative is valid before the final mod."""
+        """Evaluate the (..., l, n) centered secret for any number of
+        `matvec`s. Feeding the centered secret keeps the intermediates
+        small; any representative is valid before the final mod."""
         handle = program(self.algorithm, s_centered)
         self.secret_evaluations += handle.evaluations
         return handle
 
-    def matvec(self, rows, handle: Programmed) -> np.ndarray:
-        """Sum over j of rows[i][j] * s_j for every row i, as signed length-n
-        arrays not yet reduced modulo the rows' moduli."""
-        self.mult_count += len(rows) * len(rows[0])
-        return matvec(handle, [[p.coeffs for p in row] for row in rows])
+    def matvec(self, rows, handle: Programmed, moduli=None) -> np.ndarray:
+        """Sum over j of rows[..., i, j] * s_j for every row i, as signed
+        length-n arrays not yet reduced modulo the rows' moduli. `rows` is
+        an (..., rows, l, n) array or nested lists of Polys; exact products
+        do not depend on the rows' `moduli`."""
+        a, _ = row_operands(rows, moduli)
+        self.mult_count += a.size // a.shape[-1]
+        return matvec(handle, a)
 
     def mul_raw(self, a: Poly, s_poly_centered: np.ndarray) -> np.ndarray:
         """One negacyclic product, not yet reduced modulo a.modulus."""
@@ -85,27 +94,51 @@ class SoftwareBackend:
         self.cell_bits_written = 0
 
 
-def _inner_products(backend, rows, s_centered: np.ndarray) -> list:
-    """Poly i is sum_j rows[i][j] * s_j in the modulus of rows[i]: the secret
-    is programmed once and every row streams against it."""
-    sums = backend.matvec(rows, backend.program(s_centered))
-    return [Poly(acc, row[0].modulus) for acc, row in zip(sums, rows)]
+# ---------------------------------------------------------------------------
+# the SABER equations over coefficient arrays. A leading axis, if any, holds
+# independent instances (one per Monte Carlo trial). Each equation programs
+# its secret once and streams all of its products in one matvec.
+
+def keygen_arrays(A: np.ndarray, s: np.ndarray, params: RingParams, backend) -> np.ndarray:
+    """b = round_shift((A^T s + h) mod q), (..., l, n) mod p, for A
+    (..., l, l, n) mod q and the centered secret s (..., l, n)."""
+    backend.install_boot_secret(s, params)
+    As = backend.matvec(np.swapaxes(A, -3, -2), backend.program(s), [params.q] * params.l)
+    return ((As + constants(params).h1_value) % params.q) >> (params.eps_q - params.eps_p)
+
+
+def encrypt_arrays(A: np.ndarray, b: np.ndarray, m: np.ndarray, s_prime: np.ndarray,
+                   params: RingParams, backend):
+    """(c_m (..., n) mod T, b' (..., l, n) mod p) for the message bits m
+    (..., n), the public key (A, b) and the centered ephemeral secret s'."""
+    backend.program_secret(s_prime, params)
+    # A s' rather than A^T s', so that b^T s' and b'^T s cancel in decryption
+    rows = np.concatenate([A, b[..., None, :, :]], axis=-3)
+    sums = backend.matvec(rows, backend.program(s_prime),
+                          [params.q] * params.l + [params.p])
+    h1 = constants(params).h1_value
+    b_prime = ((sums[..., :-1, :] + h1) % params.q) >> (params.eps_q - params.eps_p)
+    pre = (sums[..., -1, :] + h1 - (m << (params.eps_p - 1))) % params.p
+    return pre >> (params.eps_p - params.eps_T), b_prime
+
+
+def decrypt_arrays(s: np.ndarray, c_m: np.ndarray, b_prime: np.ndarray,
+                   params: RingParams, backend) -> np.ndarray:
+    """The message coefficients before rounding, (..., n) mod p: each
+    message bit is the top bit of its coefficient."""
+    v = backend.matvec(b_prime[..., None, :, :], backend.program(s), [params.p])[..., 0, :]
+    return (v - (c_m << (params.eps_p - params.eps_T))
+            + constants(params).h2_value) % params.p
 
 
 def keygen(seed_A: bytes, r: bytes, params: RingParams = DEFAULT_PARAMS,
            backend=None, xof_cls=None):
     """b = round_shift((A^T s + h) mod q); pk = (seed_A, b), sk = s."""
     backend = backend or SoftwareBackend()
-    cst = constants(params)
-    A = gen_matrix(seed_A, params, xof_cls)
+    A = gen_matrix(seed_A, params, xof_cls).as_array()
     s = sample_secret(r, params, xof_cls)
-    backend.install_boot_secret(s, params)
-    As = _inner_products(backend, list(zip(*A.rows)), s)  # A^T s
-    h1 = Poly(cst.h1(), params.q)
-    b = PolyVec(tuple(
-        round_shift(p + h1, params.eps_q, params.eps_p) for p in As
-    ))
-    return PublicKey(bytes(seed_A), b), SecretKey(s)
+    b = keygen_arrays(A, s, params, backend)
+    return PublicKey(bytes(seed_A), PolyVec.from_array(b, params.p)), SecretKey(s)
 
 
 def encrypt(pk: PublicKey, m: Poly, r_prime: bytes,
@@ -113,32 +146,18 @@ def encrypt(pk: PublicKey, m: Poly, r_prime: bytes,
     if m.modulus != 2 or m.n != params.n:
         raise ValueError("message must be a degree-n polynomial over modulus 2")
     backend = backend or SoftwareBackend()
-    cst = constants(params)
-    A = gen_matrix(pk.seed_A, params, xof_cls)
+    A = gen_matrix(pk.seed_A, params, xof_cls).as_array()
     s_prime = sample_secret(r_prime, params, xof_cls)
-    backend.program_secret(s_prime, params)
-    # A s' rather than A^T s', so that b^T s' and b'^T s cancel in decryption
-    *As, v_prime = _inner_products(backend, [*A.rows, pk.b.polys], s_prime)
-    h1_q = Poly(cst.h1(), params.q)
-    b_prime = PolyVec(tuple(
-        round_shift(p + h1_q, params.eps_q, params.eps_p) for p in As
-    ))
-
-    shifted_m = Poly(m.coeffs.astype(np.int64) << (params.eps_p - 1), params.p)
-    pre = v_prime + Poly(cst.h1(), params.p) - shifted_m
-    c_m = round_shift(pre, params.eps_p, params.eps_T)
-    return Ciphertext(c_m, b_prime)
+    c_m, b_prime = encrypt_arrays(A, pk.b.as_array(), m.coeffs, s_prime, params, backend)
+    return Ciphertext(Poly(c_m, params.T), PolyVec.from_array(b_prime, params.p))
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext, params: RingParams = DEFAULT_PARAMS,
             backend=None) -> Poly:
     backend = backend or SoftwareBackend()
-    cst = constants(params)
-    [v] = _inner_products(backend, [ct.b_prime.polys], sk.s_centered)  # in R_p
-    scaled_c = Poly(ct.c_m.coeffs.astype(np.int64) << (params.eps_p - params.eps_T),
-                    params.p)
-    pre = v - scaled_c + Poly(cst.h2(), params.p)
-    return round_shift(pre, params.eps_p, 1)
+    pre = decrypt_arrays(sk.s_centered, ct.c_m.coeffs, ct.b_prime.as_array(),
+                         params, backend)
+    return Poly(pre >> (params.eps_p - 1), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +204,21 @@ def unpack_values(data: bytes, width: int, count: int) -> np.ndarray:
     return bits @ (np.int64(1) << np.arange(width, dtype=np.int64))
 
 
+class SerializationError(ValueError):
+    """Bytes of the wrong length, or values outside their serialized range."""
+
+
+def _check_length(data: bytes, want: int, what: str) -> None:
+    if len(data) != want:
+        raise SerializationError(f"{what} must be {want} bytes, got {len(data)}")
+
+
 def pack_public_key(pk: PublicKey, params: RingParams = DEFAULT_PARAMS) -> bytes:
     return pk.seed_A + pack_values(pk.b.as_array().ravel(), params.eps_p)
 
 
 def unpack_public_key(data: bytes, params: RingParams = DEFAULT_PARAMS) -> PublicKey:
+    _check_length(data, 32 + params.l * params.n * params.eps_p // 8, "public key")
     seed, rest = data[:32], data[32:]
     vals = unpack_values(rest, params.eps_p, params.l * params.n)
     return PublicKey(seed, PolyVec.from_array(vals.reshape(params.l, params.n), params.p))
@@ -197,10 +226,14 @@ def unpack_public_key(data: bytes, params: RingParams = DEFAULT_PARAMS) -> Publi
 
 def pack_secret_key(sk: SecretKey, params: RingParams = DEFAULT_PARAMS) -> bytes:
     # 4-bit two's complement per centered coefficient
-    return pack_values(sk.s_centered.ravel() & 0xF, 4)
+    s = np.asarray(sk.s_centered)
+    if s.min() < -8 or s.max() > 7:
+        raise SerializationError("secret coefficients must lie in [-8, 7]")
+    return pack_values(s.ravel() & 0xF, 4)
 
 
 def unpack_secret_key(data: bytes, params: RingParams = DEFAULT_PARAMS) -> SecretKey:
+    _check_length(data, params.l * params.n * 4 // 8, "secret key")
     vals = unpack_values(data, 4, params.l * params.n)
     signed = np.where(vals >= 8, vals - 16, vals)
     return SecretKey(signed.reshape(params.l, params.n))
@@ -213,6 +246,7 @@ def pack_ciphertext(ct: Ciphertext, params: RingParams = DEFAULT_PARAMS) -> byte
 
 def unpack_ciphertext(data: bytes, params: RingParams = DEFAULT_PARAMS) -> Ciphertext:
     n_cm = params.n * params.eps_T // 8
+    _check_length(data, n_cm + params.l * params.n * params.eps_p // 8, "ciphertext")
     c_m = Poly(unpack_values(data[:n_cm], params.eps_T, params.n), params.T)
     vals = unpack_values(data[n_cm:], params.eps_p, params.l * params.n)
     return Ciphertext(c_m, PolyVec.from_array(vals.reshape(params.l, params.n), params.p))

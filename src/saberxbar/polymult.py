@@ -2,20 +2,28 @@
 
 Every algorithm is one table for a single evaluate -> leaf -> interpolate
 core: split both operands into equal limbs, evaluate the limbs at the
-table's points, multiply the evaluations pointwise by schoolbook convolution
-(the leaf products), interpolate the product's limbs exactly, overlap-add
-them into the full 2n-1 convolution and reduce modulo (x^n + 1) once at the
-end. Schoolbook is the one-point table, Karatsuba the {0, 1, inf} Toom-2
-table, and K4 and TC4+K2 are tensor products of two tables.
+table's points, multiply the evaluations pointwise (the leaf products),
+interpolate the product's limbs exactly, overlap-add them into the full
+2n-1 convolution and reduce modulo (x^n + 1) once at the end. Schoolbook is
+the one-point table, Karatsuba the {0, 1, inf} Toom-2 table, and K4 and
+TC4+K2 are tensor products of two tables.
+
+The leaf is one batched float64 real FFT of every limb: a leaf product is a
+pointwise product of two spectra, and an inverse transform rounded to the
+nearest integer. Each call checks a rigorous round-off bound before it
+transforms and the observed rounding residual after, and raises
+ArithmeticError rather than return an inexact product.
 
 The secret side of a product is stationary, as on the crossbar: `program`
 evaluates a secret vector once, and `matvec` streams rows of public operands
 against it, summing each row's products in the evaluation domain so that it
 interpolates once per output polynomial (Bermudo Mera, Karmakar and
 Verbauwhede, "Time-memory trade-off in Toom-Cook multiplication", TCHES
-2020). `conv_raw` and `multiply` run the same core on one pair. Every
-algorithm must agree with `schoolbook_mul` bit-exactly; the test suite
-enforces this against an independent big-integer convolution oracle.
+2020). Both take optional leading axes, so one call multiplies a batch of
+independent secrets by their own operands. `conv_raw` and `multiply` run the
+same core on one pair. Every algorithm must agree with `schoolbook_mul`
+bit-exactly; the test suite enforces this against an independent
+big-integer convolution oracle.
 """
 
 import enum
@@ -25,10 +33,9 @@ from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .params import RingParams, DEFAULT_PARAMS
-from .ring import Poly, _check_pair, fold_negacyclic, _EXACT_FLOAT_LIMIT
+from .ring import Poly, _check_pair, fold_negacyclic
 
 
 class MultAlgorithm(enum.Enum):
@@ -91,9 +98,10 @@ class _Table:
     """A bilinear algorithm over `limbs` limbs of k = n / limbs coefficients.
 
     Row p of `evaluation` weights the limbs into the operand's value at point
-    p; the two values multiply as a k x k schoolbook convolution. Row t of
-    `interpolation`, divided exactly by `denominators[t]`, recovers limb t of
-    the product, whose 2k-1 coefficients start at coefficient offsets[t] * k.
+    p; the two values multiply as a k x k linear convolution (the leaf). Row
+    t of `interpolation`, divided exactly by `denominators[t]`, recovers limb
+    t of the product, whose 2k-1 coefficients start at coefficient
+    offsets[t] * k.
     """
 
     limbs: int
@@ -107,16 +115,18 @@ class _Table:
         return len(self.evaluation)
 
     @cached_property
-    def growth(self) -> int:
-        """Largest factor by which evaluation can grow a coefficient."""
-        return int(np.abs(self.evaluation).sum(axis=1).max())
+    def identity(self) -> bool:
+        """Schoolbook's table, whose one limb is evaluated and interpolated
+        as is: the core skips its two matrix products, whose numpy overhead
+        per batch entry would outweigh its leaf."""
+        return (self.evaluation.shape == (1, 1) and self.evaluation[0, 0] == 1
+                and self.interpolation[0, 0] == self.denominators[0] == 1)
 
     @cached_property
     def limit(self) -> int:
-        """Bound on a leaf-product sum below which the float64 leaf is exact
-        and the integer interpolation cannot overflow int64."""
-        widest = int(np.abs(self.interpolation).sum(axis=1).max())
-        return min(_EXACT_FLOAT_LIMIT, _INT64_LIMIT // widest)
+        """Bound on a leaf-product sum below which the integer interpolation
+        cannot overflow int64."""
+        return _INT64_LIMIT // int(np.abs(self.interpolation).sum(axis=1).max())
 
 
 def _powers(x, count: int) -> list:
@@ -187,91 +197,160 @@ def _limb_size(table: _Table, alg: MultAlgorithm, n: int) -> int:
 
 
 def _evaluate(table: _Table, x: np.ndarray, k: int) -> np.ndarray:
-    """(..., n) coefficients -> (..., points, k) values at the table's points."""
-    return table.evaluation @ x.reshape(x.shape[:-1] + (table.limbs, k))
+    """(..., n) coefficients -> (..., points, k) float64 values at the
+    table's points, exact below 2^53 (the round-off bound keeps them there)."""
+    limbs = x.reshape(x.shape[:-1] + (table.limbs, k)).astype(np.float64)
+    return limbs if table.identity else table.evaluation.astype(np.float64) @ limbs
+
+
+def _interpolate(table: _Table, exact: np.ndarray) -> np.ndarray:
+    """(..., points, 2k-1) int64 leaf sums -> (product limbs, ..., 2k-1)."""
+    if table.identity:
+        return np.moveaxis(exact, -2, 0)
+    limbs, rem = np.divmod(np.tensordot(table.interpolation, exact, axes=(1, -2)),
+                           table.denominators.reshape((-1,) + (1,) * (exact.ndim - 1)))
+    if rem.any():
+        raise ArithmeticError("Toom-Cook interpolation produced a non-integer")
+    return limbs
 
 
 # ---------------------------------------------------------------------------
 # the core: program a secret once, stream public operands against it
 
-# A leaf longer than this multiplies by np.convolve per pair: its Toeplitz
-# matrix (k x (2k-1) per polynomial and point) would cost more to build and
-# to stream than one matrix product per point saves.
-_TOEPLITZ_MAX_LEAF = 64
+# float64 unit round-off, and the error assumed for the FFT's roots of unity
+_EPS = 2.0 ** -53
+_ROOT_ERROR = 2.0 ** -52
+# covers the rounding of the norms that enter the bound
+_NORM_SLACK = 1.0 + 2.0 ** -20
+# a leaf coefficient within this of an integer rounds to it exactly
+_MAX_ROUNDOFF = 0.25
+
+
+def _fft_size(k: int) -> int:
+    """Smallest power of two that holds a (2k-1)-term linear convolution."""
+    return 1 << (2 * k - 2).bit_length()
+
+
+def _roundoff_factor(size: int, terms: int) -> float:
+    """Factor f such that a leaf sum of `terms` products, each of two limbs
+    x and y transformed at `size` points, is off by less than
+    f * sum ||x|| ||y|| (Euclidean norms) in every coefficient.
+
+    This is Percival's bound ("Rapid multiplication modulo the sum and
+    difference of highly composite numbers", Math. Comp. 2003, Thm 5.1),
+    ((1+e)^3m (1+e sqrt5)^(3m+1) (1+b)^3m - 1) for size = 2^m, summed over
+    the products by the triangle inequality, with (1+e)^(terms-1) for the
+    frequency-domain additions, which enter like the pointwise products'
+    rounding. It models a radix-2 complex FFT; numpy's real FFT is not that
+    algorithm, so every call also checks the observed rounding residual.
+    """
+    m = size.bit_length() - 1
+    return math.expm1(3 * m * math.log1p(_EPS)
+                      + (3 * m + 1) * math.log1p(_EPS * math.sqrt(5))
+                      + 3 * m * math.log1p(_ROOT_ERROR)
+                      + (terms - 1) * math.log1p(_EPS))
 
 
 @dataclass(frozen=True)
 class Programmed:
-    """A secret vector (l, n) evaluated once at an algorithm's points.
+    """A secret vector (..., l, n) evaluated once at an algorithm's points.
 
-    For leaves of k <= _TOEPLITZ_MAX_LEAF coefficients, `stationary[p]`
-    stacks the k x (2k-1) Toeplitz matrices of the l values at point p, so
-    that one row of l evaluated public limbs times it is the sum of their l
-    leaf products at p. For longer leaves it holds the (points, l, k) values.
+    `spectra` holds the real FFT of every evaluated limb, (..., l, points,
+    size // 2 + 1), and `norms` their Euclidean norms, (..., l, points), for
+    the leaf's bounds. Leading axes, if any, index independent secrets (one
+    per trial of a batch).
     """
 
     algorithm: MultAlgorithm
-    n: int
-    l: int
-    stationary: np.ndarray  # float64
-    abs_sum: int            # sum of |s| over the whole vector
-    evaluations: int        # secret polynomials evaluated: l x points
+    secret: np.ndarray      # int64 (..., l, n)
+    spectra: np.ndarray     # complex128
+    norms: np.ndarray       # float64
+    evaluations: int        # secret polynomials evaluated: polynomials x points
+
+    @property
+    def n(self) -> int:
+        return self.secret.shape[-1]
+
+    @property
+    def l(self) -> int:
+        return self.secret.shape[-2]
+
+
+def _norms(values: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("...k,...k->...", values, values))
 
 
 def program(alg: MultAlgorithm, s) -> Programmed:
-    """Evaluate the secret vector `s` (l, n) once, for any number of `matvec`s."""
+    """Evaluate the secret vector `s` (..., l, n) once, for any number of
+    `matvec`s."""
     s = np.asarray(s, dtype=np.int64)
     table = _TABLES[alg]
-    l, n = s.shape
-    k = _limb_size(table, alg, n)
-    values = _evaluate(table, s, k).swapaxes(0, 1).astype(np.float64)  # (points, l, k)
-    if k <= _TOEPLITZ_MAX_LEAF:
-        pad = np.zeros((table.points, l, 3 * k - 2))
-        pad[..., k - 1: 2 * k - 1] = values
-        # row u of the window view, read backwards, is the value shifted right by u
-        toeplitz = sliding_window_view(pad, 2 * k - 1, axis=-1)[..., ::-1, :]
-        values = np.ascontiguousarray(toeplitz).reshape(table.points, l * k, 2 * k - 1)
-    return Programmed(alg, n, l, values, int(np.abs(s).sum(dtype=np.float64)),
-                      l * table.points)
+    k = _limb_size(table, alg, s.shape[-1])
+    values = _evaluate(table, s, k)  # (..., l, points, k)
+    return Programmed(alg, s, np.fft.rfft(values, _fft_size(k)), _norms(values),
+                      s.size // s.shape[-1] * table.points)
 
 
 def _products(h: Programmed, a) -> np.ndarray:
-    """Row i of the (rows, 2n-1) result is sum_j a[i, j] * s_j, unreduced.
+    """Row i of the (..., rows, 2n-1) result is sum_j a[..., i, j] * s_j,
+    unreduced, for a of shape (..., rows, l, n).
 
-    Each row's l leaf products at a point are summed before interpolating,
-    so the row interpolates once. The leaf products run in float64, exact
-    while every partial sum is below the table's `limit`; the bound
-    max|a| * sum|s| * growth^2 covers every partial sum and is checked on
-    each call.
+    Each row's l leaf products at a point are summed in the frequency domain,
+    so the row takes one inverse FFT per point and interpolates once. Every
+    leaf-sum coefficient is at most M = sum_j ||x_j|| ||y_j|| over the row's
+    evaluated limbs (Cauchy-Schwarz), and each call checks M twice: against
+    the FFT round-off bound, so that every coefficient rounds to its exact
+    integer, and against the table's int64 interpolation limit.
     """
     table = _TABLES[h.algorithm]
     a = np.asarray(a, dtype=np.int64)
-    rows, l, n = a.shape
+    l, n = a.shape[-2:]
     if (l, n) != (h.l, h.n):
         raise ValueError(f"operand rows of {l} x {n} coefficients do not match "
                          f"the programmed {h.l} x {h.n} secret")
-    if int(np.abs(a).max()) * table.growth ** 2 * h.abs_sum >= table.limit:
-        raise ArithmeticError("operands exceed the exact range of the leaf products")
     k = n // table.limbs
-    lhs = _evaluate(table, a, k).transpose(2, 0, 1, 3).astype(np.float64)  # (points, rows, l, k)
-    if k <= _TOEPLITZ_MAX_LEAF:
-        leaf = lhs.reshape(table.points, rows, l * k) @ h.stationary
-    else:
-        leaf = np.array([[sum(map(np.convolve, row, s_p)) for row in lhs_p]
-                         for lhs_p, s_p in zip(lhs, h.stationary)])
-    num = table.interpolation @ leaf.astype(np.int64).reshape(table.points, -1)
-    limbs, rem = np.divmod(num, table.denominators[:, None])
-    if rem.any():
-        raise ArithmeticError("Toom-Cook interpolation produced a non-integer")
-    out = np.zeros((rows, 2 * n), dtype=np.int64)
-    for off, limb in zip(table.offsets * k, limbs.reshape(-1, rows, 2 * k - 1)):
-        out[:, off: off + 2 * k - 1] += limb
-    return out[:, :-1]
+    size = _fft_size(k)
+    x = _evaluate(table, a, k)  # (..., rows, l, points, k)
+    bound = np.einsum("...jp,...jp->...p", _norms(x), h.norms[..., None, :, :]).max()
+    bound *= _NORM_SLACK
+    if not bound < table.limit:
+        raise ArithmeticError("operands exceed the int64 range of the interpolation")
+    if not bound * _roundoff_factor(size, l) < _MAX_ROUNDOFF:
+        raise ArithmeticError("operands exceed the exact range of the FFT leaf")
+    # one product at a time, freeing what is done with, keeps a batch's peak
+    # memory near two copies of its operands
+    spectra = 0
+    for j in range(l):
+        product = np.fft.rfft(x[..., j, :, :], size)
+        spectra = spectra + np.multiply(product, h.spectra[..., None, j, :, :], out=product)
+    del x, product
+    leaf = np.fft.irfft(spectra, size)[..., : 2 * k - 1]  # (..., rows, points, 2k-1)
+    del spectra
+    exact = np.rint(leaf)
+    leaf -= exact
+    if not np.abs(leaf, out=leaf).max() < _MAX_ROUNDOFF:
+        raise ArithmeticError("FFT leaf round-off reached 1/4")
+    del leaf
+    limbs = _interpolate(table, exact.astype(np.int64))
+    out = np.zeros(limbs.shape[1:-1] + (2 * n,), dtype=np.int64)
+    for off, limb in zip(table.offsets * k, limbs):
+        out[..., off: off + 2 * k - 1] += limb
+    return out[..., :-1]
 
 
 def matvec(h: Programmed, a) -> np.ndarray:
-    """(rows, n) negacyclic sums sum_j a[i, j] * s_j for a (rows, l, n), unreduced."""
+    """(..., rows, n) negacyclic sums sum_j a[..., i, j] * s_j for a of shape
+    (..., rows, l, n), unreduced."""
     return fold_negacyclic(_products(h, a), h.n)
+
+
+def row_operands(rows, moduli=None):
+    """(rows as an int64 (..., rows, l, n) array, the rows' moduli): nested
+    lists of Polys carry their moduli; an array takes `moduli` as given."""
+    if isinstance(rows, np.ndarray):
+        return rows, moduli
+    return (np.array([[p.coeffs for p in row] for row in rows], dtype=np.int64),
+            [row[0].modulus for row in rows])
 
 
 def conv_raw(alg: MultAlgorithm, a: np.ndarray, b: np.ndarray) -> np.ndarray:

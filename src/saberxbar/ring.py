@@ -119,6 +119,9 @@ class PolyMatrix:
     def modulus(self) -> int:
         return self.rows[0][0].modulus
 
+    def as_array(self) -> np.ndarray:
+        return np.array([[p.coeffs for p in row] for row in self.rows])
+
 
 def fold_negacyclic(coeffs, n: int) -> np.ndarray:
     """Fold up-to-(2n-1)-coefficient products (the last axis) modulo
@@ -129,9 +132,11 @@ def fold_negacyclic(coeffs, n: int) -> np.ndarray:
     c = np.asarray(coeffs, dtype=np.int64)
     if c.ndim == 0 or c.shape[-1] > 2 * n - 1:
         raise DimensionError(f"expected at most {2 * n - 1} coefficients, got {c.shape}")
-    full = np.zeros(c.shape[:-1] + (2 * n,), dtype=np.int64)
-    full[..., : c.shape[-1]] = c
-    return full[..., :n] - full[..., n:]
+    out = np.zeros(c.shape[:-1] + (n,), dtype=np.int64)
+    out[..., : min(n, c.shape[-1])] = c[..., :n]
+    if c.shape[-1] > n:
+        out[..., : c.shape[-1] - n] -= c[..., n:]
+    return out
 
 
 def reduce_negacyclic(coeffs, params: RingParams = DEFAULT_PARAMS,

@@ -15,19 +15,22 @@ bitline current exceeds rows/2; the complement is undone after readout.
 `crossbar_polymult` is the one physical model: the explicit per-cycle,
 per-sample pipeline including noise and ADC quantization. The backends used
 by the PKE do not rerun it. `XbarBackend` is the ideal crossbar as ring
-arithmetic (the exact negacyclic product) plus write accounting for the
-programmed secrets, fast enough for large Monte-Carlo runs, and
-`NoisySampleBackend` adds sample-referred read errors on top. The test suite
-pins the ideal pipeline and `XbarBackend` to each other bit-exactly.
+arithmetic (the exact negacyclic product, through the same FFT-leaf core as
+the software algorithms) plus write accounting for the programmed secrets,
+and `NoisySampleBackend` adds sample-referred read errors on top, from one
+noise source per trial when a batch of trials multiplies at once. The test
+suite pins the ideal pipeline and `XbarBackend` to each other bit-exactly.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS
-from .ring import Poly, negacyclic_product
+from .ring import Poly
+from .polymult import MultAlgorithm, Programmed, program, matvec, row_operands
 
 DEFAULT_TILE_ROWS = 128
 DEFAULT_TILE_COLS = 128
@@ -70,7 +73,10 @@ def build_negacyclic_matrix(s_centered: np.ndarray) -> NegacyclicMatrix:
 
 @dataclass
 class NoiseSpec:
-    """Relative Gaussian noise on per-cell currents and TIA transfers."""
+    """Relative Gaussian noise on per-cell currents and TIA transfers.
+
+    `seed` is anything np.random.default_rng accepts: an int, or a
+    SeedSequence such as one trial's own child stream."""
 
     cell_variance: float = 0.0
     tia_variance: float = 0.02
@@ -341,13 +347,16 @@ def crossbar_polymult(a: Poly, s_centered: np.ndarray,
 class XbarBackend:
     """Ideal crossbar backend: ring arithmetic plus write accounting.
 
-    An ideal crossbar yields the exact negacyclic product mod a.modulus, so
-    `mul_raw` computes that product directly. What the backend models is the
-    stationary secret: which secret polynomials the boot and work slots hold,
-    and the cell bits written to program them. The work slot holds at most
-    l polynomials, its physical size; multiplying by a secret held in neither
+    An ideal crossbar yields the exact negacyclic product, so `matvec`
+    computes it directly, with the one-point (schoolbook) table of
+    `polymult`'s FFT-leaf core. What the backend models is the stationary
+    secret: which secret polynomials the boot and work slots hold, and the
+    cell bits written to program them. The work slot holds at most l
+    polynomials, its physical size; multiplying by a secret held in neither
     slot programs it into the work slot ad hoc, evicting the oldest entry,
-    and counts its writes.
+    and counts its writes. Secrets with a leading axis (a batch of
+    independent crossbars, one per trial) fill the slots polynomial by
+    polynomial.
     """
 
     def __init__(self, params: RingParams = DEFAULT_PARAMS):
@@ -362,7 +371,8 @@ class XbarBackend:
 
     def _install(self, s_centered: np.ndarray, slot: str) -> None:
         s = np.asarray(s_centered, dtype=np.int64)
-        self._slots[slot] = dict.fromkeys(row.tobytes() for row in s)
+        polys = s.reshape(-1, s.shape[-1])
+        self._slots[slot] = dict.fromkeys(row.tobytes() for row in polys)
         bits = s.size * DEFAULT_BITS_PER_COEFF
         if slot == "boot":
             self.boot_cell_bits += bits
@@ -386,22 +396,27 @@ class XbarBackend:
         work[key] = None
         self.cell_bits_written += len(s_poly_centered) * DEFAULT_BITS_PER_COEFF
 
-    def program(self, s_centered: np.ndarray) -> np.ndarray:
-        """The handle `matvec` multiplies by. The secret's cell bits are
-        written by `install_boot_secret` or `program_secret`, or ad hoc by
-        the first product that needs it, not here."""
-        return np.asarray(s_centered, dtype=np.int64)
+    def program(self, s_centered: np.ndarray) -> Programmed:
+        """The handle `matvec` multiplies by: the (..., l, n) secret,
+        transformed once. The secret's cell bits are written by
+        `install_boot_secret` or `program_secret`, or ad hoc by the first
+        product that needs it, not here."""
+        return program(MultAlgorithm.SB, s_centered)
 
-    def matvec(self, rows, handle: np.ndarray) -> list:
-        """Sum over j of rows[i][j] * s_j for every row i, one `mul_raw` per
-        product in row-major order, each reduced modulo its row's modulus."""
-        return [sum(self.mul_raw(a, s) for a, s in zip(row, handle)) for row in rows]
+    def matvec(self, rows, handle: Programmed, moduli=None) -> np.ndarray:
+        """Sum over j of rows[..., i, j] * s_j for every row i, as signed
+        length-n arrays not yet reduced modulo the rows' moduli. `rows` is
+        an (..., rows, l, n) array or nested lists of Polys."""
+        a, _ = row_operands(rows, moduli)
+        self.mult_count += a.size // a.shape[-1]
+        for s in handle.secret.reshape(-1, handle.n):
+            self._ensure_programmed(s)
+        return matvec(handle, a)
 
     def mul_raw(self, a: Poly, s_poly_centered: np.ndarray) -> np.ndarray:
-        self.mult_count += 1
+        """One product, reduced modulo a.modulus."""
         s = np.asarray(s_poly_centered, dtype=np.int64)
-        self._ensure_programmed(s)
-        return negacyclic_product(a.coeffs, s) % a.modulus
+        return self.matvec([[a]], self.program(s[None]))[0] % a.modulus
 
     def mul(self, a: Poly, s_poly_centered: np.ndarray) -> Poly:
         return Poly(self.mul_raw(a, s_poly_centered), a.modulus)
@@ -421,11 +436,19 @@ class NoisySampleBackend(XbarBackend):
     deviation cell_variance x noise_gain in units of one cell current. A
     sample only perturbs the result when the residual crosses the rounding
     threshold, so errors are drawn sparsely: the number of affected samples
-    is binomial and each error lands on a uniform (cycle, coefficient,
-    bit-slice) sample with weight 2^(cycle+slice).
+    of each product is binomial and each error lands on a uniform (cycle,
+    coefficient, bit-slice) sample with weight 2^(cycle+slice).
 
-    Keygen runs noise-free (boot-time programming is verified off-line);
-    encryption and decryption multiplications are all noisy.
+    `noise` is the one noise source of every product. Setting `trial_noise`,
+    an array of NoiseSpecs, makes each entry of a batch its own crossbar
+    instead: `matvec` broadcasts the exact sums over the array's shape, and
+    entry i draws its errors from trial_noise[i].rng at its own variance.
+    Errors are additive, so one exact product serves every entry it
+    broadcasts to. `injected_errors` counts the errors injected so far, and
+    `last_injected` those of the latest `matvec`, per entry.
+
+    Clearing `noisy` makes the products exact (boot-time programming is
+    verified off-line, so key generation is noise-free).
     """
 
     def __init__(self, noise: NoiseSpec, params: RingParams = DEFAULT_PARAMS,
@@ -434,44 +457,82 @@ class NoisySampleBackend(XbarBackend):
         self.noise = noise
         self.noise_gain = noise_gain
         self.noisy = True
+        self.trial_noise = None
+        self.injected_errors = 0
+        self.last_injected = np.zeros(0, dtype=np.int64)
 
-    def _error_std(self) -> float:
-        return self.noise.cell_variance * self.noise_gain
+    def matvec(self, rows, handle: Programmed, moduli=None) -> np.ndarray:
+        """The exact sums of `XbarBackend.matvec` plus sample errors. The
+        rows' moduli set each product's number of input cycles: nested
+        Polys carry them, an array needs `moduli`."""
+        a, moduli = row_operands(rows, moduli)
+        exact = super().matvec(a, handle, moduli)
+        sources = np.asarray(self.noise if self.trial_noise is None else self.trial_noise,
+                             dtype=object)
+        lead = np.broadcast_shapes(exact.shape[:-2], sources.shape)
+        out = np.broadcast_to(exact, lead + exact.shape[-2:]).copy()
+        entries = out.reshape(-1, *out.shape[-2:])  # a view: (entries, rows, n)
+        counts = np.zeros(len(entries), dtype=np.int64)
+        self.last_injected = counts.reshape(lead)
+        if not self.noisy:
+            return out
+        if moduli is None or len(moduli) != out.shape[-2]:
+            raise ValueError("noisy products need one modulus per row")
+        n = out.shape[-1]
+        slices = DEFAULT_BITS_PER_COEFF
+        cycles = np.array([m.bit_length() - 1 for m in moduli])
+        samples = cycles * n * slices * -(-n // DEFAULT_TILE_ROWS)
+        per_product = np.repeat(samples[:, None], a.shape[-2], axis=1)  # (rows, l)
+        for i, (spec, result) in enumerate(zip(np.broadcast_to(sources, lead).ravel(),
+                                               entries)):
+            std = spec.cell_variance * self.noise_gain
+            if std <= 0:
+                continue
+            # P(|N(0,std)| crosses the half-LSB rounding threshold)
+            tail = _phi_tail(0.5 / std)
+            rng = spec.rng
+            errors = rng.binomial(per_product, 2.0 * tail)
+            k = counts[i] = errors.sum()
+            if k == 0:
+                continue
+            row = np.repeat(np.arange(len(errors)), errors.sum(axis=1))
+            cycle = rng.integers(0, cycles[row])
+            coeff = rng.integers(0, n, k)
+            sl = rng.integers(0, slices, k)
+            mag = error_magnitudes(rng.random(k) * tail, std)
+            sign = np.where(rng.random(k) < 0.5, 1, -1)
+            np.add.at(result, (row, coeff), (sign * mag) << (cycle + sl))
+        self.injected_errors += int(counts.sum())
+        return out
 
     def mul_raw(self, a: Poly, s_poly_centered: np.ndarray) -> np.ndarray:
-        result = super().mul_raw(a, s_poly_centered)
-        std = self._error_std()
-        if not self.noisy or std <= 0:
-            return result
-        target = a.modulus.bit_length() - 1
-        n = a.n
-        blocks = -(-n // DEFAULT_TILE_ROWS)
-        slices = DEFAULT_BITS_PER_COEFF
-        num_samples = target * n * slices * blocks
-        # P(|N(0,std)| crosses the half-LSB rounding threshold)
-        p_flip = 2.0 * _phi_tail(0.5 / std)
-        if p_flip <= 0:
-            return result
-        rng = self.noise.rng
-        k = rng.binomial(num_samples, p_flip)
-        if k == 0:
-            return result
-        result = result.copy()
-        mod = a.modulus
-        for _ in range(k):
-            cycle = int(rng.integers(target))
-            coeff = int(rng.integers(n))
-            sl = int(rng.integers(slices))
-            # magnitude from the conditional tail |N(0,std)| > 0.5, rounded
-            u = rng.random() * _phi_tail(0.5 / std)
-            mag = 1
-            while _phi_tail((mag + 0.5) / std) > u:
-                mag += 1
-            err = mag if rng.random() < 0.5 else -mag
-            result[coeff] = (result[coeff] + (err << (cycle + sl))) % mod
-        return result
+        """One product with sample errors, reduced modulo a.modulus. Its own
+        method, not only the inherited one, so that tracing tells noisy
+        products from ideal ones."""
+        return super().mul_raw(a, s_poly_centered)
+
+    def reset_counters(self) -> None:
+        super().reset_counters()
+        self.injected_errors = 0
 
 
 def _phi_tail(x: float) -> float:
     """P(N(0,1) > x)."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+@functools.lru_cache(maxsize=64)
+def _magnitude_tails(std: float) -> np.ndarray:
+    """P(N(0, std) > m + 0.5) for m = 1, 2, ... while positive, ascending."""
+    tails = []
+    while (tail := _phi_tail((len(tails) + 1.5) / std)) > 0:
+        tails.append(tail)
+    return np.array(tails[::-1])
+
+
+def error_magnitudes(u: np.ndarray, std: float) -> np.ndarray:
+    """Rounded magnitudes of sample errors from the conditional tail
+    |N(0, std)| > 0.5, by inverse CDF: for each u in [0, P(N(0, std) > 0.5)),
+    the smallest m >= 1 with P(N(0, std) > m + 0.5) <= u."""
+    tails = _magnitude_tails(std)
+    return 1 + len(tails) - np.searchsorted(tails, u, side="right")

@@ -34,7 +34,7 @@ def test_sweep_writes_csv_and_json(tmp_path, capsys):
     out = tmp_path / "results"
     assert main(["sweep", "--out", str(out), "--format", "csv"]) == EXIT_OK
     text = (out / "sweep.csv").read_text()
-    assert text.startswith("# schema_version=1")
+    assert text.startswith("# schema_version=2")
     assert main(["sweep", "--out", str(out), "--format", "json"]) == EXIT_OK
     payload = json.loads((out / "sweep.json").read_text())
     assert len(payload["rows"]) == 10

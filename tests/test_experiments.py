@@ -1,8 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from saberxbar import experiments
+from saberxbar.params import DEFAULT_PARAMS
+from saberxbar.ring import gen_matrix
 from saberxbar.costmodel import Operation, Architecture
 from saberxbar.polymult import MultAlgorithm
 from saberxbar.experiments import (ConfigError, ExperimentConfig,
@@ -11,7 +15,7 @@ from saberxbar.experiments import (ConfigError, ExperimentConfig,
                                    run_sweep, run_roundtrips,
                                    default_sweep_points, sweep_to_csv,
                                    sweep_to_json, noise_to_csv, noise_to_json,
-                                   wilson_interval)
+                                   wilson_interval, decryption_margins)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +155,12 @@ def test_run_noise_monotone_in_retries_and_deterministic():
         [pt.failure_probability for pt in curve.points]
 
 
+def test_run_noise_repeated_grid_entries_repeat_their_points():
+    cfg = ExperimentConfig(trials=20, seed=4)
+    once = run_noise(cfg, (0.11,), (0,)).points
+    assert run_noise(cfg, (0.11, 0.11), (0, 0)).points == once * 4
+
+
 def test_run_noise_rejects_empty_grids():
     with pytest.raises(ConfigError):
         run_noise(ExperimentConfig(trials=1), variance_grid=())
@@ -160,12 +170,80 @@ def test_noise_serialization_schemas():
     cfg = ExperimentConfig(trials=3)
     curve = run_noise(cfg, variance_grid=(0.0,), retries_grid=(0,))
     csv = noise_to_csv(curve)
-    assert csv.startswith("# schema_version=1\n")
-    assert "cell_variance,max_retries,failure_probability" in csv
+    assert csv.startswith("# schema_version=2\n")
+    assert ("cell_variance,max_retries,failure_probability,trials,ci_half_width,"
+            "injected_errors,min_margin_successful,min_margin_failed") in csv
+    fields = csv.splitlines()[-1].split(",")
+    assert fields[5] == "0" and float(fields[6]) > 0 and fields[7] == ""
     payload = json.loads(noise_to_json(curve))
-    assert payload["schema_version"] == "1"
-    assert payload["points"][0]["trials"] == 3
+    assert payload["schema_version"] == "2"
+    point = payload["points"][0]
+    assert point["trials"] == 3 and point["injected_errors"] == 0
+    assert point["min_margin"]["successful"] > 0
+    assert point["min_margin"]["failed"] is None
     assert payload["config"]["seed"] == cfg.seed
+
+
+def test_decryption_margin_is_positive_exactly_when_the_bit_decodes():
+    P = DEFAULT_PARAMS
+    pre = np.arange(P.p)
+    for bit in (0, 1):
+        margin = decryption_margins(pre, bit, P)
+        assert np.array_equal(margin > 0, (pre >> (P.eps_p - 1)) == bit)
+        assert margin.max() == P.p / 4 - 0.5 and margin.min() == -(P.p / 4 - 0.5)
+
+
+def test_noise_points_count_errors_and_margins():
+    curve = run_noise(ExperimentConfig(trials=60, seed=3), (0.0, 0.11), (0, 2))
+    exact = [pt for pt in curve.points if pt.cell_variance == 0.0]
+    assert all(pt.injected_errors == 0 and pt.min_margin.failed is None
+               and pt.min_margin.successful > 0 for pt in exact)
+    r0, r2 = (pt for pt in curve.points if pt.cell_variance == 0.11)
+    assert 0 < r0.injected_errors <= r2.injected_errors
+    assert r0.min_margin.failed < 0 < r0.min_margin.successful
+
+
+def _outcome_fields(outcomes):
+    return {var: (o.first_success, o.margins, o.errors) for var, o in outcomes.items()}
+
+
+def test_noise_trials_do_not_depend_on_their_batch():
+    cfg = ExperimentConfig(seed=4)
+    whole = _outcome_fields(experiments._run_trials(cfg, (0.10, 0.11), 2, range(40)))
+    halves = [_outcome_fields(experiments._run_trials(cfg, (0.10, 0.11), 2, range(a, b)))
+              for a, b in ((0, 20), (20, 40))]
+    assert any((fields[0] > 0).any() for fields in whole.values())  # retries ran
+    for var, fields in whole.items():
+        for got, first, second in zip(fields, halves[0][var], halves[1][var]):
+            np.testing.assert_array_equal(got, np.concatenate([first, second]))
+
+
+def test_noise_curve_does_not_depend_on_batch_size(monkeypatch):
+    cfg = ExperimentConfig(trials=30, seed=6)
+    grid, retries = (0.0, 0.10, 0.11), (0, 2)
+    default = run_noise(cfg, grid, retries)
+    monkeypatch.setattr(experiments, "_TRIALS_PER_BATCH", 7)
+    assert run_noise(cfg, grid, retries) == default
+
+
+def test_noise_point_does_not_depend_on_the_other_variances():
+    cfg = ExperimentConfig(trials=40, seed=8)
+    alone = run_noise(cfg, (0.10,), (0, 1)).points
+    both = run_noise(cfg, (0.05, 0.10), (0, 1)).points
+    assert alone == tuple(pt for pt in both if pt.cell_variance == 0.10)
+
+
+def test_noise_memory_does_not_grow_with_trials():
+    def peak(trials):
+        gen_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            run_noise(ExperimentConfig(trials=trials), (0.0,), (0,))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    one_batch = peak(experiments._TRIALS_PER_BATCH)
+    assert peak(4000) <= 1.5 * one_batch
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +282,13 @@ def test_sweep_serialization_schemas():
     rows = run_sweep(default_sweep_points(Operation.DEC))
     csv = sweep_to_csv(rows)
     lines = csv.splitlines()
-    assert lines[0] == "# schema_version=1"
+    assert lines[0] == "# schema_version=2"
     assert lines[1].startswith("# catalog=")
     header = lines[2].split(",")
     assert header[:3] == ["operation", "algorithm", "architecture"]
     assert len(lines) == 3 + 10
     payload = json.loads(sweep_to_json(rows))
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert len(payload["rows"]) == 10
     assert all("ee_gbit_j" in r for r in payload["rows"])
 

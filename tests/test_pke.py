@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from saberxbar.params import DEFAULT_PARAMS
 from saberxbar.ring import Poly, negacyclic_product, gen_matrix, sample_secret
@@ -9,7 +10,8 @@ from saberxbar.pke import (SoftwareBackend, keygen, encrypt, decrypt,
                            check_frame, pack_values, unpack_values,
                            pack_public_key, unpack_public_key,
                            pack_secret_key, unpack_secret_key,
-                           pack_ciphertext, unpack_ciphertext)
+                           pack_ciphertext, unpack_ciphertext,
+                           SecretKey, SerializationError)
 
 P = DEFAULT_PARAMS
 
@@ -148,3 +150,60 @@ def test_secret_key_two_complement_covers_negatives():
     sk_bytes = pack_values(np.array([-4, -1, 0, 3] * (P.l * P.n // 4)) & 0xF, 4)
     s = unpack_secret_key(sk_bytes, P).s_centered
     assert list(s.ravel()[:4]) == [-4, -1, 0, 3]
+
+
+PK_BYTES = 32 + P.l * P.n * P.eps_p // 8
+SK_BYTES = P.l * P.n * 4 // 8
+CT_BYTES = (P.n * P.eps_T + P.l * P.n * P.eps_p) // 8
+FORMATS = [(PK_BYTES, pack_public_key, unpack_public_key),
+           (SK_BYTES, pack_secret_key, unpack_secret_key),
+           (CT_BYTES, pack_ciphertext, unpack_ciphertext)]
+
+
+def test_serialized_sizes():
+    assert (PK_BYTES, SK_BYTES, CT_BYTES) == (992, 384, 1088)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fmt=st.sampled_from(FORMATS), data=st.data())
+def test_every_byte_string_of_the_right_length_roundtrips(fmt, data):
+    # every field packs whole bit patterns, so parsing is a bijection
+    size, pack, unpack = fmt
+    raw = data.draw(st.binary(min_size=size, max_size=size))
+    assert pack(unpack(raw, P), P) == raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(fmt=st.sampled_from(FORMATS), size=st.integers(0, 1200))
+def test_wrong_lengths_raise_serialization_error(fmt, size):
+    want, _, unpack = fmt
+    if size == want:
+        return
+    with pytest.raises(SerializationError):
+        unpack(bytes(size), P)
+
+
+def test_long_and_short_ciphertexts_and_keys_are_rejected():
+    for bad in (bytes(CT_BYTES + 1), bytes(CT_BYTES - 1)):
+        with pytest.raises(SerializationError):
+            unpack_ciphertext(bad, P)
+    with pytest.raises(SerializationError):
+        unpack_public_key(bytes(PK_BYTES - 1), P)
+    assert issubclass(SerializationError, ValueError)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), low=st.integers(-8, 7), high=st.integers(-8, 7))
+def test_secret_keys_in_range_roundtrip(seed, low, high):
+    low, high = min(low, high), max(low, high)
+    s = np.random.default_rng(seed).integers(low, high + 1, (P.l, P.n))
+    packed = pack_secret_key(SecretKey(s), P)
+    assert np.array_equal(unpack_secret_key(packed, P).s_centered, s)
+
+
+@pytest.mark.parametrize("value", [8, 9, -9, 100])
+def test_secret_key_out_of_range_is_rejected(value):
+    s = np.zeros((P.l, P.n), dtype=np.int64)
+    s[1, 7] = value
+    with pytest.raises(SerializationError):
+        pack_secret_key(SecretKey(s), P)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from saberxbar.params import DEFAULT_PARAMS
 from saberxbar.ring import Poly, fold_negacyclic
 from saberxbar.polymult import (MultAlgorithm, plan_for, schoolbook_mul,
-                                multiply, conv_raw, program, matvec, _TABLES)
+                                multiply, conv_raw, program, matvec)
 from saberxbar.pke import SoftwareBackend
 from saberxbar.xbar import XbarBackend
 
@@ -149,15 +149,27 @@ def test_batched_products_match_schoolbook_sums(backend, ring):
 
 @pytest.mark.parametrize("alg", list(MultAlgorithm))
 def test_leaf_bound_is_checked_at_its_edge(alg):
-    # max|a| * sum|s| * growth^2 must stay below the table's limit: at the
-    # largest passing magnitude the product is exact, one past it raises
-    table = _TABLES[alg]
+    # the FFT round-off bound and the int64 interpolation limit both grow
+    # with the operand's magnitude: at the largest passing magnitude the
+    # product is exact, one past it raises
     s = np.zeros(16, dtype=np.int64)
     s[[0, 5]] = (1, -1)
-    edge = (table.limit - 1) // (table.growth ** 2 * 2)
-    a = np.random.default_rng(13).choice([-edge, edge], 16)
+    signs = np.random.default_rng(13).choice([-1, 1], 16)
+
+    def passes(magnitude):
+        try:
+            conv_raw(alg, magnitude * signs, s)
+        except ArithmeticError:
+            return False
+        return True
+    edge, past = 1, 1 << 62
+    while past - edge > 1:
+        mid = (edge + past) // 2
+        edge, past = (mid, past) if passes(mid) else (edge, mid)
+    assert edge > 1 << 30  # far beyond SABER's 2^13 x 4 operands
+    a = edge * signs
     assert list(conv_raw(alg, a, s)) == _oracle_conv(a, s)
-    a[3] = edge + 1
+    a = (edge + 1) * signs
     with pytest.raises(ArithmeticError):
         conv_raw(alg, a, s)
     with pytest.raises(ArithmeticError):

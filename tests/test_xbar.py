@@ -10,7 +10,8 @@ from saberxbar.xbar import (NegacyclicMatrix, build_negacyclic_matrix,
                             NoiseSpec, AdcSpec, adc_read, adc_bits_for,
                             CrossbarTile, ProgramLayout, program_operand,
                             stream_cycle, crossbar_polymult, XbarBackend,
-                            NoisySampleBackend, DEFAULT_NOISE_GAIN)
+                            NoisySampleBackend, DEFAULT_NOISE_GAIN,
+                            error_magnitudes, _magnitude_tails, _phi_tail)
 
 P = DEFAULT_PARAMS
 
@@ -186,8 +187,8 @@ def test_xbar_backend_matches_software_backend():
 
 
 def test_xbar_backend_matches_crossbar_pipeline_exactly():
-    # the pipeline, not negacyclic_product, is the independent reference:
-    # XbarBackend computes with negacyclic_product itself
+    # the pipeline is the independent physical reference for XbarBackend's
+    # ring arithmetic
     rng = np.random.default_rng(11)
     xb = XbarBackend(P)
     for modulus in (P.p, P.q):
@@ -263,3 +264,51 @@ def test_noise_spec_validation_and_gain():
     with pytest.raises(ValueError):
         NoiseSpec(-0.1)
     assert DEFAULT_NOISE_GAIN > 0
+
+
+def _searched_magnitude(u, std):
+    """The per-error tail search the inverse-CDF table replaces."""
+    mag = 1
+    while _phi_tail((mag + 0.5) / std) > u:
+        mag += 1
+    return mag
+
+
+@pytest.mark.parametrize("std", [0.02, 0.0535, 0.107, 0.3, 1.0, 4.0])
+def test_error_magnitude_table_matches_the_tail_search(std):
+    top = _phi_tail(0.5 / std)
+    u = np.concatenate([np.random.default_rng(0).random(500) * top,
+                        [0.0, np.nextafter(top, 0.0)], _magnitude_tails(std)])
+    assert list(error_magnitudes(u, std)) == [_searched_magnitude(x, std) for x in u]
+
+
+def test_noisy_backend_batch_entries_draw_from_their_own_sources():
+    rng = np.random.default_rng(14)
+    rows = rng.integers(0, P.q, (5, 2, P.l, P.n))
+    s = rng.integers(-4, 5, (5, P.l, P.n))
+
+    def run(entries):
+        nb = NoisySampleBackend(NoiseSpec(), P)
+        nb.trial_noise = np.array([NoiseSpec(0.2, seed=i) for i in entries], dtype=object)
+        out = nb.matvec(rows[entries], nb.program(s[entries]), [P.q, P.p])
+        return out, nb.last_injected
+    together, counts = run([0, 1, 2, 3, 4])
+    assert (counts > 0).all()
+    exact = XbarBackend(P).matvec(rows, XbarBackend(P).program(s), [P.q, P.p])
+    assert not np.array_equal(together % P.p, exact % P.p)
+    for i in range(5):
+        alone, count = run([i])
+        assert np.array_equal(together[i], alone[0]) and counts[i] == count[0]
+
+
+def test_noisy_backend_broadcasts_one_exact_product_over_its_sources():
+    rng = np.random.default_rng(15)
+    rows = rng.integers(0, P.q, (3, 1, P.l, P.n))
+    s = rng.integers(-4, 5, (3, P.l, P.n))
+    nb = NoisySampleBackend(NoiseSpec(), P)
+    nb.trial_noise = np.array([[NoiseSpec(0.0)] * 3, [NoiseSpec(0.2, seed=1)] * 3])
+    out = nb.matvec(rows, nb.program(s), [P.q])
+    assert out.shape == (2, 3, 1, P.n) and nb.last_injected.shape == (2, 3)
+    exact = XbarBackend(P).matvec(rows, XbarBackend(P).program(s), [P.q])
+    assert np.array_equal(out[0], exact) and not nb.last_injected[0].any()
+    assert nb.injected_errors == nb.last_injected.sum() > 0
