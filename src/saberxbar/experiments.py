@@ -317,8 +317,12 @@ def wilson_interval(failures: int, trials: int, z: float = 1.96):
 DEFAULT_VARIANCE_GRID = (0.0, 0.02, 0.04, 0.05, 0.06, 0.08, 0.10)
 
 # Trials multiplied together. It bounds the Monte Carlo's working memory;
-# results do not depend on it.
-_TRIALS_PER_BATCH = 64
+# results do not depend on it. Timed on criterion 9's 10,000-trial run,
+# batches of 1, 2 and 4 trials take about 2.5x, 1.5x and 1.3x as long as
+# batches of 16 to 512, which tie within run-to-run noise while peak memory
+# grows by about 0.2 MiB per trial of a batch; 32 is at the start of that
+# plateau.
+_TRIALS_PER_BATCH = 32
 
 
 def decryption_margins(pre: np.ndarray, m: np.ndarray, params: RingParams) -> np.ndarray:
@@ -371,14 +375,13 @@ def _run_trials(config: ExperimentConfig, variance_grid, max_r: int, trials) -> 
     s_enc = np.stack([sample_secret(d[64:96], p) for d in draws])
     m = np.stack([encode_message(frame_payload(d[96:], p), p).coeffs for d in draws])
 
-    backend = NoisySampleBackend(NoiseSpec(), p, config.noise_gain)
-    backend.noisy = False
-    b = keygen_arrays(A, s, p, backend)  # exact, so one key serves every variance
-    backend.noisy = True
     # one crossbar per (variance, trial); exact products broadcast over them
     noise = np.array([[NoiseSpec(var, config.tia_variance, _trial_seed(config.seed, t, var))
                        for t in trials] for var in variances], dtype=object)
-    backend.trial_noise = noise
+    backend = NoisySampleBackend(noise, p, config.noise_gain)
+    backend.noisy = False
+    b = keygen_arrays(A, s, p, backend)  # exact, so one key serves every variance
+    backend.noisy = True
     c_m, b_prime = encrypt_arrays(A, b, m, s_enc, p, backend)
 
     # per (variance, trial) entry, flattened
@@ -392,7 +395,7 @@ def _run_trials(config: ExperimentConfig, variance_grid, max_r: int, trials) -> 
     retryable = np.repeat(np.array(variances) > 0, len(draws))  # exact decryption is final
     pending = np.arange(noise.size)
     for attempt in range(max_r + 1):
-        backend.trial_noise = noise.ravel()[pending]
+        backend.noise = noise.ravel()[pending]
         pre = decrypt_arrays(s[pending], c_m[pending], b_prime[pending], p, backend)
         margin = decryption_margins(pre, m[pending], p).min(axis=-1)
         margins[pending, attempt] = margin

@@ -23,7 +23,7 @@ import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS, constants
 from .ring import Poly, PolyVec, gen_matrix, sample_secret
-from .polymult import MultAlgorithm, Programmed, program, matvec, row_operands
+from .polymult import MultAlgorithm, Programmed, program, matvec
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,18 @@ class SoftwareBackend:
         self.secret_evaluations += handle.evaluations
         return handle
 
-    def matvec(self, rows, handle: Programmed, moduli=None) -> np.ndarray:
-        """Sum over j of rows[..., i, j] * s_j for every row i, as signed
-        length-n arrays not yet reduced modulo the rows' moduli. `rows` is
-        an (..., rows, l, n) array or nested lists of Polys; exact products
-        do not depend on the rows' `moduli`."""
-        a, _ = row_operands(rows, moduli)
-        self.mult_count += a.size // a.shape[-1]
-        return matvec(handle, a)
+    def matvec(self, rows: np.ndarray, handle: Programmed, moduli) -> np.ndarray:
+        """Sum over j of rows[..., i, j] * s_j for every row i of the
+        (..., rows, l, n) array, as signed length-n arrays not yet reduced
+        modulo the rows' `moduli`, on which exact products do not depend."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.mult_count += rows.size // rows.shape[-1]
+        return matvec(handle, rows)
 
     def mul_raw(self, a: Poly, s_poly_centered: np.ndarray) -> np.ndarray:
         """One negacyclic product, not yet reduced modulo a.modulus."""
-        return self.matvec([[a]], self.program(np.asarray(s_poly_centered)[None]))[0]
+        return self.matvec(a.coeffs[None, None],
+                           self.program(np.asarray(s_poly_centered)[None]), [a.modulus])[0]
 
     def mul(self, a: Poly, s_poly_centered: np.ndarray) -> Poly:
         return Poly(self.mul_raw(a, s_poly_centered), a.modulus)

@@ -117,8 +117,10 @@ class _Table:
     @cached_property
     def identity(self) -> bool:
         """Schoolbook's table, whose one limb is evaluated and interpolated
-        as is: the core skips its two matrix products, whose numpy overhead
-        per batch entry would outweigh its leaf."""
+        as is: the core skips its two 1x1 matrix products. Timed
+        interleaved on a 2-core VM, skipping them makes an XbarBackend
+        encryption plus decryption 1.27x and a 10-trial `run_noise` call
+        1.08-1.13x faster."""
         return (self.evaluation.shape == (1, 1) and self.evaluation[0, 0] == 1
                 and self.interpolation[0, 0] == self.denominators[0] == 1)
 
@@ -342,15 +344,6 @@ def matvec(h: Programmed, a) -> np.ndarray:
     """(..., rows, n) negacyclic sums sum_j a[..., i, j] * s_j for a of shape
     (..., rows, l, n), unreduced."""
     return fold_negacyclic(_products(h, a), h.n)
-
-
-def row_operands(rows, moduli=None):
-    """(rows as an int64 (..., rows, l, n) array, the rows' moduli): nested
-    lists of Polys carry their moduli; an array takes `moduli` as given."""
-    if isinstance(rows, np.ndarray):
-        return rows, moduli
-    return (np.array([[p.coeffs for p in row] for row in rows], dtype=np.int64),
-            [row[0].modulus for row in rows])
 
 
 def conv_raw(alg: MultAlgorithm, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS
 from .ring import Poly
-from .polymult import MultAlgorithm, Programmed, program, matvec, row_operands
+from .polymult import MultAlgorithm, Programmed, program, matvec
 
 DEFAULT_TILE_ROWS = 128
 DEFAULT_TILE_COLS = 128
@@ -403,20 +403,21 @@ class XbarBackend:
         product that needs it, not here."""
         return program(MultAlgorithm.SB, s_centered)
 
-    def matvec(self, rows, handle: Programmed, moduli=None) -> np.ndarray:
-        """Sum over j of rows[..., i, j] * s_j for every row i, as signed
-        length-n arrays not yet reduced modulo the rows' moduli. `rows` is
-        an (..., rows, l, n) array or nested lists of Polys."""
-        a, _ = row_operands(rows, moduli)
-        self.mult_count += a.size // a.shape[-1]
+    def matvec(self, rows: np.ndarray, handle: Programmed, moduli) -> np.ndarray:
+        """Sum over j of rows[..., i, j] * s_j for every row i of the
+        (..., rows, l, n) array, as signed length-n arrays not yet reduced
+        modulo the rows' `moduli`."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.mult_count += rows.size // rows.shape[-1]
         for s in handle.secret.reshape(-1, handle.n):
             self._ensure_programmed(s)
-        return matvec(handle, a)
+        return matvec(handle, rows)
 
     def mul_raw(self, a: Poly, s_poly_centered: np.ndarray) -> np.ndarray:
         """One product, reduced modulo a.modulus."""
         s = np.asarray(s_poly_centered, dtype=np.int64)
-        return self.matvec([[a]], self.program(s[None]))[0] % a.modulus
+        return self.matvec(a.coeffs[None, None], self.program(s[None]),
+                           [a.modulus])[0] % a.modulus
 
     def mul(self, a: Poly, s_poly_centered: np.ndarray) -> Poly:
         return Poly(self.mul_raw(a, s_poly_centered), a.modulus)
@@ -439,50 +440,46 @@ class NoisySampleBackend(XbarBackend):
     of each product is binomial and each error lands on a uniform (cycle,
     coefficient, bit-slice) sample with weight 2^(cycle+slice).
 
-    `noise` is the one noise source of every product. Setting `trial_noise`,
-    an array of NoiseSpecs, makes each entry of a batch its own crossbar
-    instead: `matvec` broadcasts the exact sums over the array's shape, and
-    entry i draws its errors from trial_noise[i].rng at its own variance.
-    Errors are additive, so one exact product serves every entry it
-    broadcasts to. `injected_errors` counts the errors injected so far, and
-    `last_injected` those of the latest `matvec`, per entry.
+    `noise` is one NoiseSpec, the noise source of every product, or an
+    array of them, one crossbar per entry of a batch: `matvec` broadcasts
+    the exact sums over the array's shape, and entry i draws its errors from
+    noise[i].rng at its own variance. Errors are additive, so one exact
+    product serves every entry it broadcasts to. `last_injected` counts the
+    errors injected by the latest `matvec`, per entry.
 
     Clearing `noisy` makes the products exact (boot-time programming is
     verified off-line, so key generation is noise-free).
     """
 
-    def __init__(self, noise: NoiseSpec, params: RingParams = DEFAULT_PARAMS,
+    def __init__(self, noise, params: RingParams = DEFAULT_PARAMS,
                  noise_gain: float = DEFAULT_NOISE_GAIN):
         super().__init__(params)
         self.noise = noise
         self.noise_gain = noise_gain
         self.noisy = True
-        self.trial_noise = None
-        self.injected_errors = 0
         self.last_injected = np.zeros(0, dtype=np.int64)
 
-    def matvec(self, rows, handle: Programmed, moduli=None) -> np.ndarray:
+    def matvec(self, rows: np.ndarray, handle: Programmed, moduli) -> np.ndarray:
         """The exact sums of `XbarBackend.matvec` plus sample errors. The
-        rows' moduli set each product's number of input cycles: nested
-        Polys carry them, an array needs `moduli`."""
-        a, moduli = row_operands(rows, moduli)
-        exact = super().matvec(a, handle, moduli)
-        sources = np.asarray(self.noise if self.trial_noise is None else self.trial_noise,
-                             dtype=object)
+        rows' moduli set each product's number of input cycles. With `noisy`
+        cleared, the exact sums as they are."""
+        exact = super().matvec(rows, handle, moduli)
+        if not self.noisy:
+            self.last_injected = np.zeros(exact.shape[:-2], dtype=np.int64)
+            return exact
+        if len(moduli) != exact.shape[-2]:
+            raise ValueError("noisy products need one modulus per row")
+        sources = np.asarray(self.noise, dtype=object)
         lead = np.broadcast_shapes(exact.shape[:-2], sources.shape)
         out = np.broadcast_to(exact, lead + exact.shape[-2:]).copy()
         entries = out.reshape(-1, *out.shape[-2:])  # a view: (entries, rows, n)
         counts = np.zeros(len(entries), dtype=np.int64)
         self.last_injected = counts.reshape(lead)
-        if not self.noisy:
-            return out
-        if moduli is None or len(moduli) != out.shape[-2]:
-            raise ValueError("noisy products need one modulus per row")
         n = out.shape[-1]
         slices = DEFAULT_BITS_PER_COEFF
         cycles = np.array([m.bit_length() - 1 for m in moduli])
         samples = cycles * n * slices * -(-n // DEFAULT_TILE_ROWS)
-        per_product = np.repeat(samples[:, None], a.shape[-2], axis=1)  # (rows, l)
+        per_product = np.repeat(samples[:, None], handle.l, axis=1)  # (rows, l)
         for i, (spec, result) in enumerate(zip(np.broadcast_to(sources, lead).ravel(),
                                                entries)):
             std = spec.cell_variance * self.noise_gain
@@ -502,7 +499,6 @@ class NoisySampleBackend(XbarBackend):
             mag = error_magnitudes(rng.random(k) * tail, std)
             sign = np.where(rng.random(k) < 0.5, 1, -1)
             np.add.at(result, (row, coeff), (sign * mag) << (cycle + sl))
-        self.injected_errors += int(counts.sum())
         return out
 
     def mul_raw(self, a: Poly, s_poly_centered: np.ndarray) -> np.ndarray:
@@ -510,10 +506,6 @@ class NoisySampleBackend(XbarBackend):
         method, not only the inherited one, so that tracing tells noisy
         products from ideal ones."""
         return super().mul_raw(a, s_poly_centered)
-
-    def reset_counters(self) -> None:
-        super().reset_counters()
-        self.injected_errors = 0
 
 
 def _phi_tail(x: float) -> float:

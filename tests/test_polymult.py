@@ -139,7 +139,8 @@ def test_batched_products_match_schoolbook_sums(backend, ring):
     transposed = [list(col) for col in zip(*polys)]
     handle = backend.program(s)
     for rows in (polys, transposed, [[Poly(x, q) for x in b]]):
-        got = backend.matvec(rows, handle)
+        got = backend.matvec(np.array([[p.coeffs for p in row] for row in rows]), handle,
+                             [q] * len(rows))
         for i, row in enumerate(rows):
             want = Poly.zero(len(b[0]), q)
             for j in range(l):
