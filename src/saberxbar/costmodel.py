@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from .params import RingParams, DEFAULT_PARAMS
 from .polymult import MultAlgorithm, plan_for
 from .schedule import PrecisionMap, build_stagger, assign_adcs
-from .sac import SacVariant, build_sac_tree, adc_samples_per_coefficient
+from .sac import MAX_CELL_BITS, SacVariant, build_sac_tree, _max_ideal_root
 
 TILE_ROWS = 128
 TILE_COLS = 128
@@ -266,7 +266,7 @@ def _sample_energy_and_count(config: ArchConfig, catalog: ComponentCatalog):
                             if catalog.sac_all_full_width_root
                             else k.target_bits)
                 else:
-                    bits = _root_width(tree, node, shift, k.target_bits, variant)
+                    bits = _root_width(node, shift, k.target_bits)
                 e_coeff += adc_sample_energy_pj(bits, catalog)
                 widest = max(widest, bits)
         elif arch is Architecture.CASCADE_BASELINE:
@@ -282,22 +282,15 @@ def _sample_energy_and_count(config: ArchConfig, catalog: ComponentCatalog):
     return energy, samples, widest
 
 
-def _root_width(tree, node, digital_shift: int, target_bits: int,
-                variant: SacVariant) -> int:
+def _root_width(node, digital_shift: int, target_bits: int) -> int:
     """Effective conversion width of one SAC root sample.
 
     The modulo drops bits at or above target - digital_shift; the analog
     value itself is bounded by the tree structure (10 bits for a Round-1
     fold of 6-bit columns).
     """
-    from .sac import _leaf_shifts, SacLeaf
-    if isinstance(node, SacLeaf):
-        peak_bits = 6
-    else:
-        peak = sum(63 << s for _, s in _leaf_shifts(node))
-        peak_bits = peak.bit_length()
-    useful = max(1, target_bits - digital_shift)
-    return min(peak_bits, useful)
+    peak = _max_ideal_root([(node, digital_shift)], MAX_CELL_BITS)
+    return min(peak.bit_length(), max(1, target_bits - digital_shift))
 
 
 def _write_costs(config: ArchConfig, catalog: ComponentCatalog):

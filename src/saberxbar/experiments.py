@@ -43,6 +43,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_noise_level(value: float, what: str) -> None:
+    """Variances and gains must be finite and >= 0: an infinite one never
+    terminates the error-magnitude table, a negative one turns noise off."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{what} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     operation: Operation = Operation.DEC
@@ -64,8 +71,8 @@ class ExperimentConfig:
             raise ConfigError("max_retries must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.cell_variance < 0 or self.tia_variance < 0:
-            raise ConfigError("variances must be >= 0")
+        for name in ("cell_variance", "tia_variance", "noise_gain"):
+            _check_noise_level(getattr(self, name), name)
 
     def as_dict(self) -> dict:
         return {
@@ -437,6 +444,8 @@ def run_noise(config: ExperimentConfig,
         raise ConfigError("variance and retries grids must be non-empty")
     if min(retries_grid) < 0:
         raise ConfigError("retry budgets must be >= 0")
+    for var in variance_grid:
+        _check_noise_level(var, "cell variance")
     max_r = max(retries_grid)
     keys = [(var, r) for var in variance_grid for r in retries_grid]
     fails, errors = dict.fromkeys(keys, 0), dict.fromkeys(keys, 0)

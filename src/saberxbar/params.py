@@ -1,5 +1,6 @@
 """Parameter sets and the bit-shift rounding constants."""
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,15 +39,15 @@ class RingParams:
         if self.l < 1:
             raise ValueError("module rank must be >= 1")
 
-    @property
+    @functools.cached_property
     def eps_q(self) -> int:
         return _log2_exact(self.q)
 
-    @property
+    @functools.cached_property
     def eps_p(self) -> int:
         return _log2_exact(self.p)
 
-    @property
+    @functools.cached_property
     def eps_T(self) -> int:
         return _log2_exact(self.T)
 
@@ -76,6 +77,7 @@ class SaberConstants:
         return np.full((self.params.l, self.params.n), self.h1_value, dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=16)
 def constants(params: RingParams = DEFAULT_PARAMS) -> SaberConstants:
     h1 = 1 << (params.eps_q - params.eps_p - 1)
     h2 = (

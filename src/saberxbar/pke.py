@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS, constants
-from .ring import Poly, PolyVec, gen_matrix, sample_secret
+from .ring import Poly, PolyVec, gen_matrix, sample_secret, unpack_values
 from .polymult import MultAlgorithm, Programmed, program, matvec
 
 
@@ -196,12 +196,6 @@ def pack_values(values: np.ndarray, width: int) -> bytes:
     vals = np.asarray(values, dtype=np.int64)
     bits = (vals[:, None] >> np.arange(width)) & 1
     return np.packbits(bits.astype(np.uint8).ravel(), bitorder="little").tobytes()
-
-
-def unpack_values(data: bytes, width: int, count: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    bits = bits[: count * width].reshape(count, width).astype(np.int64)
-    return bits @ (np.int64(1) << np.arange(width, dtype=np.int64))
 
 
 class SerializationError(ValueError):

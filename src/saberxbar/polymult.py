@@ -3,16 +3,22 @@
 Every algorithm is one table for a single evaluate -> leaf -> interpolate
 core: split both operands into equal limbs, evaluate the limbs at the
 table's points, multiply the evaluations pointwise (the leaf products),
-interpolate the product's limbs exactly, overlap-add them into the full
-2n-1 convolution and reduce modulo (x^n + 1) once at the end. Schoolbook is
+interpolate the product's limbs exactly, and overlap-add them into the full
+2n-1 convolution, folded modulo (x^n + 1) in the same step. Schoolbook is
 the one-point table, Karatsuba the {0, 1, inf} Toom-2 table, and K4 and
 TC4+K2 are tensor products of two tables.
 
-The leaf is one batched float64 real FFT of every limb: a leaf product is a
-pointwise product of two spectra, and an inverse transform rounded to the
-nearest integer. Each call checks a rigorous round-off bound before it
-transforms and the observed rounding residual after, and raises
-ArithmeticError rather than return an inexact product.
+The leaf is one float64 real FFT of the whole block of evaluated limbs: a
+leaf product is a pointwise product of two spectra, and an inverse transform
+rounded to the nearest integer. Evaluation, interpolation and the
+overlap-add with the fold are float64 matrix products over the whole block,
+with the points axis leading so that each is one BLAS call; the
+interpolation divides exactly and checks it by multiplying back (tables
+whose denominators are all 1, SB, K2 and K4, fold the interpolation into the
+overlap-add matrix instead). Each call checks a rigorous round-off bound
+before it transforms, the observed rounding residual after, and a per-table
+bound that keeps every float64 sum after the leaf an exact integer below
+2^53, and raises ArithmeticError rather than return an inexact product.
 
 The secret side of a product is stationary, as on the crossbar: `program`
 evaluates a secret vector once, and `matvec` streams rows of public operands
@@ -29,7 +35,7 @@ big-integer convolution oracle.
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -89,7 +95,8 @@ def _reduce(conv: np.ndarray, like: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 # algorithm tables
 
-_INT64_LIMIT = 1 << 63
+# float64 holds every integer of magnitude up to 2^53 exactly
+_EXACT_FLOAT_LIMIT = 1 << 53
 _INF = "inf"
 
 
@@ -101,7 +108,9 @@ class _Table:
     p; the two values multiply as a k x k linear convolution (the leaf). Row
     t of `interpolation`, divided exactly by `denominators[t]`, recovers limb
     t of the product, whose 2k-1 coefficients start at coefficient
-    offsets[t] * k.
+    offsets[t] * k. The core applies all of these as float64 matrix
+    products, which `evaluation_weight` and `growth` bound below 2^53 so
+    that they stay exact.
     """
 
     limbs: int
@@ -115,20 +124,81 @@ class _Table:
         return len(self.evaluation)
 
     @cached_property
-    def identity(self) -> bool:
-        """Schoolbook's table, whose one limb is evaluated and interpolated
-        as is: the core skips its two 1x1 matrix products. Timed
-        interleaved on a 2-core VM, skipping them makes an XbarBackend
-        encryption plus decryption 1.27x and a 10-trial `run_noise` call
-        1.08-1.13x faster."""
-        return (self.evaluation.shape == (1, 1) and self.evaluation[0, 0] == 1
-                and self.interpolation[0, 0] == self.denominators[0] == 1)
+    def divides(self) -> bool:
+        """Whether a product limb needs an exact division; the denominators
+        of SB, K2 and K4 are all 1."""
+        return bool((self.denominators > 1).any())
 
     @cached_property
-    def limit(self) -> int:
-        """Bound on a leaf-product sum below which the integer interpolation
-        cannot overflow int64."""
-        return _INT64_LIMIT // int(np.abs(self.interpolation).sum(axis=1).max())
+    def float_evaluation(self) -> np.ndarray:
+        return self.evaluation.astype(np.float64)
+
+    @cached_property
+    def evaluation_weight(self) -> int:
+        """The largest sum of absolute weights in one evaluation row."""
+        return int(np.abs(self.evaluation).sum(axis=1).max())
+
+    @cached_property
+    def float_interpolation(self) -> np.ndarray:
+        return self.interpolation.astype(np.float64)
+
+    @cached_property
+    def float_denominators(self) -> np.ndarray:
+        return self.denominators.astype(np.float64)[:, None]
+
+    def _placement(self, fold: bool) -> np.ndarray:
+        """(chunks, 2 * product limbs) 0/±1 matrix that overlap-adds the
+        product limbs into the product's chunks of k coefficients. Column
+        2t holds limb t's coefficients 0..k-1, which land in chunk
+        offsets[t], and column 2t + 1 its coefficients k..2k-1 (the last one
+        0), which land in chunk offsets[t] + 1. Unfolded, the 2n-coefficient
+        product has chunks = 2 * limbs; folded modulo x^n + 1, chunk
+        limbs + g adds to chunk g with its sign flipped (x^n = -1), leaving
+        chunks = limbs."""
+        halves = (self.offsets[:, None] + np.arange(2)).ravel()
+        place = np.zeros((2 * self.limbs, len(halves)))
+        place[halves, np.arange(len(halves))] = 1
+        return place[: self.limbs] - place[self.limbs:] if fold else place
+
+    @cached_property
+    def outputs(self) -> dict:
+        """{fold: the matrix the core applies after the leaf}: the placement
+        of the exact quotients' halves, or, for a table that never divides,
+        the placement times the interpolation, applied to the halves of the
+        leaf sums (column 2p + h takes half h of point p)."""
+        halves = np.kron(self.float_interpolation, np.eye(2))
+        return {fold: self._placement(fold) if self.divides
+                else np.dot(self._placement(fold), halves)
+                for fold in (False, True)}
+
+    @cached_property
+    def growth(self) -> np.ndarray:
+        """(bounds, points) matrix G such that, when every leaf sum at point p
+        (the integers the FFT leaf rounds to) is at most M_p in magnitude,
+        every float64 partial sum after the leaf is at most (G M)_r for one
+        of its rows r: the core is exact while max(G M) < 2^53.
+
+        Product limb t sums the terms I[t, p] e_p, so each of its partial
+        sums, taken in any order, is at most sum_p |I[t, p]| M_p (row t of
+        G), and its quotient by d_t at most that over d_t. A coefficient of
+        output chunk g sums +-1 times one coefficient of each low and high
+        half that the folded placement F sends to g, so its partial sums are
+        at most sum_t (|F[g, 2t]| + |F[g, 2t + 1]|) sum_p |I[t, p]| M_p / d_t
+        (row g after the product-limb rows). A table that does not divide
+        applies placement times interpolation as one matrix, whose partial
+        sums the same rows bound (triangle inequality). Below 2^53 float64 holds every integer, so
+        each addition and fused multiply-add of these integers is exact
+        whatever order BLAS sums in. The exact-division check multiplies each
+        quotient q back: q d != y cannot round to y, since it is either exact
+        or at least 2^53 > |y|. The unfolded placement sends each half to a
+        row of its own, so the folded rows bound it too. The bound is per
+        point because the points' leaf sums differ by orders of magnitude:
+        with one M for all points, TC4K2's widest row (sum |I[t, p]| = 2550)
+        would reject uniform operands mod 2^13 at n = 256.
+        """
+        interpolation = np.abs(self.float_interpolation)
+        quotients = np.repeat(interpolation / self.float_denominators, 2, axis=0)
+        return np.vstack([interpolation, np.dot(np.abs(self._placement(fold=True)), quotients)])
 
 
 def _powers(x, count: int) -> list:
@@ -199,21 +269,22 @@ def _limb_size(table: _Table, alg: MultAlgorithm, n: int) -> int:
 
 
 def _evaluate(table: _Table, x: np.ndarray, k: int) -> np.ndarray:
-    """(..., n) coefficients -> (..., points, k) float64 values at the
-    table's points, exact below 2^53 (the round-off bound keeps them there)."""
-    limbs = x.reshape(x.shape[:-1] + (table.limbs, k)).astype(np.float64)
-    return limbs if table.identity else table.evaluation.astype(np.float64) @ limbs
+    """(..., n) coefficients -> (points, ..., k) float64 values at the
+    table's points. The points axis leads, so one matrix product evaluates
+    the whole block; schoolbook's one limb is its own value at its one
+    point, so its values are the limbs as they are, without a second copy.
 
-
-def _interpolate(table: _Table, exact: np.ndarray) -> np.ndarray:
-    """(..., points, 2k-1) int64 leaf sums -> (product limbs, ..., 2k-1)."""
-    if table.identity:
-        return np.moveaxis(exact, -2, 0)
-    limbs, rem = np.divmod(np.tensordot(table.interpolation, exact, axes=(1, -2)),
-                           table.denominators.reshape((-1,) + (1,) * (exact.ndim - 1)))
-    if rem.any():
-        raise ArithmeticError("Toom-Cook interpolation produced a non-integer")
-    return limbs
+    Every partial sum of a value is at most max |x| times the table's widest
+    evaluation row, and each call checks that this stays below 2^53, so the
+    values are exact. Rounding is monotone, so a coefficient cast inexactly
+    (|x| > 2^53) fails the check too."""
+    limbs = x.reshape(-1, table.limbs, k).transpose(1, 0, 2).astype(np.float64, order="C")
+    if limbs.size and not (max(limbs.max(), -limbs.min()) * table.evaluation_weight
+                           < _EXACT_FLOAT_LIMIT):
+        raise ArithmeticError("operands exceed the exact float64 range of the evaluation")
+    if table.points > 1:
+        limbs = np.dot(table.float_evaluation, limbs.reshape(table.limbs, -1))
+    return limbs.reshape((table.points,) + x.shape[:-1] + (k,))
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +293,20 @@ def _interpolate(table: _Table, exact: np.ndarray) -> np.ndarray:
 # float64 unit round-off, and the error assumed for the FFT's roots of unity
 _EPS = 2.0 ** -53
 _ROOT_ERROR = 2.0 ** -52
-# covers the rounding of the norms that enter the bound
+# covers the rounding of the norms and of the bounds computed from them
 _NORM_SLACK = 1.0 + 2.0 ** -20
 # a leaf coefficient within this of an integer rounds to it exactly
 _MAX_ROUNDOFF = 0.25
 
 
 def _fft_size(k: int) -> int:
-    """Smallest power of two that holds a (2k-1)-term linear convolution."""
-    return 1 << (2 * k - 2).bit_length()
+    """Smallest power of two of at least 2k points: a (2k-1)-term linear
+    convolution and one zero, so that a leaf product splits into two halves
+    of k coefficients."""
+    return 1 << (2 * k - 1).bit_length()
 
 
+@lru_cache(maxsize=64)
 def _roundoff_factor(size: int, terms: int) -> float:
     """Factor f such that a leaf sum of `terms` products, each of two limbs
     x and y transformed at `size` points, is off by less than
@@ -257,10 +331,11 @@ def _roundoff_factor(size: int, terms: int) -> float:
 class Programmed:
     """A secret vector (..., l, n) evaluated once at an algorithm's points.
 
-    `spectra` holds the real FFT of every evaluated limb, (..., l, points,
-    size // 2 + 1), and `norms` their Euclidean norms, (..., l, points), for
-    the leaf's bounds. Leading axes, if any, index independent secrets (one
-    per trial of a batch).
+    `spectra` holds the real FFT of every evaluated limb, (points, ..., l,
+    size // 2 + 1), and `norms` their Euclidean norms, (points, ..., l), for
+    the leaf's bounds; the points axis leads, as everywhere in the core.
+    Leading axes `...`, if any, index independent secrets (one per trial of a
+    batch).
     """
 
     algorithm: MultAlgorithm
@@ -282,27 +357,37 @@ def _norms(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...k,...k->...", values, values))
 
 
+def _widen(values: np.ndarray, axes: int) -> np.ndarray:
+    """`values` with `axes` unit axes after the points axis."""
+    return values.reshape(values.shape[:1] + (1,) * axes + values.shape[1:])
+
+
 def program(alg: MultAlgorithm, s) -> Programmed:
     """Evaluate the secret vector `s` (..., l, n) once, for any number of
     `matvec`s."""
     s = np.asarray(s, dtype=np.int64)
     table = _TABLES[alg]
     k = _limb_size(table, alg, s.shape[-1])
-    values = _evaluate(table, s, k)  # (..., l, points, k)
+    values = _evaluate(table, s, k)  # (points, ..., l, k)
     return Programmed(alg, s, np.fft.rfft(values, _fft_size(k)), _norms(values),
                       s.size // s.shape[-1] * table.points)
 
 
-def _products(h: Programmed, a) -> np.ndarray:
-    """Row i of the (..., rows, 2n-1) result is sum_j a[..., i, j] * s_j,
-    unreduced, for a of shape (..., rows, l, n).
+def _products(h: Programmed, a, fold: bool) -> np.ndarray:
+    """Row i of the result is sum_j a[..., i, j] * s_j for a of shape
+    (..., rows, l, n), unreduced: folded modulo x^n + 1, (..., rows, n), or
+    else the full (..., rows, 2n) product, whose last coefficient is 0.
 
-    Each row's l leaf products at a point are summed in the frequency domain,
-    so the row takes one inverse FFT per point and interpolates once. Every
-    leaf-sum coefficient is at most M = sum_j ||x_j|| ||y_j|| over the row's
-    evaluated limbs (Cauchy-Schwarz), and each call checks M twice: against
-    the FFT round-off bound, so that every coefficient rounds to its exact
-    integer, and against the table's int64 interpolation limit.
+    The points axis leads throughout, so that evaluation, interpolation and
+    the overlap-add with the fold are each one float64 matrix product over
+    the whole block. Each row's l leaf products at a point are summed in the
+    frequency domain, so the row takes one inverse FFT per point. Every
+    leaf-sum coefficient at point p is at most M_p = sum_j ||x_j|| ||y_j||
+    over the row's evaluated limbs (Cauchy-Schwarz), and each call checks
+    these bounds twice: their maximum against the FFT round-off bound, so
+    that every coefficient rounds to its exact integer, and all of them
+    through the table's `growth` against 2^53, so that every float64 sum
+    after the leaf is exact.
     """
     table = _TABLES[h.algorithm]
     a = np.asarray(a, dtype=np.int64)
@@ -312,43 +397,51 @@ def _products(h: Programmed, a) -> np.ndarray:
                          f"the programmed {h.l} x {h.n} secret")
     k = n // table.limbs
     size = _fft_size(k)
-    x = _evaluate(table, a, k)  # (..., rows, l, points, k)
-    bound = np.einsum("...jp,...jp->...p", _norms(x), h.norms[..., None, :, :]).max()
-    bound *= _NORM_SLACK
-    if not bound < table.limit:
-        raise ArithmeticError("operands exceed the int64 range of the interpolation")
-    if not bound * _roundoff_factor(size, l) < _MAX_ROUNDOFF:
+    if a.shape[:-3] != h.secret.shape[:-2]:  # shared operands or a shared secret
+        a = np.broadcast_to(a, np.broadcast_shapes(a.shape[:-3], h.secret.shape[:-2])
+                            + a.shape[-3:])
+    x = _evaluate(table, a, k)  # (points, ..., rows, l, k)
+    extra = x.ndim - h.spectra.ndim - 1  # leading axes a has beyond s
+    bound = np.einsum("...j,...j->...", _norms(x), _widen(h.norms, extra)[..., None, :])
+    bound = bound.reshape(len(bound), -1).max(axis=1) * _NORM_SLACK  # per point
+    if not np.dot(table.growth, bound).max() < _EXACT_FLOAT_LIMIT:
+        raise ArithmeticError("operands exceed the exact float64 range of the interpolation")
+    if not bound.max() * _roundoff_factor(size, l) < _MAX_ROUNDOFF:
         raise ArithmeticError("operands exceed the exact range of the FFT leaf")
-    # one product at a time, freeing what is done with, keeps a batch's peak
-    # memory near two copies of its operands
-    spectra = 0
-    for j in range(l):
-        product = np.fft.rfft(x[..., j, :, :], size)
-        spectra = spectra + np.multiply(product, h.spectra[..., None, j, :, :], out=product)
-    del x, product
-    leaf = np.fft.irfft(spectra, size)[..., : 2 * k - 1]  # (..., rows, points, 2k-1)
+    # freeing each block once used keeps a batch's peak memory down, and
+    # with it the page faults of allocations the C allocator returns
+    spectra = np.fft.rfft(x, size)
+    del x
+    spectra *= _widen(h.spectra, extra)[..., None, :, :]
+    leaf = np.fft.irfft(spectra.sum(axis=-2), size)
     del spectra
+    leaf = leaf[..., : 2 * k]  # (points, ..., rows, 2k)
     exact = np.rint(leaf)
     leaf -= exact
     if not np.abs(leaf, out=leaf).max() < _MAX_ROUNDOFF:
         raise ArithmeticError("FFT leaf round-off reached 1/4")
-    del leaf
-    limbs = _interpolate(table, exact.astype(np.int64))
-    out = np.zeros(limbs.shape[1:-1] + (2 * n,), dtype=np.int64)
-    for off, limb in zip(table.offsets * k, limbs):
-        out[..., off: off + 2 * k - 1] += limb
-    return out[..., :-1]
+    exact = exact.reshape(len(exact), -1)
+    if table.divides:
+        sums = np.dot(table.float_interpolation, exact)
+        exact = np.rint(sums / table.float_denominators)
+        if (exact * table.float_denominators != sums).any():
+            raise ArithmeticError("Toom-Cook interpolation produced a non-integer")
+    halves = exact.reshape(len(exact), -1, 2, k).swapaxes(1, 2).reshape(2 * len(exact), -1)
+    chunks = np.dot(table.outputs[fold], halves).reshape(len(table.outputs[fold]), -1, k)
+    out = chunks.transpose(1, 0, 2).astype(np.int64, order="C")  # (... rows, chunks, k)
+    return out.reshape(leaf.shape[1:-1] + (-1,))
 
 
 def matvec(h: Programmed, a) -> np.ndarray:
     """(..., rows, n) negacyclic sums sum_j a[..., i, j] * s_j for a of shape
     (..., rows, l, n), unreduced."""
-    return fold_negacyclic(_products(h, a), h.n)
+    return _products(h, a, fold=True)
 
 
 def conv_raw(alg: MultAlgorithm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full (2n-1)-term product of two coefficient arrays, no reduction."""
-    return _products(program(alg, np.asarray(b)[None]), np.asarray(a)[None, None])[0]
+    return _products(program(alg, np.asarray(b)[None]), np.asarray(a)[None, None],
+                     fold=False)[0, :-1]
 
 
 def multiply(alg: MultAlgorithm, a: Poly, b: Poly) -> Poly:

@@ -1,9 +1,8 @@
 """Exact arithmetic in Z_q and the negacyclic ring R_q = Z_q[x]/(x^n + 1).
 
-Coefficients live in numpy int64 arrays so that all intermediates (including
-the ones produced by evaluation-interpolation multipliers) stay exact before
-the final power-of-two reduction. All values are treated as immutable after
-construction.
+Coefficients live in numpy int64 arrays, and products come back from the
+multipliers as exact int64 sums, unreduced before the final power-of-two
+reduction. All values are treated as immutable after construction.
 """
 
 import functools
@@ -94,33 +93,48 @@ class PolyVec:
         return PolyVec(tuple(Poly(row, modulus) for row in arr))
 
 
-@dataclass(frozen=True)
 class PolyMatrix:
-    """A square l x l grid of polynomials with a uniform modulus."""
+    """A square l x l grid of polynomials with a uniform modulus, held as one
+    read-only (l, l, n) array of coefficients in [0, modulus)."""
 
-    rows: tuple
+    def __init__(self, rows):
+        rows = tuple(tuple(row) for row in rows)
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise DimensionError("PolyMatrix must be square and non-empty")
+        if len({p.modulus for row in rows for p in row}) > 1:
+            raise ValueError("PolyMatrix entries must share a modulus")
+        self._hold(np.array([[p.coeffs for p in row] for row in rows], dtype=np.int64),
+                   rows[0][0].modulus)
 
-    def __post_init__(self):
-        l = len(self.rows)
-        for row in self.rows:
-            if len(row) != l:
-                raise DimensionError("PolyMatrix must be square")
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+    @classmethod
+    def from_array(cls, coeffs: np.ndarray, modulus: int) -> "PolyMatrix":
+        """From an (l, l, n) coefficient array, reduced modulo `modulus`."""
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        if coeffs.ndim != 3 or not 0 < coeffs.shape[0] == coeffs.shape[1]:
+            raise DimensionError("PolyMatrix must be square and non-empty")
+        matrix = cls.__new__(cls)
+        matrix._hold(coeffs % modulus, modulus)
+        return matrix
+
+    def _hold(self, coeffs: np.ndarray, modulus: int) -> None:
+        coeffs.setflags(write=False)
+        self._coeffs, self.modulus = coeffs, modulus
 
     def __getitem__(self, ij) -> Poly:
         i, j = ij
-        return self.rows[i][j]
+        return Poly(self._coeffs[i, j], self.modulus)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PolyMatrix) and self.modulus == other.modulus
+                and np.array_equal(self._coeffs, other._coeffs))
 
     @property
     def l(self) -> int:
-        return len(self.rows)
-
-    @property
-    def modulus(self) -> int:
-        return self.rows[0][0].modulus
+        return len(self._coeffs)
 
     def as_array(self) -> np.ndarray:
-        return np.array([[p.coeffs for p in row] for row in self.rows])
+        """The (l, l, n) coefficients: one read-only array, not a copy."""
+        return self._coeffs
 
 
 def fold_negacyclic(coeffs, n: int) -> np.ndarray:
@@ -178,14 +192,36 @@ def round_shift(poly: Poly, from_bits: int, to_bits: int) -> Poly:
     return Poly(poly.coeffs >> (from_bits - to_bits), 1 << to_bits)
 
 
+@functools.lru_cache(maxsize=16)
+def _gather_plan(count: int, width: int):
+    """For `count` values of `width` bits packed back to back: the indices of
+    the 4 bytes each value starts in, (count, 4), and its bit offset in the
+    first of them, (count,)."""
+    start = np.arange(count, dtype=np.int64) * width
+    index, shift = (start >> 3)[:, None] + np.arange(4), start & 7
+    index.setflags(write=False)
+    shift.setflags(write=False)
+    return index, shift
+
+
+def unpack_values(data: bytes, width: int, count: int) -> np.ndarray:
+    """The first `count` little-endian `width`-bit values packed back to back
+    in `data`, as int64. A value starts at one of a byte's 8 bits, so for
+    width <= 25 the 4 bytes from its first one hold it: each value is one
+    4-byte gather, shifted and masked."""
+    if not 0 <= width <= 25:
+        raise ValueError(f"value width must be 0..25 bits, got {width}")
+    if len(data) * 8 < count * width:
+        raise ValueError(f"{len(data)} bytes hold fewer than {count} {width}-bit values")
+    index, shift = _gather_plan(count, width)
+    padded = np.frombuffer(bytes(data) + bytes(3), dtype=np.uint8)
+    windows = padded[index].view("<u4")[:, 0]
+    return (windows >> shift) & ((1 << width) - 1)
+
+
 def _bits_from_stream(xof, count: int, width: int) -> np.ndarray:
     """Extract `count` little-endian `width`-bit values from an XOF stream."""
-    total_bits = count * width
-    raw = xof.squeeze((total_bits + 7) // 8)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    bits = bits[:total_bits].reshape(count, width).astype(np.int64)
-    weights = (np.int64(1) << np.arange(width, dtype=np.int64))
-    return bits @ weights
+    return unpack_values(xof.squeeze((count * width + 7) // 8), width, count)
 
 
 @functools.lru_cache(maxsize=64)
@@ -203,11 +239,8 @@ def gen_matrix(seed: bytes, params: RingParams = DEFAULT_PARAMS, xof_cls=None) -
         raise ValueError("seed must be 32 bytes")
     xof = (xof_cls or Shake128Xof)(seed)
     l, n = params.l, params.n
-    vals = _bits_from_stream(xof, l * l * n, params.eps_q).reshape(l, l, n)
-    rows = tuple(
-        tuple(Poly(vals[i, j], params.q) for j in range(l)) for i in range(l)
-    )
-    return PolyMatrix(rows)
+    vals = _bits_from_stream(xof, l * l * n, params.eps_q)
+    return PolyMatrix.from_array(vals.reshape(l, l, n), params.q)
 
 
 def sample_secret(r: bytes, params: RingParams = DEFAULT_PARAMS, xof_cls=None) -> np.ndarray:
@@ -223,11 +256,10 @@ def sample_secret(r: bytes, params: RingParams = DEFAULT_PARAMS, xof_cls=None) -
         raise ValueError("r must be 32 bytes")
     xof = (xof_cls or Shake128Xof)(r)
     l, n, mu = params.l, params.n, params.mu
-    raw = xof.squeeze(l * n * mu // 8)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    bits = bits.reshape(l, n, mu).astype(np.int64)
     half = mu // 2
-    return bits[:, :, :half].sum(axis=2) - bits[:, :, half:].sum(axis=2)
+    vals = _bits_from_stream(xof, l * n, mu).reshape(l, n)
+    return (np.bitwise_count(vals & ((1 << half) - 1)).astype(np.int64)
+            - np.bitwise_count(vals >> half))
 
 
 def centered_to_vec(s_centered: np.ndarray, modulus: int) -> PolyVec:

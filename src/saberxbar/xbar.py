@@ -23,6 +23,7 @@ suite pins the ideal pipeline and `XbarBackend` to each other bit-exactly.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -83,8 +84,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.cell_variance < 0 or self.tia_variance < 0:
-            raise ValueError("variances must be >= 0")
+        if not all(math.isfinite(v) and v >= 0
+                   for v in (self.cell_variance, self.tia_variance)):
+            raise ValueError("variances must be finite and >= 0")
         self.rng = np.random.default_rng(self.seed)
 
 
@@ -454,6 +456,8 @@ class NoisySampleBackend(XbarBackend):
     def __init__(self, noise, params: RingParams = DEFAULT_PARAMS,
                  noise_gain: float = DEFAULT_NOISE_GAIN):
         super().__init__(params)
+        if not (math.isfinite(noise_gain) and noise_gain >= 0):
+            raise ValueError("noise gain must be finite and >= 0")
         self.noise = noise
         self.noise_gain = noise_gain
         self.noisy = True
@@ -477,9 +481,14 @@ class NoisySampleBackend(XbarBackend):
         self.last_injected = counts.reshape(lead)
         n = out.shape[-1]
         slices = DEFAULT_BITS_PER_COEFF
-        cycles = np.array([m.bit_length() - 1 for m in moduli])
-        samples = cycles * n * slices * -(-n // DEFAULT_TILE_ROWS)
-        per_product = np.repeat(samples[:, None], handle.l, axis=1)  # (rows, l)
+        # runs of consecutive rows that share a modulus, hence a number of
+        # input cycles: (rows, cycles). Drawing each run with a scalar count
+        # and a scalar bound gives the same draws as per-row array arguments,
+        # at a fraction of numpy's per-call cost for arrays.
+        runs = [(len(list(group)), m.bit_length() - 1)
+                for m, group in itertools.groupby(moduli)]
+        starts = np.cumsum([0] + [rows for rows, _ in runs[:-1]])
+        samples_per_cycle = n * slices * -(-n // DEFAULT_TILE_ROWS)
         for i, (spec, result) in enumerate(zip(np.broadcast_to(sources, lead).ravel(),
                                                entries)):
             std = spec.cell_variance * self.noise_gain
@@ -488,12 +497,15 @@ class NoisySampleBackend(XbarBackend):
             # P(|N(0,std)| crosses the half-LSB rounding threshold)
             tail = _phi_tail(0.5 / std)
             rng = spec.rng
-            errors = rng.binomial(per_product, 2.0 * tail)
-            k = counts[i] = errors.sum()
+            per_row = np.concatenate([
+                rng.binomial(cycles * samples_per_cycle, 2.0 * tail, (rows, handle.l))
+                for rows, cycles in runs]).sum(axis=1)
+            k = counts[i] = per_row.sum()
             if k == 0:
                 continue
-            row = np.repeat(np.arange(len(errors)), errors.sum(axis=1))
-            cycle = rng.integers(0, cycles[row])
+            row = np.repeat(np.arange(len(per_row)), per_row)
+            cycle = np.concatenate([rng.integers(0, cycles, errors) for (_, cycles), errors
+                                    in zip(runs, np.add.reduceat(per_row, starts))])
             coeff = rng.integers(0, n, k)
             sl = rng.integers(0, slices, k)
             mag = error_magnitudes(rng.random(k) * tail, std)

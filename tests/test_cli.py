@@ -79,3 +79,24 @@ def test_cost_reports_configured_point(tmp_path, capsys):
 def test_roundtrip_reports_success(capsys):
     assert main(["roundtrip", "--trials", "1", "--seed", "7"]) == EXIT_OK
     assert "1 roundtrips, 0 failures" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--variances=inf"], None),
+    (["--variances=-0.1"], None),
+    (["--variances=nan"], None),
+    ([], "noise.gain = nan\n"),
+    ([], "noise.gain = -1\n"),
+    ([], "noise.cell_variance = inf\n"),
+    ([], "noise.tia_variance = -0.5\n"),
+])
+def test_non_finite_or_negative_noise_inputs_exit_two(tmp_path, capsys, flags, config):
+    # each returns at once: an infinite variance used to hang building the
+    # error-magnitude table, and a negative gain silently turned noise off
+    argv = ["noise", "--trials", "2", "--out", str(tmp_path / "noise")] + flags
+    if config:
+        (tmp_path / "noise.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "noise.cfg")]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert not (tmp_path / "noise").exists()
+    assert "config error" in capsys.readouterr().err

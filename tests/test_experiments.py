@@ -161,9 +161,30 @@ def test_run_noise_repeated_grid_entries_repeat_their_points():
     assert run_noise(cfg, (0.11, 0.11), (0, 0)).points == once * 4
 
 
+def test_noise_curve_is_pinned():
+    # seed 3's 40-trial curve as this draw stream gives it: failure counts,
+    # injected errors and smallest margins per (variance, retry budget)
+    curve = run_noise(ExperimentConfig(trials=40, seed=3), (0.05, 0.10), (0, 1, 2))
+    got = [(pt.cell_variance, pt.max_retries, round(pt.failure_probability * pt.trials),
+            pt.injected_errors, pt.min_margin.successful, pt.min_margin.failed)
+           for pt in curve.points]
+    assert got == [(0.05, 0, 0, 0, 173.5, None), (0.05, 1, 0, 0, 173.5, None),
+                   (0.05, 2, 0, 0, 173.5, None), (0.10, 0, 9, 50, 113.5, -255.5),
+                   (0.10, 1, 8, 51, 113.5, -255.5), (0.10, 2, 8, 52, 113.5, -255.5)]
+
+
 def test_run_noise_rejects_empty_grids():
     with pytest.raises(ConfigError):
         run_noise(ExperimentConfig(trials=1), variance_grid=())
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), -0.1])
+def test_noise_levels_must_be_finite_and_non_negative(bad):
+    with pytest.raises(ConfigError):
+        run_noise(ExperimentConfig(trials=1), variance_grid=(0.05, bad))
+    for field in ("cell_variance", "tia_variance", "noise_gain"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**{field: bad})
 
 
 def test_noise_serialization_schemas():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from saberxbar.params import DEFAULT_PARAMS
+from saberxbar import polymult
 from saberxbar.ring import Poly, fold_negacyclic
 from saberxbar.polymult import (MultAlgorithm, plan_for, schoolbook_mul,
                                 multiply, conv_raw, program, matvec)
@@ -148,6 +149,25 @@ def test_batched_products_match_schoolbook_sums(backend, ring):
             assert Poly(got[i], q) == want
 
 
+@pytest.mark.parametrize("alg", [MultAlgorithm.TC4, MultAlgorithm.TC4K2])
+def test_exact_division_check_catches_a_wrong_leaf(alg, monkeypatch):
+    # a leaf sum off by exactly 1 passes the round-off checks; the
+    # interpolation's exact division is what must reject it
+    rng = np.random.default_rng(17)
+    a, s = rng.integers(0, Q, (1, 3, N)), rng.integers(-4, 5, (3, N))
+    handle = program(alg, s)
+    matvec(handle, a)
+    irfft = np.fft.irfft
+
+    def off_by_one(*args, **kwargs):
+        leaf = irfft(*args, **kwargs)
+        leaf[(0,) * leaf.ndim] += 1
+        return leaf
+    monkeypatch.setattr(np.fft, "irfft", off_by_one)
+    with pytest.raises(ArithmeticError, match="non-integer"):
+        matvec(handle, a)
+
+
 @pytest.mark.parametrize("alg", list(MultAlgorithm))
 def test_leaf_bound_is_checked_at_its_edge(alg):
     # the FFT round-off bound and the int64 interpolation limit both grow
@@ -175,3 +195,74 @@ def test_leaf_bound_is_checked_at_its_edge(alg):
         conv_raw(alg, a, s)
     with pytest.raises(ArithmeticError):
         matvec(program(alg, s[None]), a[None, None])
+
+
+def _edge(passes):
+    """Largest magnitude in [1, 2^62) at which `passes` holds."""
+    edge, past = 1, 1 << 62
+    while past - edge > 1:
+        mid = (edge + past) // 2
+        edge, past = (mid, past) if passes(mid) else (edge, mid)
+    return edge
+
+
+def test_interpolation_bound_is_checked_at_its_edge():
+    # operands confined to their first limb have equal leaf sums at every
+    # finite point, where TC4K2's interpolation rows weigh most, so the
+    # float64 bound after the leaf, not the FFT round-off bound, sets the
+    # edge: exact at it, ArithmeticError one past it
+    alg = MultAlgorithm.TC4K2
+    a1, s = np.zeros(16, dtype=np.int64), np.zeros(16, dtype=np.int64)
+    a1[:2], s[:2] = (1, -1), (1, 1)
+
+    def passes(magnitude):
+        try:
+            conv_raw(alg, magnitude * a1, s)
+        except ArithmeticError:
+            return False
+        return True
+    edge = _edge(passes)
+    a = edge * a1
+    assert list(conv_raw(alg, a, s)) == _oracle_conv(a, s)
+    assert list(matvec(program(alg, s[None]), a[None, None])[0]) \
+        == list(fold_negacyclic(_oracle_conv(a, s), 16))
+    for call in (lambda: conv_raw(alg, a + a1, s),
+                 lambda: matvec(program(alg, s[None]), (a + a1)[None, None])):
+        with pytest.raises(ArithmeticError, match="interpolation"):
+            call()
+
+
+@pytest.mark.parametrize("alg", list(MultAlgorithm))
+def test_evaluation_bound_rejects_coefficients_float64_cannot_hold(alg):
+    a = np.tile([2**60, 3, -2**60, 0], 4)
+    s = np.eye(16, dtype=np.int64)[0]
+    for call in (lambda: conv_raw(alg, a, s), lambda: program(alg, a[None])):
+        with pytest.raises(ArithmeticError, match="evaluation"):
+            call()
+
+
+@pytest.mark.parametrize("alg", list(MultAlgorithm))
+def test_growth_bounds_every_sum_after_the_leaf(alg):
+    # the sums the core's float64 products form after the leaf, computed
+    # exactly, stay within the table's bound on them from the leaf bounds
+    table = polymult._TABLES[alg]
+    rng = np.random.default_rng(23)
+    n, l, rows = 32, 3, 4
+    k = n // table.limbs
+    a, s = rng.integers(-2**12, 2**12, (rows, l, n)), rng.integers(-4, 5, (l, n))
+    x = polymult._evaluate(table, a, k).astype(np.int64)  # (points, rows, l, k)
+    y = polymult._evaluate(table, s, k).astype(np.int64)  # (points, l, k)
+    leaf = np.array([[sum(np.convolve(x[p, r, j], y[p, j]) for j in range(l))
+                      for r in range(rows)] for p in range(table.points)])
+    leaf = np.concatenate([leaf, np.zeros(leaf.shape[:-1] + (1,), dtype=np.int64)], -1)
+    bounds = (polymult._norms(x.astype(float)) * polymult._norms(y.astype(float))[:, None]
+              ).sum(axis=-1).max(axis=-1)
+    limits = table.growth @ bounds
+    partial = np.einsum("tp,prc->trc", np.abs(table.interpolation), np.abs(leaf))
+    assert (partial.max(axis=(1, 2)) <= limits[: len(partial)]).all()
+    sums = np.einsum("tp,prc->trc", table.interpolation, leaf)
+    assert not (sums % table.denominators[:, None, None]).any()
+    halves = np.abs(sums // table.denominators[:, None, None]).reshape(-1, rows, 2, k)
+    halves = halves.transpose(0, 2, 1, 3).reshape(-1, rows, k)  # (2 * product limbs, ...)
+    placed = np.einsum("gj,jrc->grc", np.abs(table._placement(True)), halves)
+    assert (placed.max(axis=(1, 2)) <= limits[len(partial):]).all()

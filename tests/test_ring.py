@@ -4,7 +4,8 @@ import pytest
 from saberxbar.params import RingParams, DEFAULT_PARAMS, constants
 from saberxbar.ring import (Poly, PolyVec, PolyMatrix, DimensionError,
                             reduce_negacyclic, negacyclic_product, round_shift,
-                            gen_matrix, sample_secret, centered_to_vec)
+                            gen_matrix, sample_secret, centered_to_vec,
+                            _bits_from_stream)
 from saberxbar.xof import Shake128Xof, CounterXof
 
 
@@ -149,6 +150,45 @@ def test_gen_matrix_deterministic_and_in_range():
         for j in range(3):
             c = A[i, j].coeffs
             assert c.min() >= 0 and c.max() < DEFAULT_PARAMS.q
+
+
+def test_gen_matrix_array_is_memoized_and_read_only():
+    A = gen_matrix(bytes(range(1, 33))).as_array()
+    assert A.shape == (3, 3, DEFAULT_PARAMS.n)
+    assert gen_matrix(bytes(range(1, 33))).as_array() is A
+    with pytest.raises(ValueError):
+        A[0, 0, 0] = 1  # a write would corrupt every later hit of the cache
+    assert gen_matrix(bytes(range(1, 33)))[1, 2] == Poly(A[1, 2], DEFAULT_PARAMS.q)
+
+
+def _reference_values(raw: bytes, count: int, width: int) -> list:
+    """Little-endian `width`-bit values read bit by bit."""
+    bits = [(byte >> i) & 1 for byte in raw for i in range(8)]
+    return [sum(bits[v * width + i] << i for i in range(width)) for v in range(count)]
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_bits_from_stream_matches_bit_by_bit_reference(width):
+    for count in (1, 3, 7, 8, 13, 100):  # most leave a partial last byte
+        xof, ref = Shake128Xof(b"bits"), Shake128Xof(b"bits")
+        raw = ref.squeeze((count * width + 7) // 8)
+        got = _bits_from_stream(xof, count, width)
+        assert got.dtype == np.int64
+        assert list(got) == _reference_values(raw, count, width)
+        assert xof.squeeze(5) == ref.squeeze(5)  # drew exactly the bytes it used
+
+
+@pytest.mark.parametrize("mu", [2, 4, 6, 8, 10])
+def test_sample_secret_is_the_hamming_weight_difference(mu):
+    params = RingParams(mu=mu)
+    r = bytes(range(32))
+    raw = Shake128Xof(r).squeeze(params.l * params.n * mu // 8)
+    half = mu // 2
+    want = [bin(v & ((1 << half) - 1)).count("1") - bin(v >> half).count("1")
+            for v in _reference_values(raw, params.l * params.n, mu)]
+    got = sample_secret(r, params)
+    assert got.shape == (params.l, params.n) and got.dtype == np.int64
+    assert list(got.ravel()) == want
 
 
 def test_gen_matrix_seed_length_check():

@@ -266,6 +266,16 @@ def test_noise_spec_validation_and_gain():
     assert DEFAULT_NOISE_GAIN > 0
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_noise_spec_and_backend_reject_non_finite_levels(bad):
+    with pytest.raises(ValueError):
+        NoiseSpec(bad)
+    with pytest.raises(ValueError):
+        NoiseSpec(0.1, tia_variance=bad)
+    with pytest.raises(ValueError):
+        NoisySampleBackend(NoiseSpec(0.1), P, noise_gain=bad)
+
+
 def _searched_magnitude(u, std):
     """The per-error tail search the inverse-CDF table replaces."""
     mag = 1
