@@ -23,12 +23,11 @@ from .params import RingParams, DEFAULT_PARAMS
 from .polymult import MultAlgorithm, plan_for
 from .schedule import PrecisionMap, build_stagger, assign_adcs
 from .sac import MAX_CELL_BITS, SacVariant, build_sac_tree, _max_ideal_root
+from .xbar import (DEFAULT_TILE_ROWS as TILE_ROWS, DEFAULT_TILE_COLS as TILE_COLS,
+                   DEFAULT_BITS_PER_COEFF as BITS_PER_COEFF)
 
-TILE_ROWS = 128
-TILE_COLS = 128
 ADC_COLUMNS_SHARED = 8          # 1 ADC per 8 columns -> 8 ns read cycle
 READ_CYCLE_NS = 8.0
-BITS_PER_COEFF = 4
 
 
 class Operation(enum.Enum):

@@ -30,7 +30,7 @@ from .pke import (SoftwareBackend, keygen, encrypt, decrypt, encode_message,
                   decode_message, frame_payload, check_frame, keygen_arrays,
                   encrypt_arrays, decrypt_arrays)
 from .xbar import (XbarBackend, NoisySampleBackend, NoiseSpec, DEFAULT_NOISE_GAIN,
-                   build_negacyclic_matrix, program_operand, crossbar_polymult)
+                   MAX_SAMPLE_STD, build_negacyclic_matrix, program_operand, crossbar_polymult)
 from .schedule import PrecisionMap, accumulate_coefficient, truncate_to_required
 from .sac import SacVariant, build_sac_tree, sac_accumulate
 from .costmodel import (Operation, Architecture, ArchConfig, ComponentCatalog,
@@ -426,8 +426,9 @@ def run_noise(config: ExperimentConfig,
 
     Key generation is exact, so each trial's key serves every variance;
     encryption and every decryption attempt see fresh sample noise. A trial
-    at retry budget r fails when the first r+1 decryptions all mis-frame the
-    CRC, so the curve is monotone in r by construction; retries re-run only
+    at retry budget r fails when none of its first r+1 decryptions recovers
+    every message coefficient with a positive margin (`decryption_margins`),
+    so the curve is monotone in r by construction; retries re-run only
     the trials that still fail. Trial t draws its keys and message from its
     own child stream of `config.seed`, and its sample noise from a child
     keyed by t and the variance's value, so a point does not depend on the
@@ -446,6 +447,9 @@ def run_noise(config: ExperimentConfig,
         raise ConfigError("retry budgets must be >= 0")
     for var in variance_grid:
         _check_noise_level(var, "cell variance")
+        if var * config.noise_gain > MAX_SAMPLE_STD:
+            raise ConfigError(f"cell variance {var} x noise gain {config.noise_gain} "
+                              f"exceeds the sample noise limit {MAX_SAMPLE_STD}")
     max_r = max(retries_grid)
     keys = [(var, r) for var in variance_grid for r in retries_grid]
     fails, errors = dict.fromkeys(keys, 0), dict.fromkeys(keys, 0)

@@ -20,6 +20,22 @@ before it transforms, the observed rounding residual after, and a per-table
 bound that keeps every float64 sum after the leaf an exact integer below
 2^53, and raises ArithmeticError rather than return an inexact product.
 
+A folded product of the one-limb (schoolbook) table, for n a power of two,
+runs on the ring leaf instead, which multiplies modulo x^n + 1 directly: the
+weighted right-angle transform (Crandall and Fagin, "Discrete weighted
+transforms and large-integer arithmetic", Math. Comp. 1994). Each operand
+packs into n/2 complex values x_lo + i x_hi, its residue modulo
+x^(n/2) - i; as x^n + 1 = (x^(n/2) - i)(x^(n/2) + i) and the coefficients
+are real, the product's residue determines the product. Weighting the
+values by zeta^j, zeta = exp(i pi / n), turns the product modulo
+x^(n/2) - i into a cyclic convolution of n/2 points, so the unweighted
+inverse transform's real and imaginary parts are the low and high halves of
+the folded product. This is half the transform length of the zero-padded
+linear leaf, with no fold after it. Toom tables keep the linear leaf: a Toom leaf
+is a linear product of limbs zero-padded to twice their length, whose upper
+halves are zero, so right-angle packing has nothing to pack; and the
+unfolded `conv_raw` needs the whole product.
+
 The secret side of a product is stationary, as on the crossbar: `program`
 evaluates a secret vector once, and `matvec` streams rows of public operands
 against it, summing each row's products in the evaluation domain so that it
@@ -32,6 +48,7 @@ bit-exactly; the test suite enforces this against an independent
 big-integer convolution oracle.
 """
 
+import decimal
 import enum
 import math
 from dataclasses import dataclass
@@ -291,6 +308,7 @@ def _evaluate(table: _Table, x: np.ndarray, k: int) -> np.ndarray:
 # the core: program a secret once, stream public operands against it
 
 # float64 unit round-off, and the error assumed for the FFT's roots of unity
+# (the ring leaf's weights are computed to within it, see `_ring_weights`)
 _EPS = 2.0 ** -53
 _ROOT_ERROR = 2.0 ** -52
 # covers the rounding of the norms and of the bounds computed from them
@@ -306,36 +324,90 @@ def _fft_size(k: int) -> int:
     return 1 << (2 * k - 1).bit_length()
 
 
+def _on_ring(table: _Table, n: int) -> bool:
+    """Whether folded products of `table` at n coefficients run on the ring
+    leaf: one limb, and n a power of two, so that its n/2-point transform has
+    the radix-2 size that the round-off bound models."""
+    return table.limbs == 1 and n > 1 and not n & (n - 1)
+
+
+@lru_cache(maxsize=16)
+def _ring_weights(n: int) -> np.ndarray:
+    """The weights zeta^j = exp(i pi j / n) for j < n/2, n a power of two,
+    and their conjugates, which unweight: (2, n/2). They are computed in
+    40-digit decimal arithmetic, halving the angle pi/2 down to pi/n and then
+    taking powers, and rounded once to float64, so each lies within
+    sqrt(2) 2^-54 < `_ROOT_ERROR` of its exact value on any platform."""
+    with decimal.localcontext(prec=40):
+        cos, sin = decimal.Decimal(0), decimal.Decimal(1)
+        for _ in range(n.bit_length() - 2):
+            cos, sin = ((1 + cos) / 2).sqrt(), ((1 - cos) / 2).sqrt()
+        re, im, weights = decimal.Decimal(1), decimal.Decimal(0), []
+        for _ in range(n // 2):
+            weights.append(complex(float(re), float(im)))
+            re, im = re * cos - im * sin, re * sin + im * cos
+    weights = np.array(weights)
+    weights = np.stack([weights, weights.conj()])
+    weights.setflags(write=False)
+    return weights
+
+
 @lru_cache(maxsize=64)
-def _roundoff_factor(size: int, terms: int) -> float:
-    """Factor f such that a leaf sum of `terms` products, each of two limbs
-    x and y transformed at `size` points, is off by less than
+def _roundoff_factor(size: int, terms: int, weighted: bool = False) -> float:
+    """Factor f such that a leaf sum of `terms` products, each of two
+    operands x and y transformed at `size` points, is off by less than
     f * sum ||x|| ||y|| (Euclidean norms) in every coefficient.
 
-    This is Percival's bound ("Rapid multiplication modulo the sum and
-    difference of highly composite numbers", Math. Comp. 2003, Thm 5.1),
-    ((1+e)^3m (1+e sqrt5)^(3m+1) (1+b)^3m - 1) for size = 2^m, summed over
-    the products by the triangle inequality, with (1+e)^(terms-1) for the
-    frequency-domain additions, which enter like the pointwise products'
-    rounding. It models a radix-2 complex FFT; numpy's real FFT is not that
-    algorithm, so every call also checks the observed rounding residual.
+    For one cyclic convolution of size = 2^m complex points, Percival's bound
+    ("Rapid multiplication modulo the sum and difference of highly composite
+    numbers", Math. Comp. 2003, Thm 5.1) is P = (1+e)^3m (1+e sqrt5)^(3m+1)
+    (1+b)^3m - 1 times ||x|| ||y||, for unit round-off e and roots of unity
+    within b of exact: three transforms of m radix-2 passes, and the
+    pointwise complex products, each within e sqrt5 of exact relative to
+    its factors. The linear leaf's real FFT is such a convolution of the
+    zero-padded limbs.
+
+    The ring leaf (`weighted`) transforms size = n/2 complex values
+    u = x_lo + i x_hi, with ||u|| the norm of x's n coefficients. It
+    multiplies by weights within b of zeta^j, |zeta^j| = 1, three times:
+    each operand before its forward transform, and the inverse transform's
+    output c~ after it. Each such product is within d = (1 + e sqrt5)(1 + b)
+    - 1 of exact relative to the unweighted factor. So the computed weighted
+    operands are the exact ones plus r, r' with ||r|| <= d ||u|| and
+    ||r'|| <= d ||v||, and their exact cyclic convolution moves by at most
+    ((1+d)^2 - 1) ||u|| ||v|| (Cauchy-Schwarz), Percival's bound on their
+    norms adds (1+d)^2 P ||u|| ||v||, and unweighting turns an error E in a
+    coefficient c, |c| <= ||u|| ||v||, into at most (1+d) E + d |c|. In all,
+    ((1+d)^3 (1+P) - 1) ||u|| ||v||: (1+e)^3m (1+e sqrt5)^(3m+4)
+    (1+b)^(3m+3) - 1.
+
+    Either way the bound is summed over the products by the triangle
+    inequality, with (1+e)^(terms-1) for the frequency-domain additions,
+    which enter like the pointwise products' rounding. It models a radix-2
+    complex FFT; numpy's FFT is not that algorithm, so every call also
+    checks the observed rounding residual.
     """
     m = size.bit_length() - 1
+    weights = 3 if weighted else 0
     return math.expm1(3 * m * math.log1p(_EPS)
-                      + (3 * m + 1) * math.log1p(_EPS * math.sqrt(5))
-                      + 3 * m * math.log1p(_ROOT_ERROR)
+                      + (3 * m + 1 + weights) * math.log1p(_EPS * math.sqrt(5))
+                      + (3 * m + weights) * math.log1p(_ROOT_ERROR)
                       + (terms - 1) * math.log1p(_EPS))
 
 
 @dataclass(frozen=True)
 class Programmed:
-    """A secret vector (..., l, n) evaluated once at an algorithm's points.
+    """A secret vector (..., l, n) transformed once, in the form its
+    products use.
 
-    `spectra` holds the real FFT of every evaluated limb, (points, ..., l,
-    size // 2 + 1), and `norms` their Euclidean norms, (points, ..., l), for
-    the leaf's bounds; the points axis leads, as everywhere in the core.
-    Leading axes `...`, if any, index independent secrets (one per trial of a
-    batch).
+    On the linear leaf, `spectra` holds the real FFT of every limb evaluated
+    at the algorithm's points, (points, ..., l, size // 2 + 1), and `norms`
+    their Euclidean norms, (points, ..., l); the points axis leads, as
+    everywhere in the linear core. On the ring leaf (`ring`), `spectra`
+    holds the n/2-point FFT of each weighted, packed secret polynomial,
+    (..., l, n/2), and `norms` the norms of its n coefficients, (..., l).
+    Leading axes `...`, if any, index independent secrets (one per trial of
+    a batch).
     """
 
     algorithm: MultAlgorithm
@@ -343,6 +415,7 @@ class Programmed:
     spectra: np.ndarray     # complex128
     norms: np.ndarray       # float64
     evaluations: int        # secret polynomials evaluated: polynomials x points
+    ring: bool              # whether products run on the ring leaf
 
     @property
     def n(self) -> int:
@@ -362,32 +435,60 @@ def _widen(values: np.ndarray, axes: int) -> np.ndarray:
     return values.reshape(values.shape[:1] + (1,) * axes + values.shape[1:])
 
 
+def _pack(x: np.ndarray) -> tuple:
+    """(..., n) int64 coefficients -> the ring leaf's (..., n/2) complex
+    values x_lo + i x_hi, each weighted by zeta^j, and the (...) Euclidean
+    norms of the coefficients. As in `_evaluate`, each call checks
+    |x| < 2^53, so the values are exact before weighting."""
+    half = x.shape[-1] // 2
+    packed = np.empty(x.shape[:-1] + (half,), dtype=np.complex128)
+    packed.real, packed.imag = x[..., :half], x[..., half:]
+    flat = packed.view(np.float64)
+    if flat.size and not max(flat.max(), -flat.min()) < _EXACT_FLOAT_LIMIT:
+        raise ArithmeticError("operands exceed the exact float64 range of the evaluation")
+    norms = _norms(flat)
+    packed *= _ring_weights(x.shape[-1])[0]
+    return packed, norms
+
+
 def program(alg: MultAlgorithm, s) -> Programmed:
-    """Evaluate the secret vector `s` (..., l, n) once, for any number of
-    `matvec`s."""
+    """Transform the secret vector `s` (..., l, n) once, for any number of
+    `matvec`s: on the ring leaf where the table and n allow it."""
+    return _program(alg, s, ring=True)
+
+
+def _program(alg: MultAlgorithm, s, ring: bool) -> Programmed:
     s = np.asarray(s, dtype=np.int64)
     table = _TABLES[alg]
-    k = _limb_size(table, alg, s.shape[-1])
+    n = s.shape[-1]
+    k = _limb_size(table, alg, n)
+    evaluations = s.size // n * table.points
+    if ring and _on_ring(table, n):
+        packed, norms = _pack(s)
+        return Programmed(alg, s, np.fft.fft(packed, axis=-1, out=packed), norms,
+                          evaluations, ring=True)
     values = _evaluate(table, s, k)  # (points, ..., l, k)
     return Programmed(alg, s, np.fft.rfft(values, _fft_size(k)), _norms(values),
-                      s.size // s.shape[-1] * table.points)
+                      evaluations, ring=False)
 
 
 def _products(h: Programmed, a, fold: bool) -> np.ndarray:
     """Row i of the result is sum_j a[..., i, j] * s_j for a of shape
     (..., rows, l, n), unreduced: folded modulo x^n + 1, (..., rows, n), or
-    else the full (..., rows, 2n) product, whose last coefficient is 0.
+    else the full (..., rows, 2n) product, whose last coefficient is 0. A
+    ring handle multiplies on the ring leaf (`_ring_products`), which folds.
 
-    The points axis leads throughout, so that evaluation, interpolation and
-    the overlap-add with the fold are each one float64 matrix product over
-    the whole block. Each row's l leaf products at a point are summed in the
-    frequency domain, so the row takes one inverse FFT per point. Every
-    leaf-sum coefficient at point p is at most M_p = sum_j ||x_j|| ||y_j||
-    over the row's evaluated limbs (Cauchy-Schwarz), and each call checks
-    these bounds twice: their maximum against the FFT round-off bound, so
-    that every coefficient rounds to its exact integer, and all of them
-    through the table's `growth` against 2^53, so that every float64 sum
-    after the leaf is exact.
+    On the linear leaf, the points axis leads throughout, so that
+    evaluation, interpolation and the overlap-add with the fold are each one
+    float64 matrix product over the whole block. Each row's l leaf products
+    at a point are summed in the frequency domain, so the row takes one
+    inverse FFT per point. Every leaf-sum coefficient at point p is at most
+    M_p = sum_j ||x_j|| ||y_j|| over the row's evaluated limbs
+    (Cauchy-Schwarz), and each call checks these bounds twice: their
+    maximum against the FFT round-off bound, so that every coefficient
+    rounds to its exact integer, and all of them through the table's
+    `growth` against 2^53, so that every float64 sum after the leaf is
+    exact.
     """
     table = _TABLES[h.algorithm]
     a = np.asarray(a, dtype=np.int64)
@@ -395,11 +496,13 @@ def _products(h: Programmed, a, fold: bool) -> np.ndarray:
     if (l, n) != (h.l, h.n):
         raise ValueError(f"operand rows of {l} x {n} coefficients do not match "
                          f"the programmed {h.l} x {h.n} secret")
-    k = n // table.limbs
-    size = _fft_size(k)
     if a.shape[:-3] != h.secret.shape[:-2]:  # shared operands or a shared secret
         a = np.broadcast_to(a, np.broadcast_shapes(a.shape[:-3], h.secret.shape[:-2])
                             + a.shape[-3:])
+    if h.ring:
+        return _ring_products(h, a)
+    k = n // table.limbs
+    size = _fft_size(k)
     x = _evaluate(table, a, k)  # (points, ..., rows, l, k)
     extra = x.ndim - h.spectra.ndim - 1  # leading axes a has beyond s
     bound = np.einsum("...j,...j->...", _norms(x), _widen(h.norms, extra)[..., None, :])
@@ -432,6 +535,36 @@ def _products(h: Programmed, a, fold: bool) -> np.ndarray:
     return out.reshape(leaf.shape[1:-1] + (-1,))
 
 
+def _ring_products(h: Programmed, a: np.ndarray) -> np.ndarray:
+    """The folded (..., rows, n) sums of `_products` on the ring leaf.
+
+    Each row's l products are summed in the frequency domain, so the row
+    takes one inverse transform. A coefficient of the sum adds, over j,
+    signed products of a_j's coefficients with a permutation of s_j's, so it
+    is at most M = sum_j ||a_j|| ||s_j|| (Cauchy-Schwarz), and each call
+    checks M against the weighted transform's round-off bound. Since that
+    bound's factor exceeds 2^-50, M < 2^48 then, so the rounded halves are
+    the exact folded product and no float64 sum follows the leaf.
+    """
+    x, norms = _pack(a)  # (..., rows, l, n/2)
+    bound = np.einsum("...j,...j->...", norms, h.norms[..., None, :]).max() * _NORM_SLACK
+    if not bound * _roundoff_factor(h.n // 2, h.l, weighted=True) < _MAX_ROUNDOFF:
+        raise ArithmeticError("operands exceed the exact range of the FFT leaf")
+    x = np.fft.fft(x, axis=-1, out=x)
+    x *= h.spectra[..., None, :, :]
+    leaf = x.sum(axis=-2)  # (..., rows, n/2)
+    del x
+    leaf = np.fft.ifft(leaf, axis=-1, out=leaf)
+    leaf *= _ring_weights(h.n)[1]
+    flat = leaf.view(np.float64)  # low and high halves, interleaved
+    exact = np.rint(flat)
+    flat -= exact
+    if not np.abs(flat, out=flat).max() < _MAX_ROUNDOFF:
+        raise ArithmeticError("FFT leaf round-off reached 1/4")
+    halves = exact.reshape(exact.shape[:-1] + (-1, 2)).swapaxes(-1, -2)
+    return halves.astype(np.int64, order="C").reshape(exact.shape)
+
+
 def matvec(h: Programmed, a) -> np.ndarray:
     """(..., rows, n) negacyclic sums sum_j a[..., i, j] * s_j for a of shape
     (..., rows, l, n), unreduced."""
@@ -440,8 +573,8 @@ def matvec(h: Programmed, a) -> np.ndarray:
 
 def conv_raw(alg: MultAlgorithm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full (2n-1)-term product of two coefficient arrays, no reduction."""
-    return _products(program(alg, np.asarray(b)[None]), np.asarray(a)[None, None],
-                     fold=False)[0, :-1]
+    return _products(_program(alg, np.asarray(b)[None], ring=False),
+                     np.asarray(a)[None, None], fold=False)[0, :-1]
 
 
 def multiply(alg: MultAlgorithm, a: Poly, b: Poly) -> Poly:

@@ -197,21 +197,6 @@ def _check_paths(tree: SacTree) -> None:
         raise ValueError(f"tree covers {len(seen)} leaves, expected {want}")
 
 
-def adc_samples_per_coefficient(variant: SacVariant, columns_per_coeff: int,
-                                num_cycles: int) -> int:
-    if variant is SacVariant.NONE:
-        return columns_per_coeff * num_cycles
-    if variant is SacVariant.BASIC:
-        return num_cycles
-    if variant is SacVariant.X2:
-        return -(-num_cycles // 2)
-    if variant is SacVariant.X4:
-        return -(-num_cycles // 4)
-    if variant is SacVariant.ALL:
-        return 1
-    raise ValueError(f"unknown variant {variant}")
-
-
 def _eval_node(node, leaves: np.ndarray, noise: NoiseSpec, tia: TiaSpec) -> float:
     if isinstance(node, SacLeaf):
         return float(leaves[node.cycle, node.column])

@@ -15,8 +15,9 @@ bitline current exceeds rows/2; the complement is undone after readout.
 `crossbar_polymult` is the one physical model: the explicit per-cycle,
 per-sample pipeline including noise and ADC quantization. The backends used
 by the PKE do not rerun it. `XbarBackend` is the ideal crossbar as ring
-arithmetic (the exact negacyclic product, through the same FFT-leaf core as
-the software algorithms) plus write accounting for the programmed secrets,
+arithmetic (the exact negacyclic product, on `polymult`'s ring leaf: a
+weighted n/2-point FFT that multiplies modulo x^n + 1, as the crossbar's
+negacyclic matrix does) plus write accounting for the programmed secrets,
 and `NoisySampleBackend` adds sample-referred read errors on top, from one
 noise source per trial when a batch of trials multiplies at once. The test
 suite pins the ideal pipeline and `XbarBackend` to each other bit-exactly.
@@ -41,6 +42,13 @@ DEFAULT_BITS_PER_COEFF = 4
 # the empirical decryption failure probability at 10% variance reproduces the
 # published operating point (~0.22 with no retries)
 DEFAULT_NOISE_GAIN = 1.07
+
+# Largest sample-referred noise std (cell variance x noise gain, in cell
+# currents) that the sample error law takes. At this std a sample already
+# errs with probability 0.96, so errors are no longer the sparse events the
+# law draws, and its inverse-CDF table grows linearly with the std (about
+# 38.5 entries per cell current).
+MAX_SAMPLE_STD = 10.0
 
 
 @dataclass(frozen=True)
@@ -350,8 +358,9 @@ class XbarBackend:
     """Ideal crossbar backend: ring arithmetic plus write accounting.
 
     An ideal crossbar yields the exact negacyclic product, so `matvec`
-    computes it directly, with the one-point (schoolbook) table of
-    `polymult`'s FFT-leaf core. What the backend models is the stationary
+    computes it directly, with the schoolbook table of `polymult`'s core,
+    whose products modulo x^n + 1 run on its ring leaf (for n a power of
+    two). What the backend models is the stationary
     secret: which secret polynomials the boot and work slots hold, and the
     cell bits written to program them. The work slot holds at most l
     polynomials, its physical size; multiplying by a secret held in neither
@@ -527,7 +536,10 @@ def _phi_tail(x: float) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _magnitude_tails(std: float) -> np.ndarray:
-    """P(N(0, std) > m + 0.5) for m = 1, 2, ... while positive, ascending."""
+    """P(N(0, std) > m + 0.5) for m = 1, 2, ... while positive, ascending,
+    for std up to MAX_SAMPLE_STD."""
+    if not std <= MAX_SAMPLE_STD:
+        raise ValueError(f"sample-referred noise std {std} exceeds {MAX_SAMPLE_STD}")
     tails = []
     while (tail := _phi_tail((len(tails) + 1.5) / std)) > 0:
         tails.append(tail)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -100,3 +101,23 @@ def test_non_finite_or_negative_noise_inputs_exit_two(tmp_path, capsys, flags, c
     assert main(argv) == EXIT_CONFIG_ERROR
     assert not (tmp_path / "noise").exists()
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--variances=1e6"], None),
+    (["--variances=0.05,9.5"], None),
+    ([], "noise.gain = 1e6\n"),
+])
+def test_noise_beyond_the_sample_noise_limit_exits_two_at_once(tmp_path, capsys, flags,
+                                                               config):
+    # a finite but huge variance used to spend minutes building the
+    # error-magnitude table, which grows linearly with the noise std
+    argv = ["noise", "--trials", "2", "--out", str(tmp_path / "noise")] + flags
+    if config:
+        (tmp_path / "noise.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "noise.cfg")]
+    start = time.perf_counter()
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert time.perf_counter() - start < 5
+    assert not (tmp_path / "noise").exists()
+    assert "sample noise limit" in capsys.readouterr().err

@@ -149,6 +149,60 @@ def test_batched_products_match_schoolbook_sums(backend, ring):
             assert Poly(got[i], q) == want
 
 
+@pytest.mark.parametrize("backend", [SoftwareBackend(MultAlgorithm.SB), XbarBackend()])
+def test_ring_leaf_matches_schoolbook_sums_at_saber_extremes(backend):
+    # folded products at n = 256 run on the ring leaf: operands at 0 or
+    # q - 1 and secrets at +-mu/2, SABER's largest magnitudes, summed over
+    # l = 3, all of the same sign or of random signs
+    rng = np.random.default_rng(29)
+    l, half_mu = DEFAULT_PARAMS.l, DEFAULT_PARAMS.mu // 2
+    cases = [(np.full((2, l, N), Q - 1), np.full((l, N), half_mu)),
+             (np.full((2, l, N), Q - 1), np.full((l, N), -half_mu)),
+             (rng.choice([0, Q - 1], (4, l, N)), rng.choice([-half_mu, half_mu], (l, N)))]
+    for a, s in cases:
+        handle = backend.program(s)
+        assert handle.ring
+        got = backend.matvec(a, handle, [Q] * len(a))
+        for row, sums in zip(a, got):
+            want = Poly.zero(N, Q)
+            for j in range(l):
+                want = want + schoolbook_mul(Poly(row[j], Q), Poly(s[j], Q))
+            assert Poly(sums, Q) == want
+
+
+@pytest.mark.parametrize("n", [15, 12])
+def test_odd_or_non_power_of_two_n_runs_on_the_linear_leaf(n):
+    # the ring leaf needs n/2 a power of two; other n fall back to the
+    # zero-padded linear leaf and still fold exactly
+    rng = np.random.default_rng(n)
+    a, s = rng.integers(0, Q, (3, 2, n)), rng.integers(-4, 5, (2, n))
+    handle = program(MultAlgorithm.SB, s)
+    assert not handle.ring
+    got = matvec(handle, a)
+    for row, sums in zip(a, got):
+        want = sum(np.array(fold_negacyclic(_oracle_conv(row[j], s[j]), n)) for j in range(2))
+        assert list(sums) == list(want)
+
+
+def test_ring_leaf_residual_check_catches_a_wrong_leaf(monkeypatch):
+    # a coefficient 0.3 off its integer is beyond the round-off the bound
+    # allows, so the observed residual must reject it
+    rng = np.random.default_rng(31)
+    a, s = rng.integers(0, Q, (2, 3, N)), rng.integers(-4, 5, (3, N))
+    handle = program(MultAlgorithm.SB, s)
+    assert handle.ring
+    matvec(handle, a)
+    ifft = np.fft.ifft
+
+    def shifted(*args, **kwargs):
+        leaf = ifft(*args, **kwargs)
+        leaf[(0,) * leaf.ndim] += 0.3
+        return leaf
+    monkeypatch.setattr(np.fft, "ifft", shifted)
+    with pytest.raises(ArithmeticError, match="round-off"):
+        matvec(handle, a)
+
+
 @pytest.mark.parametrize("alg", [MultAlgorithm.TC4, MultAlgorithm.TC4K2])
 def test_exact_division_check_catches_a_wrong_leaf(alg, monkeypatch):
     # a leaf sum off by exactly 1 passes the round-off checks; the
@@ -168,35 +222,6 @@ def test_exact_division_check_catches_a_wrong_leaf(alg, monkeypatch):
         matvec(handle, a)
 
 
-@pytest.mark.parametrize("alg", list(MultAlgorithm))
-def test_leaf_bound_is_checked_at_its_edge(alg):
-    # the FFT round-off bound and the int64 interpolation limit both grow
-    # with the operand's magnitude: at the largest passing magnitude the
-    # product is exact, one past it raises
-    s = np.zeros(16, dtype=np.int64)
-    s[[0, 5]] = (1, -1)
-    signs = np.random.default_rng(13).choice([-1, 1], 16)
-
-    def passes(magnitude):
-        try:
-            conv_raw(alg, magnitude * signs, s)
-        except ArithmeticError:
-            return False
-        return True
-    edge, past = 1, 1 << 62
-    while past - edge > 1:
-        mid = (edge + past) // 2
-        edge, past = (mid, past) if passes(mid) else (edge, mid)
-    assert edge > 1 << 30  # far beyond SABER's 2^13 x 4 operands
-    a = edge * signs
-    assert list(conv_raw(alg, a, s)) == _oracle_conv(a, s)
-    a = (edge + 1) * signs
-    with pytest.raises(ArithmeticError):
-        conv_raw(alg, a, s)
-    with pytest.raises(ArithmeticError):
-        matvec(program(alg, s[None]), a[None, None])
-
-
 def _edge(passes):
     """Largest magnitude in [1, 2^62) at which `passes` holds."""
     edge, past = 1, 1 << 62
@@ -204,6 +229,32 @@ def _edge(passes):
         mid = (edge + past) // 2
         edge, past = (mid, past) if passes(mid) else (edge, mid)
     return edge
+
+
+@pytest.mark.parametrize("alg", list(MultAlgorithm))
+def test_leaf_bound_is_checked_at_its_edge(alg):
+    # the FFT round-off bound grows with the operand's magnitude: at the
+    # largest passing magnitude the product is exact, one past it raises.
+    # conv_raw and matvec each have their own edge, since a one-limb table's
+    # folded products run on the ring leaf, whose bound differs
+    s = np.zeros(16, dtype=np.int64)
+    s[[0, 5]] = (1, -1)
+    signs = np.random.default_rng(13).choice([-1, 1], 16)
+    calls = [(lambda a: list(conv_raw(alg, a, s)), lambda a: _oracle_conv(a, s)),
+             (lambda a: list(matvec(program(alg, s[None]), a[None, None])[0]),
+              lambda a: list(fold_negacyclic(_oracle_conv(a, s), 16)))]
+    for product, want in calls:
+        def passes(magnitude):
+            try:
+                product(magnitude * signs)
+            except ArithmeticError:
+                return False
+            return True
+        edge = _edge(passes)
+        assert edge > 1 << 30  # far beyond SABER's 2^13 x 4 operands
+        assert product(edge * signs) == want(edge * signs)
+        with pytest.raises(ArithmeticError):
+            product((edge + 1) * signs)
 
 
 def test_interpolation_bound_is_checked_at_its_edge():

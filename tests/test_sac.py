@@ -3,8 +3,7 @@ import pytest
 
 from saberxbar.schedule import accumulate_coefficient
 from saberxbar.sac import (SacVariant, TiaSpec, SacLeaf, SacNode, SacTree,
-                           build_sac_tree, adc_samples_per_coefficient,
-                           eval_sac, sac_accumulate, MAX_WEIGHT)
+                           build_sac_tree, eval_sac, sac_accumulate, MAX_WEIGHT)
 from saberxbar.xbar import NoiseSpec
 
 
@@ -42,7 +41,6 @@ def test_tree_is_exact_against_digital_accumulation(variant, num_cycles):
 def test_samples_per_coefficient(variant, cycles, want):
     tree = build_sac_tree(variant, 4, cycles)
     assert tree.samples_per_coefficient() == want
-    assert adc_samples_per_coefficient(variant, 4, cycles) == want
 
 
 def test_no_weight_exceeds_32():

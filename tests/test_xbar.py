@@ -10,7 +10,7 @@ from saberxbar.xbar import (NegacyclicMatrix, build_negacyclic_matrix,
                             NoiseSpec, AdcSpec, adc_read, adc_bits_for,
                             CrossbarTile, ProgramLayout, program_operand,
                             stream_cycle, crossbar_polymult, XbarBackend,
-                            NoisySampleBackend, DEFAULT_NOISE_GAIN,
+                            NoisySampleBackend, DEFAULT_NOISE_GAIN, MAX_SAMPLE_STD,
                             error_magnitudes, _magnitude_tails, _phi_tail)
 
 P = DEFAULT_PARAMS
@@ -290,6 +290,14 @@ def test_error_magnitude_table_matches_the_tail_search(std):
     u = np.concatenate([np.random.default_rng(0).random(500) * top,
                         [0.0, np.nextafter(top, 0.0)], _magnitude_tails(std)])
     assert list(error_magnitudes(u, std)) == [_searched_magnitude(x, std) for x in u]
+
+
+def test_error_magnitudes_reject_a_std_beyond_the_limit():
+    # the table grows linearly with the std, so a huge one is refused, not built
+    assert len(_magnitude_tails(MAX_SAMPLE_STD)) > 300
+    for std in (np.nextafter(MAX_SAMPLE_STD, np.inf), 1e6, np.inf, np.nan):
+        with pytest.raises(ValueError, match="exceeds"):
+            error_magnitudes(np.zeros(1), std)
 
 
 def test_noisy_backend_batch_entries_draw_from_their_own_sources():
