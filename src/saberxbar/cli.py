@@ -68,12 +68,27 @@ def _load(args) -> ExperimentConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+def _check_out(out: str) -> None:
+    """Raise ConfigError unless `out` is a writable directory or could be
+    made one, so that a bad --out fails before the command runs."""
+    probe = os.path.abspath(out)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"--out {out!r}: {probe!r} is not a directory")
+    if not os.access(probe, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out {out!r}: {probe!r} is not writable")
+
+
 def _emit(args, name: str, text: str) -> None:
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{name}.{args.format}")
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
         print(f"wrote {path}")
     else:
         print(text, end="")
@@ -151,6 +166,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out and args.command in ("noise", "sweep", "cost"):
+            _check_out(args.out)
         cfg = _load(args)
         handler = {
             "verify": _cmd_verify,

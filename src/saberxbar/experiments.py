@@ -596,7 +596,8 @@ def run_roundtrips(trials: int, seed: int = 0, backend=None,
     rng = np.random.default_rng(seed)
     failures = 0
     for _ in range(trials):
-        seed_a, r_kg, r_enc = rng.bytes(32), rng.bytes(32), rng.bytes(32)
+        seeds = rng.bytes(96)  # the same stream as three 32-byte draws
+        seed_a, r_kg, r_enc = seeds[:32], seeds[32:64], seeds[64:]
         pk, sk = keygen(seed_a, r_kg, params, backend)
         msg = frame_payload(rng.bytes(params.n // 8 - 4), params)
         ct = encrypt(pk, encode_message(msg, params), r_enc, params, backend)

@@ -85,9 +85,6 @@ class SoftwareBackend:
         return self.matvec(a.coeffs[None, None],
                            self.program(np.asarray(s_poly_centered)[None]), [a.modulus])[0]
 
-    def mul(self, a: Poly, s_poly_centered: np.ndarray) -> Poly:
-        return Poly(self.mul_raw(a, s_poly_centered), a.modulus)
-
     def reset_counters(self) -> None:
         self.mult_count = 0
         self.secret_evaluations = 0
@@ -192,10 +189,14 @@ def check_frame(frame: bytes) -> bool:
 # bit-exact serialization
 
 def pack_values(values: np.ndarray, width: int) -> bytes:
-    """Pack unsigned values little-endian, `width` bits each."""
-    vals = np.asarray(values, dtype=np.int64)
-    bits = (vals[:, None] >> np.arange(width)) & 1
-    return np.packbits(bits.astype(np.uint8).ravel(), bitorder="little").tobytes()
+    """Pack unsigned values little-endian, `width` bits each, for width
+    0..25 (as `unpack_values` reads them): the low `width` bits of each
+    value's 4-byte little-endian word, back to back."""
+    if not 0 <= width <= 25:
+        raise ValueError(f"value width must be 0..25 bits, got {width}")
+    words = np.asarray(values, dtype=np.int64).astype("<u4").view(np.uint8)
+    bits = np.unpackbits(words.reshape(-1, 4), axis=1, count=width, bitorder="little")
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 class SerializationError(ValueError):

@@ -63,34 +63,47 @@ def _check_pair(a: Poly, b: Poly) -> None:
         raise ValueError(f"modulus mismatch: {a.modulus} vs {b.modulus}")
 
 
-@dataclass(frozen=True)
 class PolyVec:
-    """A length-l vector of polynomials with a uniform modulus."""
+    """A length-l vector of polynomials with a uniform modulus, held as one
+    read-only (l, n) array of coefficients in [0, modulus)."""
 
-    polys: tuple
-
-    def __post_init__(self):
-        mods = {p.modulus for p in self.polys}
-        if len(mods) > 1:
+    def __init__(self, polys):
+        polys = tuple(polys)
+        if not polys:
+            raise DimensionError("PolyVec must be non-empty")
+        if len({p.modulus for p in polys}) > 1:
             raise ValueError("PolyVec entries must share a modulus")
-        object.__setattr__(self, "polys", tuple(self.polys))
+        if len({p.n for p in polys}) > 1:
+            raise DimensionError("PolyVec entries must share a degree")
+        self._hold(np.array([p.coeffs for p in polys], dtype=np.int64), polys[0].modulus)
+
+    @classmethod
+    def from_array(cls, coeffs: np.ndarray, modulus: int) -> "PolyVec":
+        """From an (l, n) coefficient array, reduced modulo `modulus`."""
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        if coeffs.ndim != 2 or not coeffs.shape[0]:
+            raise DimensionError("PolyVec needs a non-empty (l, n) array")
+        vec = cls.__new__(cls)
+        vec._hold(coeffs % modulus, modulus)
+        return vec
+
+    def _hold(self, coeffs: np.ndarray, modulus: int) -> None:
+        coeffs.setflags(write=False)
+        self._coeffs, self.modulus = coeffs, modulus
 
     def __len__(self) -> int:
-        return len(self.polys)
+        return len(self._coeffs)
 
     def __getitem__(self, i: int) -> Poly:
-        return self.polys[i]
+        return Poly(self._coeffs[i], self.modulus)
 
-    @property
-    def modulus(self) -> int:
-        return self.polys[0].modulus
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PolyVec) and self.modulus == other.modulus
+                and np.array_equal(self._coeffs, other._coeffs))
 
     def as_array(self) -> np.ndarray:
-        return np.stack([p.coeffs for p in self.polys])
-
-    @staticmethod
-    def from_array(arr: np.ndarray, modulus: int) -> "PolyVec":
-        return PolyVec(tuple(Poly(row, modulus) for row in arr))
+        """The (l, n) coefficients: one read-only array, not a copy."""
+        return self._coeffs
 
 
 class PolyMatrix:

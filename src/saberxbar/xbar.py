@@ -17,8 +17,11 @@ per-sample pipeline including noise and ADC quantization. The backends used
 by the PKE do not rerun it. `XbarBackend` is the ideal crossbar as ring
 arithmetic (the exact negacyclic product, on `polymult`'s ring leaf: a
 weighted n/2-point FFT that multiplies modulo x^n + 1, as the crossbar's
-negacyclic matrix does) plus write accounting for the programmed secrets,
-and `NoisySampleBackend` adds sample-referred read errors on top, from one
+negacyclic matrix does) plus write accounting for the programmed secrets.
+Like the crossbar, whose secret stays written while public operands stream
+past it, each of its slots keeps the transform of the single key it was
+programmed with, so products against that key transform nothing again.
+`NoisySampleBackend` adds sample-referred read errors on top, from one
 noise source per trial when a batch of trials multiplies at once. The test
 suite pins the ideal pipeline and `XbarBackend` to each other bit-exactly.
 """
@@ -360,14 +363,20 @@ class XbarBackend:
     An ideal crossbar yields the exact negacyclic product, so `matvec`
     computes it directly, with the schoolbook table of `polymult`'s core,
     whose products modulo x^n + 1 run on its ring leaf (for n a power of
-    two). What the backend models is the stationary
-    secret: which secret polynomials the boot and work slots hold, and the
-    cell bits written to program them. The work slot holds at most l
-    polynomials, its physical size; multiplying by a secret held in neither
-    slot programs it into the work slot ad hoc, evicting the oldest entry,
-    and counts its writes. Secrets with a leading axis (a batch of
-    independent crossbars, one per trial) fill the slots polynomial by
-    polynomial.
+    two). What the backend models is the stationary secret: which secret
+    polynomials the boot and work slots hold, and the cell bits written to
+    program them. The work slot holds at most l polynomials, its physical
+    size; multiplying by a secret held in neither slot programs it into the
+    work slot ad hoc, evicting the oldest entry, and counts its writes.
+    Secrets with a leading axis (a batch of independent crossbars, one per
+    trial) fill the slots polynomial by polynomial.
+
+    A slot programmed with a single (l, n) key also holds that key's
+    transform, next to a read-only copy of the key: `program` returns it for
+    an equal secret, and `matvec` multiplies by it without checking the
+    slots polynomial by polynomial. An ad hoc eviction from the work slot
+    drops the work slot's transform. A batch of secrets is not held: each
+    batch serves one Monte Carlo call.
     """
 
     def __init__(self, params: RingParams = DEFAULT_PARAMS):
@@ -379,6 +388,8 @@ class XbarBackend:
         # work slot holds the per-encryption ephemeral secret. Each maps the
         # bytes of a programmed polynomial to None, oldest first.
         self._slots = {"boot": {}, "work": {}}
+        # per slot, the handle of the single key it was programmed with
+        self._held = {"boot": None, "work": None}
 
     def _install(self, s_centered: np.ndarray, slot: str) -> None:
         s = np.asarray(s_centered, dtype=np.int64)
@@ -389,6 +400,12 @@ class XbarBackend:
             self.boot_cell_bits += bits
         else:
             self.cell_bits_written += bits
+        if s.ndim == 2:
+            key = s.copy()  # the caller's array may change in place
+            key.setflags(write=False)
+            self._held[slot] = program(MultAlgorithm.SB, key)
+        else:
+            self._held[slot] = None
 
     def install_boot_secret(self, s_centered: np.ndarray, params: RingParams) -> None:
         self._install(s_centered, "boot")
@@ -404,15 +421,22 @@ class XbarBackend:
         work = self._slots["work"]
         while len(work) >= self.params.l:
             del work[next(iter(work))]
+            self._held["work"] = None
         work[key] = None
         self.cell_bits_written += len(s_poly_centered) * DEFAULT_BITS_PER_COEFF
 
     def program(self, s_centered: np.ndarray) -> Programmed:
         """The handle `matvec` multiplies by: the (..., l, n) secret,
-        transformed once. The secret's cell bits are written by
+        transformed once. A slot's held handle if its key equals the secret,
+        else transformed here. The secret's cell bits are written by
         `install_boot_secret` or `program_secret`, or ad hoc by the first
         product that needs it, not here."""
-        return program(MultAlgorithm.SB, s_centered)
+        s = np.asarray(s_centered)
+        for held in self._held.values():
+            if (held is not None and held.secret.shape == s.shape
+                    and np.array_equal(held.secret, s)):
+                return held
+        return program(MultAlgorithm.SB, s)
 
     def matvec(self, rows: np.ndarray, handle: Programmed, moduli) -> np.ndarray:
         """Sum over j of rows[..., i, j] * s_j for every row i of the
@@ -420,8 +444,9 @@ class XbarBackend:
         modulo the rows' `moduli`."""
         rows = np.asarray(rows, dtype=np.int64)
         self.mult_count += rows.size // rows.shape[-1]
-        for s in handle.secret.reshape(-1, handle.n):
-            self._ensure_programmed(s)
+        if not any(handle is held for held in self._held.values()):
+            for s in handle.secret.reshape(-1, handle.n):
+                self._ensure_programmed(s)
         return matvec(handle, rows)
 
     def mul_raw(self, a: Poly, s_poly_centered: np.ndarray) -> np.ndarray:
@@ -429,9 +454,6 @@ class XbarBackend:
         s = np.asarray(s_poly_centered, dtype=np.int64)
         return self.matvec(a.coeffs[None, None], self.program(s[None]),
                            [a.modulus])[0] % a.modulus
-
-    def mul(self, a: Poly, s_poly_centered: np.ndarray) -> Poly:
-        return Poly(self.mul_raw(a, s_poly_centered), a.modulus)
 
     def reset_counters(self) -> None:
         self.mult_count = 0

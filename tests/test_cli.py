@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from saberxbar import cli
 from saberxbar.cli import main, EXIT_OK, EXIT_VERIFY_FAILURE, EXIT_CONFIG_ERROR
 
 
@@ -121,3 +122,21 @@ def test_noise_beyond_the_sample_noise_limit_exits_two_at_once(tmp_path, capsys,
     assert time.perf_counter() - start < 5
     assert not (tmp_path / "noise").exists()
     assert "sample noise limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, work", [("cost", "estimate"), ("noise", "run_noise")])
+@pytest.mark.parametrize("under", [None, "sub"])
+def test_an_out_path_that_is_or_lies_under_a_file_exits_two_before_running(
+        tmp_path, capsys, monkeypatch, command, work, under):
+    # the command used to run in full, then end in a FileExistsError or
+    # NotADirectoryError traceback when it wrote its result
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{command} ran before its --out was checked")
+    monkeypatch.setattr(cli, work, must_not_run)
+    blocker = tmp_path / "results"
+    blocker.write_text("keep")
+    out = blocker / under if under else blocker
+    assert main([command, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert blocker.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results"]
+    assert "config error" in capsys.readouterr().err

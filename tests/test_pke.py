@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from saberxbar import polymult
 from saberxbar.params import DEFAULT_PARAMS
 from saberxbar.ring import Poly, negacyclic_product, gen_matrix, sample_secret
 from saberxbar.polymult import MultAlgorithm, plan_for
+from saberxbar.xbar import XbarBackend
 from saberxbar.pke import (SoftwareBackend, keygen, encrypt, decrypt,
                            encode_message, decode_message, frame_payload,
                            check_frame, pack_values, unpack_values,
@@ -73,6 +75,40 @@ def test_secret_evaluation_census_per_operation(alg):
     assert (backend.secret_evaluations, backend.mult_count) == (per_op, 3)
 
 
+def test_decryption_reuses_the_key_programmed_by_key_generation(monkeypatch):
+    rng = np.random.default_rng(3)
+    backend = XbarBackend(P)
+    pk, sk = keygen(rng.bytes(32), rng.bytes(32), P, backend)
+    msg = frame_payload(rng.bytes(P.n // 8 - 4), P)
+    ct = encrypt(pk, encode_message(msg, P), rng.bytes(32), P, backend)
+    transforms = []
+    original = polymult._program
+
+    def counted(*args):
+        transforms.append(args)
+        return original(*args)
+    monkeypatch.setattr(polymult, "_program", counted)
+    assert decode_message(decrypt(sk, ct, P, backend)) == msg
+    assert transforms == []
+
+
+def test_an_edited_secret_key_is_not_served_from_the_slots():
+    rng = np.random.default_rng(4)
+    backend = XbarBackend(P)
+    pk, sk = keygen(rng.bytes(32), rng.bytes(32), P, backend)
+    msg = frame_payload(rng.bytes(P.n // 8 - 4), P)
+    ct = encrypt(pk, encode_message(msg, P), rng.bytes(32), P, backend)
+    bits = backend.cell_bits_written
+    sk.s_centered[1] = -sk.s_centered[1]
+    want = decrypt(SecretKey(sk.s_centered.copy()), ct, P, SoftwareBackend(MultAlgorithm.SB))
+    assert decrypt(sk, ct, P, backend) == want
+    assert decode_message(want) != msg
+    # the edited polynomial is held in neither slot: it is programmed ad hoc
+    assert backend.cell_bits_written == bits + P.n * 4
+    sk.s_centered[1] = -sk.s_centered[1]
+    assert decode_message(decrypt(sk, ct, P, backend)) == msg
+
+
 def test_keygen_matches_direct_formula():
     rng = np.random.default_rng(3)
     seed_a, r = rng.bytes(32), rng.bytes(32)
@@ -118,6 +154,20 @@ def test_pack_unpack_values_width10():
     data = pack_values(vals, 10)
     assert len(data) == 64 * 10 // 8
     assert np.array_equal(unpack_values(data, 10, 64), vals)
+
+
+def _pack_values_bit_by_bit(values, width):
+    bits = (np.asarray(values, dtype=np.int64)[:, None] >> np.arange(width)) & 1
+    return np.packbits(bits.astype(np.uint8).ravel(), bitorder="little").tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(1, 25), count=st.integers(1, 800), seed=st.integers(0, 2**32 - 1))
+def test_pack_values_matches_bit_by_bit_packing(width, count, seed):
+    vals = np.random.default_rng(seed).integers(0, 1 << width, count)
+    data = pack_values(vals, width)
+    assert data == _pack_values_bit_by_bit(vals, width)
+    assert np.array_equal(unpack_values(data, width, count), vals)
 
 
 def test_key_and_ciphertext_serialization_roundtrip():

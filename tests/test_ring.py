@@ -46,6 +46,19 @@ def test_polyvec_array_roundtrip():
     assert np.array_equal(v.as_array(), arr)
 
 
+def test_polyvec_holds_one_read_only_array():
+    v = PolyVec.from_array(np.array([[1, -2], [9, 4]]), 8)
+    held = v.as_array()
+    assert held is v.as_array() and not held.flags.writeable
+    assert np.array_equal(held, [[1, 6], [1, 4]])
+    assert v[1] == Poly([1, 4], 8) and len(v) == 2 and v.modulus == 8
+    assert PolyVec((Poly([1, 6], 8), Poly([1, 4], 8))) == v
+    with pytest.raises(ValueError):
+        held[0, 0] = 3
+    with pytest.raises(DimensionError):
+        PolyVec((Poly([1], 8), Poly([1, 2], 8)))
+
+
 def test_polymatrix_must_be_square():
     p = Poly([1], 4)
     with pytest.raises(DimensionError):

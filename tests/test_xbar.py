@@ -238,6 +238,94 @@ def test_xbar_backend_ad_hoc_installs_are_bounded():
     assert xb.cell_bits_written == 51 * P.n * 4
 
 
+class _PerPolynomialSlots:
+    """The write accounting of `XbarBackend` as a plain per-polynomial rule:
+    every product checks each of its secret polynomials against the slots
+    and programs a missing one into the work slot, evicting the oldest."""
+
+    def __init__(self, l):
+        self.l = l
+        self.slots = {"boot": {}, "work": {}}
+        self.mult_count = self.cell_bits_written = self.boot_cell_bits = 0
+
+    def install(self, s, slot):
+        self.slots[slot] = dict.fromkeys(row.tobytes() for row in s.reshape(-1, s.shape[-1]))
+        if slot == "boot":
+            self.boot_cell_bits += s.size * 4
+        else:
+            self.cell_bits_written += s.size * 4
+
+    def product(self, rows, s):
+        self.mult_count += rows.size // rows.shape[-1]
+        for poly in s.reshape(-1, s.shape[-1]):
+            key = poly.tobytes()
+            if key in self.slots["work"] or key in self.slots["boot"]:
+                continue
+            work = self.slots["work"]
+            while len(work) >= self.l:
+                del work[next(iter(work))]
+            work[key] = None
+            self.cell_bits_written += len(poly) * 4
+
+
+def _direct_matvec(rows, s):
+    return np.array([sum(negacyclic_product(row[j], s[j]) for j in range(len(s)))
+                     for row in rows])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_held_handles_keep_the_per_polynomial_write_accounting(seed):
+    # random installs and products, held and ad hoc, including evictions from
+    # the work slot followed by products against the formerly held work key
+    # and against handles taken out before the eviction
+    rng = np.random.default_rng(seed)
+    n = 16
+    keys = rng.integers(-4, 5, (4, P.l, n))
+    xb, ref = XbarBackend(P), _PerPolynomialSlots(P.l)
+    handles = []
+    for _ in range(60):
+        op = rng.integers(5)
+        key = keys[rng.integers(len(keys))]
+        if op == 0:
+            xb.install_boot_secret(key, P)
+            ref.install(key, "boot")
+        elif op == 1:
+            xb.program_secret(key, P)
+            ref.install(key, "work")
+        elif op == 2:
+            handles.append((key, xb.program(key)))
+        if op in (2, 3) and handles:
+            key, handle = handles[rng.integers(len(handles))]
+            rows = rng.integers(0, P.q, (2, P.l, n))
+            ref.product(rows, key)
+            assert np.array_equal(xb.matvec(rows, handle, [P.q] * 2),
+                                  _direct_matvec(rows, key))
+        if op == 4:
+            # an ad hoc product, often by a polynomial of no key: evicts
+            s = (rng.integers(-4, 5, n) if rng.random() < 0.6
+                 else key[rng.integers(P.l)])
+            a = Poly(rng.integers(0, P.q, n), P.q)
+            ref.product(a.coeffs[None, None], s[None])
+            assert np.array_equal(xb.mul_raw(a, s), negacyclic_product(a.coeffs, s) % P.q)
+        assert ((xb.mult_count, xb.cell_bits_written, xb.boot_cell_bits)
+                == (ref.mult_count, ref.cell_bits_written, ref.boot_cell_bits))
+
+
+def test_a_programmed_key_is_held_and_a_batch_is_not():
+    rng = np.random.default_rng(16)
+    key = rng.integers(-4, 5, (P.l, P.n))
+    batch = rng.integers(-4, 5, (2, P.l, P.n))
+    xb = XbarBackend(P)
+    xb.install_boot_secret(key, P)
+    held = xb.program(key)
+    assert xb.program(key.copy()) is held and not held.secret.flags.writeable
+    key[0, 0] += 1  # the slot holds its own copy, so an edit is a miss
+    assert xb.program(key) is not held
+    xb.program_secret(batch, P)
+    assert xb.program(batch) is not xb.program(batch)
+    assert xb.cell_bits_written == batch.size * 4
+
+
 def test_noisy_backend_zero_variance_is_exact():
     rng = np.random.default_rng(9)
     nb = NoisySampleBackend(NoiseSpec(0.0), P)
