@@ -84,9 +84,9 @@ def test_decryption_reuses_the_key_programmed_by_key_generation(monkeypatch):
     transforms = []
     original = polymult._program
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         transforms.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
     monkeypatch.setattr(polymult, "_program", counted)
     assert decode_message(decrypt(sk, ct, P, backend)) == msg
     assert transforms == []

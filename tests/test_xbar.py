@@ -275,9 +275,10 @@ def _direct_matvec(rows, s):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_held_handles_keep_the_per_polynomial_write_accounting(seed):
-    # random installs and products, held and ad hoc, including evictions from
-    # the work slot followed by products against the formerly held work key
-    # and against handles taken out before the eviction
+    # random installs (single keys and batches) and products, held and ad
+    # hoc, including evictions from the work slot followed by products
+    # against the formerly held work key and against handles taken out
+    # before the eviction
     rng = np.random.default_rng(seed)
     n = 16
     keys = rng.integers(-4, 5, (4, P.l, n))
@@ -286,12 +287,12 @@ def test_held_handles_keep_the_per_polynomial_write_accounting(seed):
     for _ in range(60):
         op = rng.integers(5)
         key = keys[rng.integers(len(keys))]
-        if op == 0:
-            xb.install_boot_secret(key, P)
-            ref.install(key, "boot")
-        elif op == 1:
-            xb.program_secret(key, P)
-            ref.install(key, "work")
+        if op in (0, 1):
+            # now and then a batch of keys, which fills a slot but is not held
+            s = keys[rng.integers(len(keys), size=2)] if rng.random() < 0.2 else key
+            slot = ("boot", "work")[op]
+            (xb.install_boot_secret, xb.program_secret)[op](s, P)
+            ref.install(s, slot)
         elif op == 2:
             handles.append((key, xb.program(key)))
         if op in (2, 3) and handles:
