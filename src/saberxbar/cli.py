@@ -22,36 +22,45 @@ EXIT_VERIFY_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", metavar="PATH",
                         help="flat key=value config file")
-    common.add_argument("--seed", type=int, metavar="N",
+    parser.add_argument("--seed", type=int, metavar="N",
                         help="master RNG seed (overrides config)")
-    common.add_argument("--trials", type=int, metavar="N",
+    parser.add_argument("--trials", type=int, metavar="N",
                         help="trial count (overrides config)")
-    common.add_argument("--out", metavar="DIR",
-                        help="directory for result files (default: stdout only)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="result file format")
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="saberxbar", parents=[common],
+        prog="saberxbar",
         description="SABER PKE on simulated memristor crossbars: "
                     "verification, noise Monte Carlo, and cost sweeps.")
+    _add_run_flags(parser)
+    # The subcommands' copies default to unset, so that a flag given before
+    # the subcommand is kept unless the same flag follows it.
+    run_flags = argparse.ArgumentParser(add_help=False,
+                                        argument_default=argparse.SUPPRESS)
+    _add_run_flags(run_flags)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", metavar="DIR",
+                        help="directory for result files (default: stdout only)")
+    output.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="result file format")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify", parents=[common],
+    sub.add_parser("verify", parents=[run_flags],
                    help="run the oracle-equivalence suites")
-    noise = sub.add_parser("noise", parents=[common],
+    noise = sub.add_parser("noise", parents=[run_flags, output],
                            help="decryption-failure Monte Carlo")
     noise.add_argument("--variances", metavar="CSV",
                        help="comma-separated cell-variance grid")
     noise.add_argument("--retries", metavar="CSV", default="0",
                        help="comma-separated retry budgets")
-    sub.add_parser("sweep", parents=[common],
+    sub.add_parser("sweep", parents=[run_flags, output],
                    help="cost sweep over algorithms x architectures")
-    sub.add_parser("cost", parents=[common],
+    sub.add_parser("cost", parents=[run_flags, output],
                    help="cost report for the configured design point")
-    sub.add_parser("roundtrip", parents=[common],
+    sub.add_parser("roundtrip", parents=[run_flags],
                    help="keygen/encrypt/decrypt roundtrips")
     return parser
 
@@ -166,7 +175,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.out and args.command in ("noise", "sweep", "cost"):
+        if getattr(args, "out", None):
             _check_out(args.out)
         cfg = _load(args)
         handler = {

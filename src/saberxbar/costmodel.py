@@ -17,7 +17,7 @@ writes with one full-width sample per coefficient.
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .params import RingParams, DEFAULT_PARAMS
 from .polymult import MultAlgorithm, plan_for
@@ -126,12 +126,9 @@ class ArchConfig:
     algorithm: MultAlgorithm = MultAlgorithm.SB
     architecture: Architecture = Architecture.BASELINE
     params: RingParams = DEFAULT_PARAMS
-    fresh_program: bool = None   # None -> derived from operation
 
     @property
     def programs_secret(self) -> bool:
-        if self.fresh_program is not None:
-            return self.fresh_program
         return self.operation in (Operation.KEYGEN, Operation.ENC,
                                   Operation.ENCAPS, Operation.DECAPS)
 

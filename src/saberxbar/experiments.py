@@ -4,7 +4,7 @@ Configuration is a flat dotted key=value text format, e.g.:
 
     operation = dec
     algorithm = TC4K2
-    noise.cell_variance = 0.05
+    noise.gain = 1.07
     trials = 10000
     catalog.write_energy_pj_per_cell_bit = 0.1
 
@@ -19,14 +19,14 @@ import dataclasses
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS
 from .ring import Poly, negacyclic_product, gen_matrix, sample_secret
 from .polymult import MultAlgorithm, multiply, schoolbook_mul
-from .pke import (SoftwareBackend, keygen, encrypt, decrypt, encode_message,
+from .pke import (keygen, encrypt, decrypt, encode_message,
                   decode_message, frame_payload, check_frame, keygen_arrays,
                   encrypt_arrays, decrypt_arrays)
 from .xbar import (XbarBackend, NoisySampleBackend, NoiseSpec, DEFAULT_NOISE_GAIN,
@@ -36,7 +36,7 @@ from .sac import SacVariant, build_sac_tree, sac_accumulate
 from .costmodel import (Operation, Architecture, ArchConfig, ComponentCatalog,
                         DEFAULT_CATALOG, CostReport, estimate)
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 class ConfigError(ValueError):
@@ -55,11 +55,8 @@ class ExperimentConfig:
     operation: Operation = Operation.DEC
     algorithm: MultAlgorithm = MultAlgorithm.SB
     architecture: Architecture = Architecture.BASELINE
-    cell_variance: float = 0.0
-    tia_variance: float = 0.02
     noise_gain: float = DEFAULT_NOISE_GAIN
     trials: int = 10_000
-    max_retries: int = 0
     seed: int = 0
     catalog: ComponentCatalog = DEFAULT_CATALOG
     params: RingParams = DEFAULT_PARAMS
@@ -67,23 +64,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        for name in ("cell_variance", "tia_variance", "noise_gain"):
-            _check_noise_level(getattr(self, name), name)
+        _check_noise_level(self.noise_gain, "noise_gain")
 
     def as_dict(self) -> dict:
         return {
             "operation": self.operation.value,
             "algorithm": self.algorithm.value,
             "architecture": self.architecture.value,
-            "noise.cell_variance": self.cell_variance,
-            "noise.tia_variance": self.tia_variance,
             "noise.gain": self.noise_gain,
             "trials": self.trials,
-            "max_retries": self.max_retries,
             "seed": self.seed,
             "catalog": dataclasses.asdict(self.catalog),
         }
@@ -139,16 +130,10 @@ def build_config(mapping: dict, base: ExperimentConfig = None) -> ExperimentConf
             elif key == "architecture":
                 updates["architecture"] = _enum_by_value(Architecture, value,
                                                          "architecture")
-            elif key == "noise.cell_variance":
-                updates["cell_variance"] = float(value)
-            elif key == "noise.tia_variance":
-                updates["tia_variance"] = float(value)
             elif key == "noise.gain":
                 updates["noise_gain"] = float(value)
             elif key == "trials":
                 updates["trials"] = int(value)
-            elif key == "max_retries":
-                updates["max_retries"] = int(value)
             elif key == "seed":
                 updates["seed"] = int(value)
             elif key.startswith("catalog."):
@@ -383,12 +368,11 @@ def _run_trials(config: ExperimentConfig, variance_grid, max_r: int, trials) -> 
     m = np.stack([encode_message(frame_payload(d[96:], p), p).coeffs for d in draws])
 
     # one crossbar per (variance, trial); exact products broadcast over them
-    noise = np.array([[NoiseSpec(var, config.tia_variance, _trial_seed(config.seed, t, var))
-                       for t in trials] for var in variances], dtype=object)
-    backend = NoisySampleBackend(noise, p, config.noise_gain)
-    backend.noisy = False
+    noise = np.array([[NoiseSpec(var, _trial_seed(config.seed, t, var)) for t in trials]
+                      for var in variances], dtype=object)
+    backend = NoisySampleBackend(NoiseSpec(), p, config.noise_gain)
     b = keygen_arrays(A, s, p, backend)  # exact, so one key serves every variance
-    backend.noisy = True
+    backend.noise = noise
     c_m, b_prime = encrypt_arrays(A, b, m, s_enc, p, backend)
 
     # per (variance, trial) entry, flattened

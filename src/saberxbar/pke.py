@@ -56,12 +56,11 @@ class SoftwareBackend:
         self.algorithm = algorithm
         self.mult_count = 0
         self.secret_evaluations = 0
-        self.cell_bits_written = 0
 
-    def install_boot_secret(self, s_centered: np.ndarray, params: RingParams) -> None:
+    def install_boot_secret(self, s_centered: np.ndarray) -> None:
         pass
 
-    def program_secret(self, s_centered: np.ndarray, params: RingParams) -> None:
+    def program_secret(self, s_centered: np.ndarray) -> None:
         pass
 
     def program(self, s_centered: np.ndarray) -> Programmed:
@@ -88,7 +87,6 @@ class SoftwareBackend:
     def reset_counters(self) -> None:
         self.mult_count = 0
         self.secret_evaluations = 0
-        self.cell_bits_written = 0
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +97,7 @@ class SoftwareBackend:
 def keygen_arrays(A: np.ndarray, s: np.ndarray, params: RingParams, backend) -> np.ndarray:
     """b = round_shift((A^T s + h) mod q), (..., l, n) mod p, for A
     (..., l, l, n) mod q and the centered secret s (..., l, n)."""
-    backend.install_boot_secret(s, params)
+    backend.install_boot_secret(s)
     As = backend.matvec(np.swapaxes(A, -3, -2), backend.program(s), [params.q] * params.l)
     return ((As + constants(params).h1_value) % params.q) >> (params.eps_q - params.eps_p)
 
@@ -108,7 +106,7 @@ def encrypt_arrays(A: np.ndarray, b: np.ndarray, m: np.ndarray, s_prime: np.ndar
                    params: RingParams, backend):
     """(c_m (..., n) mod T, b' (..., l, n) mod p) for the message bits m
     (..., n), the public key (A, b) and the centered ephemeral secret s'."""
-    backend.program_secret(s_prime, params)
+    backend.program_secret(s_prime)
     # A s' rather than A^T s', so that b^T s' and b'^T s cancel in decryption
     rows = np.concatenate([A, b[..., None, :, :]], axis=-3)
     sums = backend.matvec(rows, backend.program(s_prime),
@@ -129,22 +127,22 @@ def decrypt_arrays(s: np.ndarray, c_m: np.ndarray, b_prime: np.ndarray,
 
 
 def keygen(seed_A: bytes, r: bytes, params: RingParams = DEFAULT_PARAMS,
-           backend=None, xof_cls=None):
+           backend=None):
     """b = round_shift((A^T s + h) mod q); pk = (seed_A, b), sk = s."""
     backend = backend or SoftwareBackend()
-    A = gen_matrix(seed_A, params, xof_cls).as_array()
-    s = sample_secret(r, params, xof_cls)
+    A = gen_matrix(seed_A, params).as_array()
+    s = sample_secret(r, params)
     b = keygen_arrays(A, s, params, backend)
     return PublicKey(bytes(seed_A), PolyVec.from_array(b, params.p)), SecretKey(s)
 
 
 def encrypt(pk: PublicKey, m: Poly, r_prime: bytes,
-            params: RingParams = DEFAULT_PARAMS, backend=None, xof_cls=None) -> Ciphertext:
+            params: RingParams = DEFAULT_PARAMS, backend=None) -> Ciphertext:
     if m.modulus != 2 or m.n != params.n:
         raise ValueError("message must be a degree-n polynomial over modulus 2")
     backend = backend or SoftwareBackend()
-    A = gen_matrix(pk.seed_A, params, xof_cls).as_array()
-    s_prime = sample_secret(r_prime, params, xof_cls)
+    A = gen_matrix(pk.seed_A, params).as_array()
+    s_prime = sample_secret(r_prime, params)
     c_m, b_prime = encrypt_arrays(A, pk.b.as_array(), m.coeffs, s_prime, params, backend)
     return Ciphertext(Poly(c_m, params.T), PolyVec.from_array(b_prime, params.p))
 

@@ -76,25 +76,20 @@ class MultPlan:
     algorithm: MultAlgorithm
     sub_mults: int
     sub_degree: int
-    recomb_adds: int
-
-    @property
-    def leaf_work(self) -> int:
-        return self.sub_mults * self.sub_degree ** 2
 
 
 def plan_for(alg: MultAlgorithm, params: RingParams = DEFAULT_PARAMS) -> MultPlan:
     n = params.n
     if alg is MultAlgorithm.SB:
-        return MultPlan(alg, 1, n, 0)
+        return MultPlan(alg, 1, n)
     if alg is MultAlgorithm.K2:
-        return MultPlan(alg, 3, n // 2, 2 * n)
+        return MultPlan(alg, 3, n // 2)
     if alg is MultAlgorithm.K4:
-        return MultPlan(alg, 9, n // 4, 6 * n)
+        return MultPlan(alg, 9, n // 4)
     if alg is MultAlgorithm.TC4:
-        return MultPlan(alg, 7, n // 4, 8 * n)
+        return MultPlan(alg, 7, n // 4)
     if alg is MultAlgorithm.TC4K2:
-        return MultPlan(alg, 21, n // 8, 14 * n)
+        return MultPlan(alg, 21, n // 8)
     raise ValueError(f"unknown algorithm {alg}")
 
 

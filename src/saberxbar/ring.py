@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS
+from .xof import Shake128Xof
 
 
 class DimensionError(ValueError):
@@ -47,9 +48,6 @@ class Poly:
             and self.modulus == other.modulus
             and np.array_equal(self.coeffs, other.coeffs)
         )
-
-    def with_modulus(self, modulus: int) -> "Poly":
-        return Poly(self.coeffs, modulus)
 
     @staticmethod
     def zero(n: int, modulus: int) -> "Poly":
@@ -238,7 +236,7 @@ def _bits_from_stream(xof, count: int, width: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def gen_matrix(seed: bytes, params: RingParams = DEFAULT_PARAMS, xof_cls=None) -> PolyMatrix:
+def gen_matrix(seed: bytes, params: RingParams = DEFAULT_PARAMS) -> PolyMatrix:
     """Expand a 32-byte seed into the public l x l matrix over R_q.
 
     Coefficients are consecutive little-endian eps_q-bit chunks of the XOF
@@ -246,28 +244,24 @@ def gen_matrix(seed: bytes, params: RingParams = DEFAULT_PARAMS, xof_cls=None) -
     extraction rejection-free. Results are memoized per seed since key
     generation and encryption expand the same matrix.
     """
-    from .xof import Shake128Xof
-
     if len(seed) != 32:
         raise ValueError("seed must be 32 bytes")
-    xof = (xof_cls or Shake128Xof)(seed)
+    xof = Shake128Xof(seed)
     l, n = params.l, params.n
     vals = _bits_from_stream(xof, l * l * n, params.eps_q)
     return PolyMatrix.from_array(vals.reshape(l, l, n), params.q)
 
 
-def sample_secret(r: bytes, params: RingParams = DEFAULT_PARAMS, xof_cls=None) -> np.ndarray:
+def sample_secret(r: bytes, params: RingParams = DEFAULT_PARAMS) -> np.ndarray:
     """Sample a centered binomial secret vector; returns an (l, n) signed array.
 
     Each coefficient is HW(a) - HW(b) for independent mu/2-bit strings a, b,
     so it lies in [-mu/2, mu/2]. The centered form is what the crossbar's
     bias encoding consumes; reduce mod q via `centered_to_vec` when needed.
     """
-    from .xof import Shake128Xof
-
     if len(r) != 32:
         raise ValueError("r must be 32 bytes")
-    xof = (xof_cls or Shake128Xof)(r)
+    xof = Shake128Xof(r)
     l, n, mu = params.l, params.n, params.mu
     half = mu // 2
     vals = _bits_from_stream(xof, l * n, mu).reshape(l, n)

@@ -13,7 +13,7 @@ evaluation bit-identical to the digital Algorithm-1 accumulation.
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,10 +78,6 @@ class SacTree:
     columns_per_coeff: int
     tia_stages: int
     adc_bits_at_root: int
-
-    @property
-    def depth(self) -> int:
-        return max(_depth(node) for node, _ in self.roots)
 
     def samples_per_coefficient(self) -> int:
         return len(self.roots)

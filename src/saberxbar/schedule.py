@@ -124,10 +124,6 @@ class AdcLane:
     bits: int
     samples: int
 
-    @property
-    def width_mask(self) -> int:
-        return (1 << self.bits) - 1
-
 
 @dataclass(frozen=True)
 class AdcAssignment:

@@ -85,19 +85,19 @@ def build_negacyclic_matrix(s_centered: np.ndarray) -> NegacyclicMatrix:
 
 @dataclass
 class NoiseSpec:
-    """Relative Gaussian noise on per-cell currents and TIA transfers.
+    """Relative Gaussian noise on per-cell currents, and the generator that
+    draws it. A zero variance means exact products. (SAC trees take their
+    TIA noise from `sac.TiaSpec`.)
 
     `seed` is anything np.random.default_rng accepts: an int, or a
     SeedSequence such as one trial's own child stream."""
 
     cell_variance: float = 0.0
-    tia_variance: float = 0.02
     seed: int = 0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v >= 0
-                   for v in (self.cell_variance, self.tia_variance)):
-            raise ValueError("variances must be finite and >= 0")
+        if not (math.isfinite(self.cell_variance) and self.cell_variance >= 0):
+            raise ValueError("cell variance must be finite and >= 0")
         self.rng = np.random.default_rng(self.seed)
 
 
@@ -105,7 +105,6 @@ class NoiseSpec:
 class AdcSpec:
     bits: int
     range_max: float
-    samples_per_second: float = 1e9
 
     def __post_init__(self):
         if self.bits < 1:
@@ -407,10 +406,10 @@ class XbarBackend:
         else:
             self._held[slot] = None
 
-    def install_boot_secret(self, s_centered: np.ndarray, params: RingParams) -> None:
+    def install_boot_secret(self, s_centered: np.ndarray) -> None:
         self._install(s_centered, "boot")
 
-    def program_secret(self, s_centered: np.ndarray, params: RingParams) -> None:
+    def program_secret(self, s_centered: np.ndarray) -> None:
         self._install(s_centered, "work")
 
     def _ensure_programmed(self, s_poly_centered: np.ndarray) -> None:
@@ -477,11 +476,11 @@ class NoisySampleBackend(XbarBackend):
     array of them, one crossbar per entry of a batch: `matvec` broadcasts
     the exact sums over the array's shape, and entry i draws its errors from
     noise[i].rng at its own variance. Errors are additive, so one exact
-    product serves every entry it broadcasts to. `last_injected` counts the
-    errors injected by the latest `matvec`, per entry.
-
-    Clearing `noisy` makes the products exact (boot-time programming is
-    verified off-line, so key generation is noise-free).
+    product serves every entry it broadcasts to, and an entry at zero
+    variance draws nothing and gets the exact sums (boot-time programming is
+    verified off-line, so key generation runs with `NoiseSpec()`).
+    `last_injected` counts the errors injected by the latest `matvec`, per
+    entry.
     """
 
     def __init__(self, noise, params: RingParams = DEFAULT_PARAMS,
@@ -491,17 +490,12 @@ class NoisySampleBackend(XbarBackend):
             raise ValueError("noise gain must be finite and >= 0")
         self.noise = noise
         self.noise_gain = noise_gain
-        self.noisy = True
         self.last_injected = np.zeros(0, dtype=np.int64)
 
     def matvec(self, rows: np.ndarray, handle: Programmed, moduli) -> np.ndarray:
         """The exact sums of `XbarBackend.matvec` plus sample errors. The
-        rows' moduli set each product's number of input cycles. With `noisy`
-        cleared, the exact sums as they are."""
+        rows' moduli set each product's number of input cycles."""
         exact = super().matvec(rows, handle, moduli)
-        if not self.noisy:
-            self.last_injected = np.zeros(exact.shape[:-2], dtype=np.int64)
-            return exact
         if len(moduli) != exact.shape[-2]:
             raise ValueError("noisy products need one modulus per row")
         sources = np.asarray(self.noise, dtype=object)

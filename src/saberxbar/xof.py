@@ -1,8 +1,5 @@
-"""Seed expansion streams.
-
-Two interchangeable extendable-output streams: the real SHAKE-128 one used
-for key material, and a cheap counter-mode SHA-256 stub for hermetic tests.
-Both are deterministic for a given seed and single-owner (not thread safe).
+"""Seed expansion stream: SHAKE-128 as an incremental extendable-output
+function, deterministic for a given seed and single-owner (not thread safe).
 """
 
 import hashlib
@@ -29,24 +26,3 @@ class Shake128Xof:
         self._off = end
         return out
 
-
-class CounterXof:
-    """Counter-mode SHA-256 stream. Test stub only, not a SHAKE replacement."""
-
-    def __init__(self, seed: bytes = b""):
-        self._seed = bytes(seed)
-        self._ctr = 0
-        self._pending = b""
-
-    def absorb(self, data: bytes) -> None:
-        if self._ctr or self._pending:
-            raise RuntimeError("cannot absorb after squeezing started")
-        self._seed += bytes(data)
-
-    def squeeze(self, count: int) -> bytes:
-        while len(self._pending) < count:
-            block = hashlib.sha256(self._seed + self._ctr.to_bytes(8, "little")).digest()
-            self._pending += block
-            self._ctr += 1
-        out, self._pending = self._pending[:count], self._pending[count:]
-        return out

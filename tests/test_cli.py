@@ -13,11 +13,60 @@ def test_verify_exits_zero(capsys):
     assert out.count("[pass]") == 4
 
 
+def _noise_config(argv, capsys):
+    assert main(argv) == EXIT_OK
+    header = capsys.readouterr().out.splitlines()[1]
+    return json.loads(header.removeprefix("# config="))
+
+
 def test_flags_accepted_before_and_after_subcommand(capsys):
-    assert main(["--seed", "3", "roundtrip", "--trials", "2"]) == EXIT_OK
-    assert main(["roundtrip", "--trials", "2", "--seed", "3"]) == EXIT_OK
-    outputs = capsys.readouterr().out.splitlines()
-    assert outputs[0] == outputs[1] == "2 roundtrips, 0 failures"
+    before = _noise_config(["--seed", "3", "--trials", "2", "noise", "--variances", "0"],
+                           capsys)
+    after = _noise_config(["noise", "--variances", "0", "--trials", "2", "--seed", "3"],
+                          capsys)
+    assert before == after
+    assert (before["seed"], before["trials"]) == (3, 2)
+    # a flag after the subcommand overrides the same flag before it
+    assert _noise_config(["--seed", "3", "noise", "--trials", "1", "--variances", "0",
+                          "--seed", "4"], capsys)["seed"] == 4
+
+
+def test_config_before_subcommand_is_read(tmp_path, capsys):
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text("algorithm = K2\narchitecture = adcshare\nseed = 6\n")
+    assert main(["--config", str(cfg), "cost"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["algorithm"], payload["architecture"]) == ("K2", "adcshare")
+    assert _noise_config(["--config", str(cfg), "noise", "--trials", "1",
+                          "--variances", "0"], capsys)["seed"] == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--out", "results"],
+    ["roundtrip", "--trials", "1", "--format", "json"],
+    ["--out", "results", "cost"],
+])
+def test_output_flags_of_commands_that_write_nothing_are_usage_errors(
+        tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    assert "saberxbar: error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("line", ["noise.cell_variance = 0.05", "noise.tia_variance = 0.02",
+                                  "max_retries = 2"])
+def test_deleted_config_keys_exit_two_naming_the_key(tmp_path, capsys, line):
+    # these keys were echoed into the noise header but never read by a command
+    (tmp_path / "run.cfg").write_text(line + "\n")
+    out = tmp_path / "noise"
+    assert main(["noise", "--trials", "1", "--variances", "0", "--out", str(out),
+                 "--config", str(tmp_path / "run.cfg")]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "unknown config key" in err and repr(line.split()[0]) in err
+    assert not out.exists()
 
 
 def test_bad_config_file_exits_two(tmp_path, capsys):
@@ -36,7 +85,7 @@ def test_sweep_writes_csv_and_json(tmp_path, capsys):
     out = tmp_path / "results"
     assert main(["sweep", "--out", str(out), "--format", "csv"]) == EXIT_OK
     text = (out / "sweep.csv").read_text()
-    assert text.startswith("# schema_version=2")
+    assert text.startswith("# schema_version=3")
     assert main(["sweep", "--out", str(out), "--format", "json"]) == EXIT_OK
     payload = json.loads((out / "sweep.json").read_text())
     assert len(payload["rows"]) == 10

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,18 +49,14 @@ def test_build_config_full():
         "operation": "enc",
         "algorithm": "k2",
         "architecture": "adcshare",
-        "noise.cell_variance": "0.04",
         "trials": "77",
-        "max_retries": "2",
         "seed": "9",
         "catalog.write_energy_pj_per_cell_bit": "0.2",
     })
     assert cfg.operation is Operation.ENC
     assert cfg.algorithm is MultAlgorithm.K2
     assert cfg.architecture is Architecture.ADC_SHARE
-    assert cfg.cell_variance == 0.04
     assert cfg.trials == 77
-    assert cfg.max_retries == 2
     assert cfg.seed == 9
     assert cfg.catalog.write_energy_pj_per_cell_bit == 0.2
 
@@ -77,6 +74,36 @@ def test_build_config_errors():
         build_config({"catalog.unknown_field": "1"})
     with pytest.raises(ConfigError):
         build_config({"noise.cell_variance": "-1"})
+
+
+def test_noise_header_lists_exactly_the_settable_keys():
+    cfg = build_config({"algorithm": "K2", "architecture": "adcshare", "noise.gain": "1.5",
+                        "trials": "1", "seed": "5"})
+    curve = run_noise(cfg, variance_grid=(0.0,))
+    csv_header = noise_to_csv(curve).splitlines()[1].removeprefix("# config=")
+    for header in (json.loads(csv_header), json.loads(noise_to_json(curve))["config"]):
+        assert header == cfg.as_dict()
+        # every key but the catalog's is a config key, and rebuilds the config
+        rebuilt = build_config({k: str(v) for k, v in header.items() if k != "catalog"})
+        assert rebuilt.as_dict() == header
+
+
+def _readme_config_block() -> str:
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text[text.index("## Configuration"):]
+    start = section.index("```\n") + 4
+    return section[start:section.index("```", start)]
+
+
+def test_readme_lists_the_config_keys_that_take_effect():
+    mapping = parse_config_text(_readme_config_block())
+    cfg = build_config(mapping)
+    listed = {k for k in mapping if not k.startswith("catalog.")}
+    assert {k for k in cfg.as_dict() if k != "catalog"} == listed
+    for key in listed:
+        assert str(cfg.as_dict()[key]).lower() == mapping[key].lower()
+    assert ({k.removeprefix("catalog.") for k in mapping if k.startswith("catalog.")}
+            == set(experiments._CATALOG_SCALARS))
 
 
 def test_load_config_missing_file(tmp_path):
@@ -182,22 +209,21 @@ def test_run_noise_rejects_empty_grids():
 def test_noise_levels_must_be_finite_and_non_negative(bad):
     with pytest.raises(ConfigError):
         run_noise(ExperimentConfig(trials=1), variance_grid=(0.05, bad))
-    for field in ("cell_variance", "tia_variance", "noise_gain"):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(**{field: bad})
+    with pytest.raises(ConfigError):
+        ExperimentConfig(noise_gain=bad)
 
 
 def test_noise_serialization_schemas():
     cfg = ExperimentConfig(trials=3)
     curve = run_noise(cfg, variance_grid=(0.0,), retries_grid=(0,))
     csv = noise_to_csv(curve)
-    assert csv.startswith("# schema_version=2\n")
+    assert csv.startswith("# schema_version=3\n")
     assert ("cell_variance,max_retries,failure_probability,trials,ci_half_width,"
             "injected_errors,min_margin_successful,min_margin_failed") in csv
     fields = csv.splitlines()[-1].split(",")
     assert fields[5] == "0" and float(fields[6]) > 0 and fields[7] == ""
     payload = json.loads(noise_to_json(curve))
-    assert payload["schema_version"] == "2"
+    assert payload["schema_version"] == "3"
     point = payload["points"][0]
     assert point["trials"] == 3 and point["injected_errors"] == 0
     assert point["min_margin"]["successful"] > 0
@@ -303,13 +329,13 @@ def test_sweep_serialization_schemas():
     rows = run_sweep(default_sweep_points(Operation.DEC))
     csv = sweep_to_csv(rows)
     lines = csv.splitlines()
-    assert lines[0] == "# schema_version=2"
+    assert lines[0] == "# schema_version=3"
     assert lines[1].startswith("# catalog=")
     header = lines[2].split(",")
     assert header[:3] == ["operation", "algorithm", "architecture"]
     assert len(lines) == 3 + 10
     payload = json.loads(sweep_to_json(rows))
-    assert payload["schema_version"] == "2"
+    assert payload["schema_version"] == "3"
     assert len(payload["rows"]) == 10
     assert all("ee_gbit_j" in r for r in payload["rows"])
 

@@ -98,10 +98,10 @@ def test_noisy_eval_perturbs_but_zero_variance_does_not():
     grid = rng.integers(0, 64, (10, 4))
     clean = sac_accumulate(tree, grid, 10)
     assert clean == sac_accumulate(tree, grid, 10,
-                                   noise=NoiseSpec(0.0, 0.0, seed=2),
+                                   noise=NoiseSpec(0.0, seed=2),
                                    tia=TiaSpec(variance=0.0))
     noisy = [sac_accumulate(tree, grid, 10,
-                            noise=NoiseSpec(0.3, 0.05, seed=s),
+                            noise=NoiseSpec(0.3, seed=s),
                             tia=TiaSpec(variance=0.05))
              for s in range(8)]
     assert any(v != clean for v in noisy)

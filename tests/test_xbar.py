@@ -202,11 +202,11 @@ def test_xbar_backend_write_accounting():
     rng = np.random.default_rng(8)
     xb = XbarBackend(P)
     boot = rng.integers(-4, 5, (P.l, P.n))
-    xb.install_boot_secret(boot, P)
+    xb.install_boot_secret(boot)
     assert xb.cell_bits_written == 0
     assert xb.boot_cell_bits == P.l * P.n * 4
     work = rng.integers(-4, 5, (P.l, P.n))
-    xb.program_secret(work, P)
+    xb.program_secret(work)
     assert xb.cell_bits_written == P.l * P.n * 4 == 3072
     # multiplying by either installed secret costs no further writes
     a = Poly(rng.integers(0, P.p, P.n), P.p)
@@ -291,7 +291,7 @@ def test_held_handles_keep_the_per_polynomial_write_accounting(seed):
             # now and then a batch of keys, which fills a slot but is not held
             s = keys[rng.integers(len(keys), size=2)] if rng.random() < 0.2 else key
             slot = ("boot", "work")[op]
-            (xb.install_boot_secret, xb.program_secret)[op](s, P)
+            (xb.install_boot_secret, xb.program_secret)[op](s)
             ref.install(s, slot)
         elif op == 2:
             handles.append((key, xb.program(key)))
@@ -317,12 +317,12 @@ def test_a_programmed_key_is_held_and_a_batch_is_not():
     key = rng.integers(-4, 5, (P.l, P.n))
     batch = rng.integers(-4, 5, (2, P.l, P.n))
     xb = XbarBackend(P)
-    xb.install_boot_secret(key, P)
+    xb.install_boot_secret(key)
     held = xb.program(key)
     assert xb.program(key.copy()) is held and not held.secret.flags.writeable
     key[0, 0] += 1  # the slot holds its own copy, so an edit is a miss
     assert xb.program(key) is not held
-    xb.program_secret(batch, P)
+    xb.program_secret(batch)
     assert xb.program(batch) is not xb.program(batch)
     assert xb.cell_bits_written == batch.size * 4
 
@@ -345,7 +345,7 @@ def test_noisy_backend_perturbs_at_high_variance():
     diffs = sum(not np.array_equal(nb.mul_raw(a, s), sw.mul_raw(a, s) % P.p)
                 for _ in range(10))
     assert diffs > 0
-    nb.noisy = False
+    nb.noise = NoiseSpec(0.0)
     assert np.array_equal(nb.mul_raw(a, s), sw.mul_raw(a, s) % P.p)
 
 
@@ -359,8 +359,6 @@ def test_noise_spec_validation_and_gain():
 def test_noise_spec_and_backend_reject_non_finite_levels(bad):
     with pytest.raises(ValueError):
         NoiseSpec(bad)
-    with pytest.raises(ValueError):
-        NoiseSpec(0.1, tia_variance=bad)
     with pytest.raises(ValueError):
         NoisySampleBackend(NoiseSpec(0.1), P, noise_gain=bad)
 
