@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from .costmodel import ArchConfig, estimate
-from .experiments import (ConfigError, ExperimentConfig, load_config,
+from .experiments import (ConfigError, ExperimentConfig, SweepRow, load_config,
                           run_verify, run_noise, run_sweep, run_roundtrips,
                           default_sweep_points, sweep_to_csv, sweep_to_json,
                           noise_to_csv, noise_to_json, DEFAULT_VARIANCE_GRID)
@@ -42,27 +42,48 @@ def _build_parser() -> argparse.ArgumentParser:
     run_flags = argparse.ArgumentParser(add_help=False,
                                         argument_default=argparse.SUPPRESS)
     _add_run_flags(run_flags)
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--out", metavar="DIR",
-                        help="directory for result files (default: stdout only)")
-    output.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="result file format")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("verify", parents=[run_flags],
                    help="run the oracle-equivalence suites")
-    noise = sub.add_parser("noise", parents=[run_flags, output],
+    noise = sub.add_parser("noise", parents=[run_flags],
                            help="decryption-failure Monte Carlo")
+    _add_output_flags(noise, "csv")
     noise.add_argument("--variances", metavar="CSV",
                        help="comma-separated cell-variance grid")
     noise.add_argument("--retries", metavar="CSV", default="0",
                        help="comma-separated retry budgets")
-    sub.add_parser("sweep", parents=[run_flags, output],
-                   help="cost sweep over algorithms x architectures")
-    sub.add_parser("cost", parents=[run_flags, output],
-                   help="cost report for the configured design point")
+    _add_output_flags(sub.add_parser("sweep", parents=[run_flags],
+                                     help="cost sweep over algorithms x architectures"),
+                      "csv")
+    _add_output_flags(sub.add_parser("cost", parents=[run_flags],
+                                     help="cost report for the configured design point"),
+                      "json")
     sub.add_parser("roundtrip", parents=[run_flags],
                    help="keygen/encrypt/decrypt roundtrips")
     return parser
+
+
+_OUTPUT_FLAGS = ("--out", "--format")
+
+
+def _add_output_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
+    parser.add_argument("--out", metavar="DIR",
+                        help="directory for result files (default: stdout only)")
+    parser.add_argument("--format", choices=("csv", "json"), default=default_format,
+                        help=f"result format (default: {default_format})")
+
+
+def _check_output_flags_follow_the_command(parser, argv) -> None:
+    """Exit 2 naming the flag when --out or --format comes before the
+    subcommand: argparse would read its value as the subcommand and report
+    only that value as an invalid choice."""
+    for arg in argv:
+        if arg in _COMMANDS:
+            return
+        flag = arg.split("=", 1)[0]
+        if flag in _OUTPUT_FLAGS:
+            parser.error(f"{flag} goes after the subcommand: "
+                         "noise, sweep and cost take --out and --format")
 
 
 def _load(args) -> ExperimentConfig:
@@ -145,6 +166,11 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
 def _cmd_cost(args, cfg: ExperimentConfig) -> int:
     report = estimate(ArchConfig(cfg.operation, cfg.algorithm, cfg.architecture,
                                  cfg.params), cfg.catalog)
+    if args.format == "csv":  # the sweep's CSV, one row
+        row = SweepRow(cfg.operation.value, cfg.algorithm.value, cfg.architecture.value,
+                       report)
+        _emit(args, "cost", sweep_to_csv([row], cfg.catalog))
+        return EXIT_OK
     payload = {
         "operation": cfg.operation.value,
         "algorithm": cfg.algorithm.value,
@@ -171,21 +197,23 @@ def _cmd_roundtrip(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILURE
 
 
+_COMMANDS = {
+    "verify": _cmd_verify,
+    "noise": _cmd_noise,
+    "sweep": _cmd_sweep,
+    "cost": _cmd_cost,
+    "roundtrip": _cmd_roundtrip,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    _check_output_flags_follow_the_command(parser, sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "out", None):
             _check_out(args.out)
-        cfg = _load(args)
-        handler = {
-            "verify": _cmd_verify,
-            "noise": _cmd_noise,
-            "sweep": _cmd_sweep,
-            "cost": _cmd_cost,
-            "roundtrip": _cmd_roundtrip,
-        }[args.command]
-        return handler(args, cfg)
+        return _COMMANDS[args.command](args, _load(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

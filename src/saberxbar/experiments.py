@@ -24,11 +24,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS
-from .ring import Poly, negacyclic_product, gen_matrix, sample_secret
+from .ring import Poly, negacyclic_product, gen_matrices, sample_secrets
 from .polymult import MultAlgorithm, multiply, schoolbook_mul
 from .pke import (keygen, encrypt, decrypt, encode_message,
                   decode_message, frame_payload, check_frame, keygen_arrays,
-                  encrypt_arrays, decrypt_arrays)
+                  encrypt_arrays, decrypt_sums)
 from .xbar import (XbarBackend, NoisySampleBackend, NoiseSpec, DEFAULT_NOISE_GAIN,
                    MAX_SAMPLE_STD, build_negacyclic_matrix, program_operand, crossbar_polymult)
 from .schedule import PrecisionMap, accumulate_coefficient, truncate_to_required
@@ -357,15 +357,24 @@ def _run_trials(config: ExperimentConfig, variance_grid, max_r: int, trials) -> 
     """{variance: _Outcomes} for the trial indices `trials`, all multiplied
     together. Each (trial, variance) draws everything from its own streams,
     so its outcome does not depend on which other trials or variances run.
+
+    Every exact quantity of the batch is computed once: the seeds expand in
+    one batched call each, key generation and encryption make one product
+    each, and the exact decryption sums one more, for every (variance,
+    trial) entry against the trials' key that key generation programmed.
+    Only the sample errors are drawn per read, so a retry redraws them over
+    the same exact sums.
     """
     p = config.params
     variances = list(dict.fromkeys(variance_grid))
     draws = [np.random.default_rng(_trial_seed(config.seed, t)).bytes(96 + p.n // 8 - 4)
              for t in trials]
-    A = np.stack([gen_matrix(d[:32], p).as_array() for d in draws])
-    s = np.stack([sample_secret(d[32:64], p) for d in draws])
-    s_enc = np.stack([sample_secret(d[64:96], p) for d in draws])
-    m = np.stack([encode_message(frame_payload(d[96:], p), p).coeffs for d in draws])
+    A = gen_matrices([d[:32] for d in draws], p)
+    s, s_enc = sample_secrets([d[32:64] for d in draws] + [d[64:96] for d in draws],
+                              p).reshape(2, len(draws), p.l, p.n)
+    frames = b"".join(frame_payload(d[96:], p) for d in draws)
+    m = np.unpackbits(np.frombuffer(frames, dtype=np.uint8),
+                      bitorder="little").reshape(len(draws), p.n).astype(np.int64)
 
     # one crossbar per (variance, trial); exact products broadcast over them
     noise = np.array([[NoiseSpec(var, _trial_seed(config.seed, t, var)) for t in trials]
@@ -374,21 +383,23 @@ def _run_trials(config: ExperimentConfig, variance_grid, max_r: int, trials) -> 
     b = keygen_arrays(A, s, p, backend)  # exact, so one key serves every variance
     backend.noise = noise
     c_m, b_prime = encrypt_arrays(A, b, m, s_enc, p, backend)
+    # b'^T s of every (variance, trial) entry, once: the inherited product,
+    # without sample errors, against the key that key generation holds
+    exact = XbarBackend.matvec(backend, b_prime[..., None, :, :], backend.program(s), [p.p])
 
     # per (variance, trial) entry, flattened
     first_success = np.full(noise.size, -1)
     margins = np.full((noise.size, max_r + 1), np.nan)
     errors = np.zeros((noise.size, max_r + 2), dtype=np.int64)
     errors[:, 0] = backend.last_injected.ravel()
-    s, m = (np.broadcast_to(x, noise.shape + x.shape[1:]).reshape(noise.size, *x.shape[1:])
-            for x in (s, m))
-    c_m, b_prime = c_m.reshape(noise.size, p.n), b_prime.reshape(noise.size, p.l, p.n)
+    m = np.broadcast_to(m, noise.shape + m.shape[1:]).reshape(noise.size, p.n)
+    c_m, exact = c_m.reshape(noise.size, p.n), exact.reshape(noise.size, 1, p.n)
     retryable = np.repeat(np.array(variances) > 0, len(draws))  # exact decryption is final
     pending = np.arange(noise.size)
     for attempt in range(max_r + 1):
         backend.noise = noise.ravel()[pending]
-        pre = decrypt_arrays(s[pending], c_m[pending], b_prime[pending], p, backend)
-        margin = decryption_margins(pre, m[pending], p).min(axis=-1)
+        v = backend.inject(exact[pending], [p.p], p.l)[:, 0]
+        margin = decryption_margins(decrypt_sums(v, c_m[pending], p), m[pending], p).min(axis=-1)
         margins[pending, attempt] = margin
         errors[pending, attempt + 1] = backend.last_injected
         ok = margin > 0
@@ -412,13 +423,15 @@ def run_noise(config: ExperimentConfig,
     encryption and every decryption attempt see fresh sample noise. A trial
     at retry budget r fails when none of its first r+1 decryptions recovers
     every message coefficient with a positive margin (`decryption_margins`),
-    so the curve is monotone in r by construction; retries re-run only
-    the trials that still fail. Trial t draws its keys and message from its
-    own child stream of `config.seed`, and its sample noise from a child
-    keyed by t and the variance's value, so a point does not depend on the
-    trial order, on the batching, or on the other variances in the grid.
-    Trials run in fixed-size batches, so memory does not grow with
-    `config.trials`.
+    so the curve is monotone in r by construction. Each batch's exact work
+    is done once (`_run_trials`): a decryption attempt reads the same exact
+    sums as the one before it, so a retry redraws only the sample errors,
+    and only for the trials that still fail. Trial t draws its keys and
+    message from its own child stream of `config.seed`, and its sample
+    noise from a child keyed by t and the variance's value, so a point does
+    not depend on the trial order, on the batching, or on the other
+    variances in the grid. Trials run in fixed-size batches, so memory does
+    not grow with `config.trials`.
 
     Each point also counts the sample errors injected (in encryption and in
     the decryptions its budget allows) and the smallest decryption margin

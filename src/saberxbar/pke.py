@@ -13,7 +13,8 @@ The equations themselves (`keygen_arrays`, `encrypt_arrays`,
 `decrypt_arrays`) work on coefficient arrays with an optional leading axis
 of independent instances, so the noise Monte Carlo runs a whole batch of
 trials through one call each; `keygen`, `encrypt` and `decrypt` run them on
-one message.
+one message. `decrypt_sums` is the decryption equation on its own, for
+products already computed, which a noisy read can reuse.
 """
 
 import zlib
@@ -121,7 +122,14 @@ def decrypt_arrays(s: np.ndarray, c_m: np.ndarray, b_prime: np.ndarray,
                    params: RingParams, backend) -> np.ndarray:
     """The message coefficients before rounding, (..., n) mod p: each
     message bit is the top bit of its coefficient."""
-    v = backend.matvec(b_prime[..., None, :, :], backend.program(s), [params.p])[..., 0, :]
+    v = backend.matvec(b_prime[..., None, :, :], backend.program(s), [params.p])
+    return decrypt_sums(v[..., 0, :], c_m, params)
+
+
+def decrypt_sums(v: np.ndarray, c_m: np.ndarray, params: RingParams) -> np.ndarray:
+    """The decryption equation on products already computed: the message
+    coefficients before rounding, (..., n) mod p, from the unreduced sums
+    v = b'^T s (..., n) and c_m (..., n) mod T."""
     return (v - (c_m << (params.eps_p - params.eps_T))
             + constants(params).h2_value) % params.p
 

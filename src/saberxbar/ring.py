@@ -3,6 +3,11 @@
 Coefficients live in numpy int64 arrays, and products come back from the
 multipliers as exact int64 sums, unreduced before the final power-of-two
 reduction. All values are treated as immutable after construction.
+
+Seed expansion is batched: `gen_matrices` and `sample_secrets` expand any
+number of seeds, each from its own XOF stream, and unpack every stream with
+one gather. `gen_matrix` (memoized per seed) and `sample_secret` expand one
+seed through them.
 """
 
 import functools
@@ -18,6 +23,15 @@ class DimensionError(ValueError):
     pass
 
 
+def _reduce(coeffs: np.ndarray, modulus: int) -> np.ndarray:
+    """int64 `coeffs` modulo `modulus`, into [0, modulus): a mask for a power
+    of two (two's complement makes it exact for negatives too), which takes
+    a fraction of the time of numpy's integer modulo."""
+    if modulus > 0 and not modulus & (modulus - 1):
+        return coeffs & (modulus - 1)
+    return coeffs % modulus
+
+
 @dataclass(frozen=True)
 class Poly:
     """A polynomial of degree < n with coefficients reduced into [0, modulus)."""
@@ -26,7 +40,7 @@ class Poly:
     modulus: int
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.int64) % self.modulus
+        c = _reduce(np.asarray(self.coeffs, dtype=np.int64), self.modulus)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -82,7 +96,7 @@ class PolyVec:
         if coeffs.ndim != 2 or not coeffs.shape[0]:
             raise DimensionError("PolyVec needs a non-empty (l, n) array")
         vec = cls.__new__(cls)
-        vec._hold(coeffs % modulus, modulus)
+        vec._hold(_reduce(coeffs, modulus), modulus)
         return vec
 
     def _hold(self, coeffs: np.ndarray, modulus: int) -> None:
@@ -124,7 +138,7 @@ class PolyMatrix:
         if coeffs.ndim != 3 or not 0 < coeffs.shape[0] == coeffs.shape[1]:
             raise DimensionError("PolyMatrix must be square and non-empty")
         matrix = cls.__new__(cls)
-        matrix._hold(coeffs % modulus, modulus)
+        matrix._hold(_reduce(coeffs, modulus), modulus)
         return matrix
 
     def _hold(self, coeffs: np.ndarray, modulus: int) -> None:
@@ -215,19 +229,54 @@ def _gather_plan(count: int, width: int):
     return index, shift
 
 
-def unpack_values(data: bytes, width: int, count: int) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _octet_plan(width: int):
+    """Eight `width`-bit values packed back to back fill `width` bytes. For
+    each of them: the byte it starts in, and its bit offset there."""
+    start = np.arange(8) * width
+    first, shift = start >> 3, (start & 7).astype(np.uint32)
+    first.setflags(write=False)
+    shift.setflags(write=False)
+    return first, shift
+
+
+def unpack_values(data: bytes, width: int, count: int, streams: int = 1) -> np.ndarray:
     """The first `count` little-endian `width`-bit values packed back to back
-    in `data`, as int64. A value starts at one of a byte's 8 bits, so for
-    width <= 25 the 4 bytes from its first one hold it: each value is one
-    4-byte gather, shifted and masked."""
+    in each of `streams` equal-length byte streams, which `data` holds one
+    after another: (streams * count,) int64, stream by stream.
+
+    A value starts at one of a byte's 8 bits, so for width <= 25 the 4-byte
+    little-endian word from its first byte holds it, shifted and masked. One
+    stream gathers each value's 4 bytes by a cached per-value plan. Several
+    streams gather words from one strided view, which reads the word at
+    every byte of every stream's octets (8 values fill `width` bytes, value
+    k from bit k * width), so no plan grows with the batch. Words past a
+    stream's last value reach into the next stream or into zero padding;
+    the values they would hold are dropped."""
     if not 0 <= width <= 25:
         raise ValueError(f"value width must be 0..25 bits, got {width}")
-    if len(data) * 8 < count * width:
-        raise ValueError(f"{len(data)} bytes hold fewer than {count} {width}-bit values")
-    index, shift = _gather_plan(count, width)
-    padded = np.frombuffer(bytes(data) + bytes(3), dtype=np.uint8)
-    windows = padded[index].view("<u4")[:, 0]
-    return (windows >> shift) & ((1 << width) - 1)
+    if streams < 1 or len(data) % streams:
+        raise ValueError(f"{len(data)} bytes do not split into {streams} equal streams")
+    stride = len(data) // streams
+    if stride * 8 < count * width:
+        raise ValueError(f"{stride} bytes hold fewer than {count} {width}-bit values")
+    if not width:
+        return np.zeros(streams * count, dtype=np.int64)
+    mask = (1 << width) - 1
+    if streams == 1:
+        index, shift = _gather_plan(count, width)
+        padded = np.frombuffer(bytes(data) + bytes(3), dtype=np.uint8)
+        return (padded[index].view("<u4")[:, 0] >> shift) & mask
+    octets = -(-count // 8)
+    first, shift = _octet_plan(width)
+    padding = bytes(max(0, octets * width + 3 - stride))
+    buffer = np.frombuffer(bytes(data) + padding, dtype=np.uint8)
+    # word [i, g, b]: the 4 bytes from byte b of octet g of stream i
+    words = np.ndarray((streams, octets, width), "<u4", buffer, strides=(stride, width, 1))
+    values = words[:, :, first]  # a copy, shifted and masked in place
+    values >>= shift
+    values &= mask
+    return values.reshape(streams, -1)[:, :count].astype(np.int64).reshape(-1)
 
 
 def _bits_from_stream(xof, count: int, width: int) -> np.ndarray:
@@ -235,38 +284,55 @@ def _bits_from_stream(xof, count: int, width: int) -> np.ndarray:
     return unpack_values(xof.squeeze((count * width + 7) // 8), width, count)
 
 
+def _expand(seeds, what: str, count: int, width: int) -> np.ndarray:
+    """The first `count` `width`-bit values of each 32-byte seed's own XOF
+    stream (as `_bits_from_stream` reads one), seed by seed, all unpacked in
+    one call."""
+    if any(len(seed) != 32 for seed in seeds):
+        raise ValueError(f"{what} must be 32 bytes")
+    size = (count * width + 7) // 8
+    data = b"".join(Shake128Xof(seed).squeeze(size) for seed in seeds)
+    return unpack_values(data, width, count, len(seeds))
+
+
+def gen_matrices(seeds, params: RingParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Expand each 32-byte seed into its public l x l matrix over R_q:
+    (seeds, l, l, n) coefficients in [0, q).
+
+    Coefficients are consecutive little-endian eps_q-bit chunks of the seed's
+    XOF stream, filled in row-major matrix order. Power-of-two q makes the
+    extraction rejection-free.
+    """
+    l, n = params.l, params.n
+    return _expand(seeds, "seed", l * l * n, params.eps_q).reshape(-1, l, l, n)
+
+
 @functools.lru_cache(maxsize=64)
 def gen_matrix(seed: bytes, params: RingParams = DEFAULT_PARAMS) -> PolyMatrix:
-    """Expand a 32-byte seed into the public l x l matrix over R_q.
-
-    Coefficients are consecutive little-endian eps_q-bit chunks of the XOF
-    stream, filled in row-major matrix order. Power-of-two q makes the
-    extraction rejection-free. Results are memoized per seed since key
-    generation and encryption expand the same matrix.
-    """
-    if len(seed) != 32:
-        raise ValueError("seed must be 32 bytes")
-    xof = Shake128Xof(seed)
-    l, n = params.l, params.n
-    vals = _bits_from_stream(xof, l * l * n, params.eps_q)
-    return PolyMatrix.from_array(vals.reshape(l, l, n), params.q)
+    """The public matrix of one seed (`gen_matrices`), memoized per seed
+    since key generation and encryption expand the same matrix."""
+    return PolyMatrix.from_array(gen_matrices([seed], params)[0], params.q)
 
 
-def sample_secret(r: bytes, params: RingParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Sample a centered binomial secret vector; returns an (l, n) signed array.
+def sample_secrets(seeds, params: RingParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Sample a centered binomial secret vector from each 32-byte seed:
+    (seeds, l, n) signed.
 
     Each coefficient is HW(a) - HW(b) for independent mu/2-bit strings a, b,
     so it lies in [-mu/2, mu/2]. The centered form is what the crossbar's
     bias encoding consumes; reduce mod q via `centered_to_vec` when needed.
     """
-    if len(r) != 32:
-        raise ValueError("r must be 32 bytes")
-    xof = Shake128Xof(r)
     l, n, mu = params.l, params.n, params.mu
     half = mu // 2
-    vals = _bits_from_stream(xof, l * n, mu).reshape(l, n)
-    return (np.bitwise_count(vals & ((1 << half) - 1)).astype(np.int64)
-            - np.bitwise_count(vals >> half))
+    vals = _expand(seeds, "r", l * n, mu).reshape(-1, l, n)
+    # HW(a) - HW(b) = HW(a) + HW(b with its bits flipped) - mu/2
+    flipped = np.bitwise_count(vals ^ (((1 << half) - 1) << half))
+    return np.subtract(flipped, half, dtype=np.int64)
+
+
+def sample_secret(r: bytes, params: RingParams = DEFAULT_PARAMS) -> np.ndarray:
+    """The (l, n) secret vector of one seed (`sample_secrets`)."""
+    return sample_secrets([r], params)[0]
 
 
 def centered_to_vec(s_centered: np.ndarray, modulus: int) -> PolyVec:

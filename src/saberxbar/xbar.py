@@ -19,11 +19,12 @@ arithmetic (the exact negacyclic product, on `polymult`'s ring leaf: a
 weighted n/2-point FFT that multiplies modulo x^n + 1, as the crossbar's
 negacyclic matrix does) plus write accounting for the programmed secrets.
 Like the crossbar, whose secret stays written while public operands stream
-past it, each of its slots keeps the transform of the single key it was
-programmed with, so products against that key transform nothing again.
-`NoisySampleBackend` adds sample-referred read errors on top, from one
-noise source per trial when a batch of trials multiplies at once. The test
-suite pins the ideal pipeline and `XbarBackend` to each other bit-exactly.
+past it, each of its slots keeps the transform of the key it was programmed
+with, one (l, n) key or a batch of them, so products against that key
+transform nothing again. `NoisySampleBackend` adds sample-referred read
+errors on top (`inject`), from one noise source per trial when a batch of
+trials multiplies at once. The test suite pins the ideal pipeline and
+`XbarBackend` to each other bit-exactly.
 """
 
 import functools
@@ -370,12 +371,11 @@ class XbarBackend:
     Secrets with a leading axis (a batch of independent crossbars, one per
     trial) fill the slots polynomial by polynomial.
 
-    A slot programmed with a single (l, n) key also holds that key's
-    transform, next to a read-only copy of the key: `program` returns it for
-    an equal secret, and `matvec` multiplies by it without checking the
-    slots polynomial by polynomial. An ad hoc eviction from the work slot
-    drops the work slot's transform. A batch of secrets is not held: each
-    batch serves one Monte Carlo call.
+    A slot also holds the transform of the (..., l, n) key it was programmed
+    with, a single key or a batch, next to a read-only copy of the key:
+    `program` returns it for an equal secret, and `matvec` multiplies by it
+    without checking the slots polynomial by polynomial. An ad hoc eviction
+    from the work slot drops the work slot's transform.
     """
 
     def __init__(self, params: RingParams = DEFAULT_PARAMS):
@@ -387,7 +387,7 @@ class XbarBackend:
         # work slot holds the per-encryption ephemeral secret. Each maps the
         # bytes of a programmed polynomial to None, oldest first.
         self._slots = {"boot": {}, "work": {}}
-        # per slot, the handle of the single key it was programmed with
+        # per slot, the handle of the key it was programmed with
         self._held = {"boot": None, "work": None}
 
     def _install(self, s_centered: np.ndarray, slot: str) -> None:
@@ -399,12 +399,9 @@ class XbarBackend:
             self.boot_cell_bits += bits
         else:
             self.cell_bits_written += bits
-        if s.ndim == 2:
-            key = s.copy()  # the caller's array may change in place
-            key.setflags(write=False)
-            self._held[slot] = program(MultAlgorithm.SB, key)
-        else:
-            self._held[slot] = None
+        key = s.copy()  # the caller's array may change in place
+        key.setflags(write=False)
+        self._held[slot] = program(MultAlgorithm.SB, key)
 
     def install_boot_secret(self, s_centered: np.ndarray) -> None:
         self._install(s_centered, "boot")
@@ -473,13 +470,17 @@ class NoisySampleBackend(XbarBackend):
     coefficient, bit-slice) sample with weight 2^(cycle+slice).
 
     `noise` is one NoiseSpec, the noise source of every product, or an
-    array of them, one crossbar per entry of a batch: `matvec` broadcasts
+    array of them, one crossbar per entry of a batch: `inject` broadcasts
     the exact sums over the array's shape, and entry i draws its errors from
     noise[i].rng at its own variance. Errors are additive, so one exact
     product serves every entry it broadcasts to, and an entry at zero
     variance draws nothing and gets the exact sums (boot-time programming is
-    verified off-line, so key generation runs with `NoiseSpec()`).
-    `last_injected` counts the errors injected by the latest `matvec`, per
+    verified off-line, so key generation runs with `NoiseSpec()`). The
+    number of errors an entry draws does not depend on the exact sums, so
+    sums computed once, by the inherited `XbarBackend.matvec`, can take the
+    errors of several reads, one `inject` each: a decryption retry rereads
+    the same exact product. Its slots hold batch keys as `XbarBackend`'s do.
+    `last_injected` counts the errors injected by the latest `inject`, per
     entry.
     """
 
@@ -495,7 +496,13 @@ class NoisySampleBackend(XbarBackend):
     def matvec(self, rows: np.ndarray, handle: Programmed, moduli) -> np.ndarray:
         """The exact sums of `XbarBackend.matvec` plus sample errors. The
         rows' moduli set each product's number of input cycles."""
-        exact = super().matvec(rows, handle, moduli)
+        return self.inject(super().matvec(rows, handle, moduli), moduli, handle.l)
+
+    def inject(self, exact: np.ndarray, moduli, terms: int) -> np.ndarray:
+        """The (..., rows, n) exact sums, of `terms` products each, plus the
+        sample errors of one read: a new array, broadcast over the shape of
+        `noise`. Row i's products read its modulus' bits, one input cycle
+        per bit."""
         if len(moduli) != exact.shape[-2]:
             raise ValueError("noisy products need one modulus per row")
         sources = np.asarray(self.noise, dtype=object)
@@ -523,7 +530,7 @@ class NoisySampleBackend(XbarBackend):
             tail = _phi_tail(0.5 / std)
             rng = spec.rng
             per_row = np.concatenate([
-                rng.binomial(cycles * samples_per_cycle, 2.0 * tail, (rows, handle.l))
+                rng.binomial(cycles * samples_per_cycle, 2.0 * tail, (rows, terms))
                 for rows, cycles in runs]).sum(axis=1)
             k = counts[i] = per_row.sum()
             if k == 0:

@@ -1,3 +1,4 @@
+import csv
 import json
 import time
 
@@ -53,6 +54,24 @@ def test_output_flags_of_commands_that_write_nothing_are_usage_errors(
         main(argv)
     assert exc.value.code == EXIT_CONFIG_ERROR
     assert "saberxbar: error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out", "o", "cost"],
+    ["--seed", "1", "--format=json", "sweep"],
+    ["--out", "noise", "noise"],
+])
+def test_output_flags_before_the_subcommand_are_named_in_the_usage_error(
+        tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    flag = next(a.split("=")[0] for a in argv if a.startswith("--") and a != "--seed")
+    assert f"error: {flag} goes after the subcommand" in err
+    assert "noise, sweep and cost" in err and "invalid choice" not in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -125,6 +144,29 @@ def test_cost_reports_configured_point(tmp_path, capsys):
     assert payload["algorithm"] == "K2"
     assert payload["architecture"] == "adcshare"
     assert payload["ee_gbit_j"] > 0
+
+
+def test_cost_writes_its_report_in_the_format_asked_for(tmp_path, capsys):
+    assert main(["cost", "--out", str(tmp_path / "j")]) == EXIT_OK
+    payload = json.loads((tmp_path / "j" / "cost.json").read_text())
+    assert payload["algorithm"] == "SB" and payload["ee_gbit_j"] > 0
+    assert main(["cost", "--format", "json", "--out", str(tmp_path / "j2")]) == EXIT_OK
+    assert json.loads((tmp_path / "j2" / "cost.json").read_text()) == payload
+
+
+def test_cost_csv_is_the_sweep_csv_of_its_one_point(tmp_path, capsys):
+    assert main(["cost", "--format", "csv", "--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "cost.csv").read_text().splitlines()
+    assert lines[0] == "# schema_version=3" and lines[1].startswith("# catalog={")
+    rows = list(csv.DictReader(lines[2:]))
+    assert len(rows) == 1
+    assert (rows[0]["operation"], rows[0]["algorithm"], rows[0]["architecture"]) == (
+        "dec", "SB", "baseline")
+    capsys.readouterr()
+    assert main(["cost"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert float(rows[0]["energy_pj"]) == pytest.approx(payload["total_energy_pj"], abs=1e-3)
+    assert int(rows[0]["cells_written"]) == payload["cells_written"]
 
 
 def test_roundtrip_reports_success(capsys):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saberxbar import experiments
+from saberxbar import experiments, xbar
 from saberxbar.params import DEFAULT_PARAMS
 from saberxbar.ring import gen_matrix
 from saberxbar.costmodel import Operation, Architecture
@@ -263,6 +263,29 @@ def test_noise_trials_do_not_depend_on_their_batch():
     for var, fields in whole.items():
         for got, first, second in zip(fields, halves[0][var], halves[1][var]):
             np.testing.assert_array_equal(got, np.concatenate([first, second]))
+
+
+def test_a_batch_does_its_exact_work_once_however_many_retries_run(monkeypatch):
+    calls = dict.fromkeys(("program", "matvec", "_ensure_programmed"), 0)
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    count(xbar, "program")
+    count(xbar, "matvec")
+    count(xbar.XbarBackend, "_ensure_programmed")
+    cfg = ExperimentConfig(seed=4)
+    outcomes = experiments._run_trials(cfg, (0.10, 0.11), 2, range(20))
+    assert any((o.first_success > 0).any() for o in outcomes.values())  # retries ran
+    # three products: key generation, encryption, and the exact decryption
+    # sums that every attempt reads. Two transforms: s, which key generation
+    # programs and decryption reuses, and encryption's s'. Both keys are
+    # held, so no product checks the slots polynomial by polynomial.
+    assert calls == {"program": 2, "matvec": 3, "_ensure_programmed": 0}
 
 
 def test_noise_curve_does_not_depend_on_batch_size(monkeypatch):

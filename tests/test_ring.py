@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from saberxbar.params import RingParams, DEFAULT_PARAMS, constants
 from saberxbar.ring import (Poly, PolyVec, PolyMatrix, DimensionError,
                             reduce_negacyclic, negacyclic_product, round_shift,
-                            gen_matrix, sample_secret, centered_to_vec,
-                            _bits_from_stream)
+                            gen_matrix, gen_matrices, sample_secret, sample_secrets,
+                            centered_to_vec, unpack_values, _bits_from_stream)
 from saberxbar.xof import Shake128Xof
 
 
@@ -207,6 +208,69 @@ def test_sample_secret_is_the_hamming_weight_difference(mu):
 def test_gen_matrix_seed_length_check():
     with pytest.raises(ValueError):
         gen_matrix(b"short")
+    with pytest.raises(ValueError):
+        gen_matrices([bytes(32), b"short"])
+    with pytest.raises(ValueError):
+        sample_secrets([bytes(31)])
+
+
+def _squeezed(fn):
+    """fn's result, and the bytes it drew from XOF streams."""
+    drawn = []
+    squeeze = Shake128Xof.squeeze
+
+    def counted(xof, count):
+        out = squeeze(xof, count)
+        drawn.append(len(out))
+        return out
+    Shake128Xof.squeeze = counted
+    try:
+        return fn(), sum(drawn)
+    finally:
+        Shake128Xof.squeeze = squeeze
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 4]), l=st.integers(1, 3),
+       mu=st.sampled_from([2, 4, 6, 8, 10]), eps_q=st.integers(3, 13),
+       seeds=st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=5))
+@example(n=1, l=1, mu=2, eps_q=3, seeds=[bytes(32), bytes(range(32))])  # 3 and 2 bits
+def test_batched_seed_expansion_equals_seed_by_seed(n, l, mu, eps_q, seeds):
+    # per-seed bit counts l*l*n*eps_q and l*n*mu are often not multiples of 8,
+    # so a stream's last byte is partly unused and the next stream starts
+    # on a byte boundary
+    params = RingParams(n=n, q=1 << eps_q, p=1 << (eps_q - 1), T=1 << (eps_q - 2),
+                        l=l, mu=mu)
+    matrices, batch_bytes = _squeezed(lambda: gen_matrices(seeds, params))
+    single = [_squeezed(lambda: gen_matrix.__wrapped__(seed, params)) for seed in seeds]
+    assert matrices.shape == (len(seeds), l, l, n) and matrices.dtype == np.int64
+    assert batch_bytes == sum(drawn for _, drawn in single)
+    for seed, got, (one, _) in zip(seeds, matrices, single):
+        raw = Shake128Xof(seed).squeeze((l * l * n * eps_q + 7) // 8)
+        assert got.ravel().tolist() == one.as_array().ravel().tolist() == (
+            _reference_values(raw, l * l * n, eps_q))
+
+    secrets, batch_bytes = _squeezed(lambda: sample_secrets(seeds, params))
+    single = [_squeezed(lambda: sample_secret(seed, params)) for seed in seeds]
+    assert secrets.shape == (len(seeds), l, n) and secrets.dtype == np.int64
+    assert batch_bytes == sum(drawn for _, drawn in single)
+    half = mu // 2
+    for seed, got, (one, _) in zip(seeds, secrets, single):
+        raw = Shake128Xof(seed).squeeze((l * n * mu + 7) // 8)
+        want = [bin(v & ((1 << half) - 1)).count("1") - bin(v >> half).count("1")
+                for v in _reference_values(raw, l * n, mu)]
+        assert got.ravel().tolist() == one.ravel().tolist() == want
+
+
+def test_unpack_values_reads_equal_streams_back_to_back():
+    streams = [bytes([i]) * 3 + bytes([255]) for i in (1, 2, 3)]  # 30 of 32 bits used
+    got = unpack_values(b"".join(streams), 10, 3, streams=3)
+    want = [v for stream in streams for v in _reference_values(stream, 3, 10)]
+    assert got.tolist() == want
+    with pytest.raises(ValueError):
+        unpack_values(bytes(7), 10, 3, streams=2)  # not equal streams
+    with pytest.raises(ValueError):
+        unpack_values(bytes(6), 10, 3, streams=2)  # 3 bytes hold fewer than 30 bits
 
 
 def test_sample_secret_range_and_determinism():

@@ -288,7 +288,8 @@ def test_held_handles_keep_the_per_polynomial_write_accounting(seed):
         op = rng.integers(5)
         key = keys[rng.integers(len(keys))]
         if op in (0, 1):
-            # now and then a batch of keys, which fills a slot but is not held
+            # now and then a batch of keys, which fills a slot and is held
+            # as a whole, as a single key is
             s = keys[rng.integers(len(keys), size=2)] if rng.random() < 0.2 else key
             slot = ("boot", "work")[op]
             (xb.install_boot_secret, xb.program_secret)[op](s)
@@ -312,7 +313,7 @@ def test_held_handles_keep_the_per_polynomial_write_accounting(seed):
                 == (ref.mult_count, ref.cell_bits_written, ref.boot_cell_bits))
 
 
-def test_a_programmed_key_is_held_and_a_batch_is_not():
+def test_a_programmed_key_and_a_programmed_batch_are_held():
     rng = np.random.default_rng(16)
     key = rng.integers(-4, 5, (P.l, P.n))
     batch = rng.integers(-4, 5, (2, P.l, P.n))
@@ -323,8 +324,50 @@ def test_a_programmed_key_is_held_and_a_batch_is_not():
     key[0, 0] += 1  # the slot holds its own copy, so an edit is a miss
     assert xb.program(key) is not held
     xb.program_secret(batch)
-    assert xb.program(batch) is not xb.program(batch)
+    held = xb.program(batch)
+    assert xb.program(batch.copy()) is held and not held.secret.flags.writeable
     assert xb.cell_bits_written == batch.size * 4
+    batch[1, 2, 0] += 1  # an in-place edit of the caller's batch is a miss
+    edited = xb.program(batch)
+    assert edited is not held
+    rows = rng.integers(0, P.q, (2, 2, P.l, P.n))
+    assert np.array_equal(xb.matvec(rows, edited, [P.q] * 2),
+                          [_direct_matvec(r, s) for r, s in zip(rows, batch)])
+    # the product writes the one edited polynomial, ad hoc
+    assert xb.cell_bits_written == batch.size * 4 + P.n * 4
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_held_batches_keep_the_per_polynomial_write_accounting(seed):
+    # batch installs and products against held batches, against edited
+    # (missing) batches and, after an ad hoc eviction, against the formerly
+    # held work batch
+    rng = np.random.default_rng(seed)
+    n = 16
+    keys = rng.integers(-4, 5, (3, 2, P.l, n))
+    xb, ref = XbarBackend(P), _PerPolynomialSlots(P.l)
+    for _ in range(40):
+        op = rng.integers(4)
+        batch = keys[rng.integers(len(keys))]
+        if op in (0, 1):
+            slot = ("boot", "work")[op]
+            (xb.install_boot_secret, xb.program_secret)[op](batch)
+            ref.install(batch, slot)
+        elif op == 2:
+            if rng.random() < 0.3:
+                batch = batch.copy()
+                batch[rng.integers(2), rng.integers(P.l)] = rng.integers(-4, 5, n)
+            rows = rng.integers(0, P.q, (2, 2, P.l, n))
+            ref.product(rows, batch)
+            assert np.array_equal(xb.matvec(rows, xb.program(batch), [P.q] * 2),
+                                  [_direct_matvec(r, s) for r, s in zip(rows, batch)])
+        else:
+            s = rng.integers(-4, 5, n)
+            a = Poly(rng.integers(0, P.q, n), P.q)
+            ref.product(a.coeffs[None, None], s[None])
+            xb.mul_raw(a, s)
+        assert ((xb.mult_count, xb.cell_bits_written, xb.boot_cell_bits)
+                == (ref.mult_count, ref.cell_bits_written, ref.boot_cell_bits))
 
 
 def test_noisy_backend_zero_variance_is_exact():
