@@ -273,6 +273,12 @@ def test_unpack_values_reads_equal_streams_back_to_back():
         unpack_values(bytes(6), 10, 3, streams=2)  # 3 bytes hold fewer than 30 bits
 
 
+@pytest.mark.parametrize("streams", [1, 3])
+def test_zero_width_values_unpack_as_zeros(streams):
+    # a ring with T = 1 packs c_m in 0 bits per coefficient
+    assert unpack_values(b"", 0, 5, streams).tolist() == [0] * 5 * streams
+
+
 def test_sample_secret_range_and_determinism():
     r = bytes(reversed(range(32)))
     s1 = sample_secret(r)

@@ -346,7 +346,7 @@ def test_held_batches_keep_the_per_polynomial_write_accounting(seed):
     n = 16
     keys = rng.integers(-4, 5, (3, 2, P.l, n))
     xb, ref = XbarBackend(P), _PerPolynomialSlots(P.l)
-    for _ in range(40):
+    for _ in range(80):
         op = rng.integers(4)
         batch = keys[rng.integers(len(keys))]
         if op in (0, 1):
