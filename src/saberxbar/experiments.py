@@ -26,7 +26,7 @@ import numpy as np
 from .params import RingParams, DEFAULT_PARAMS
 from .ring import Poly, negacyclic_product, gen_matrices, sample_secrets
 from .polymult import MultAlgorithm, multiply, schoolbook_mul
-from .pke import (keygen, encrypt, decrypt, encode_message,
+from .pke import (keygen, encrypt, decrypt, encode_message, encode_messages,
                   decode_message, frame_payload, check_frame, keygen_arrays,
                   encrypt_arrays, decrypt_sums)
 from .xbar import (XbarBackend, NoisySampleBackend, NoiseSpec, DEFAULT_NOISE_GAIN,
@@ -372,9 +372,7 @@ def _run_trials(config: ExperimentConfig, variance_grid, max_r: int, trials) -> 
     A = gen_matrices([d[:32] for d in draws], p)
     s, s_enc = sample_secrets([d[32:64] for d in draws] + [d[64:96] for d in draws],
                               p).reshape(2, len(draws), p.l, p.n)
-    frames = b"".join(frame_payload(d[96:], p) for d in draws)
-    m = np.unpackbits(np.frombuffer(frames, dtype=np.uint8),
-                      bitorder="little").reshape(len(draws), p.n).astype(np.int64)
+    m = encode_messages([frame_payload(d[96:], p) for d in draws], p)
 
     # one crossbar per (variance, trial); exact products broadcast over them
     noise = np.array([[NoiseSpec(var, _trial_seed(config.seed, t, var)) for t in trials]

@@ -166,12 +166,18 @@ def decrypt(sk: SecretKey, ct: Ciphertext, params: RingParams = DEFAULT_PARAMS,
 # ---------------------------------------------------------------------------
 # message <-> bytes and CRC framing
 
-def encode_message(data: bytes, params: RingParams = DEFAULT_PARAMS) -> Poly:
-    """Plaintext bit i (little-endian within bytes) becomes coefficient i."""
-    if len(data) * 8 != params.n:
+def encode_messages(messages, params: RingParams = DEFAULT_PARAMS) -> np.ndarray:
+    """The plaintext bits of each n/8-byte message, (messages, n) int64:
+    bit i (little-endian within bytes) becomes coefficient i."""
+    if any(len(data) * 8 != params.n for data in messages):
         raise ValueError(f"message must be exactly {params.n // 8} bytes")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    return Poly(bits.astype(np.int64), 2)
+    bits = np.unpackbits(np.frombuffer(b"".join(messages), dtype=np.uint8), bitorder="little")
+    return bits.reshape(-1, params.n).astype(np.int64)
+
+
+def encode_message(data: bytes, params: RingParams = DEFAULT_PARAMS) -> Poly:
+    """The plaintext polynomial of one message (`encode_messages`)."""
+    return Poly(encode_messages([data], params)[0], 2)
 
 
 def decode_message(m: Poly) -> bytes:

@@ -6,8 +6,8 @@ reduction. All values are treated as immutable after construction.
 
 Seed expansion is batched: `gen_matrices` and `sample_secrets` expand any
 number of seeds, each from its own XOF stream, and unpack every stream with
-one gather. `gen_matrix` (memoized per seed) and `sample_secret` expand one
-seed through them.
+one `unpack_values` call. `gen_matrix` (memoized per seed) and
+`sample_secret` expand one seed through them.
 """
 
 import functools
@@ -219,21 +219,9 @@ def round_shift(poly: Poly, from_bits: int, to_bits: int) -> Poly:
 
 @functools.lru_cache(maxsize=16)
 def _gather_plan(count: int, width: int):
-    """For `count` values of `width` bits packed back to back: the indices of
-    the 4 bytes each value starts in, (count, 4), and its bit offset in the
-    first of them, (count,)."""
+    """For `count` values of `width` bits packed back to back: the byte each
+    value starts in, and its bit offset there, (count,) each."""
     start = np.arange(count, dtype=np.int64) * width
-    index, shift = (start >> 3)[:, None] + np.arange(4), start & 7
-    index.setflags(write=False)
-    shift.setflags(write=False)
-    return index, shift
-
-
-@functools.lru_cache(maxsize=32)
-def _octet_plan(width: int):
-    """Eight `width`-bit values packed back to back fill `width` bytes. For
-    each of them: the byte it starts in, and its bit offset there."""
-    start = np.arange(8) * width
     first, shift = start >> 3, (start & 7).astype(np.uint32)
     first.setflags(write=False)
     shift.setflags(write=False)
@@ -246,13 +234,12 @@ def unpack_values(data: bytes, width: int, count: int, streams: int = 1) -> np.n
     after another: (streams * count,) int64, stream by stream.
 
     A value starts at one of a byte's 8 bits, so for width <= 25 the 4-byte
-    little-endian word from its first byte holds it, shifted and masked. One
-    stream gathers each value's 4 bytes by a cached per-value plan. Several
-    streams gather words from one strided view, which reads the word at
-    every byte of every stream's octets (8 values fill `width` bytes, value
-    k from bit k * width), so no plan grows with the batch. Words past a
-    stream's last value reach into the next stream or into zero padding;
-    the values they would hold are dropped."""
+    little-endian word from its first byte holds it, shifted and masked. A
+    strided view holds the word at every byte of every stream, and one
+    gather along its byte axis, by a plan cached per (count, width), picks
+    each value's word in every stream at once. A word from one of a
+    stream's last 3 bytes reaches into the next stream or into zero
+    padding; the mask drops those bits."""
     if not 0 <= width <= 25:
         raise ValueError(f"value width must be 0..25 bits, got {width}")
     if streams < 1 or len(data) % streams:
@@ -262,32 +249,19 @@ def unpack_values(data: bytes, width: int, count: int, streams: int = 1) -> np.n
         raise ValueError(f"{stride} bytes hold fewer than {count} {width}-bit values")
     if not width:
         return np.zeros(streams * count, dtype=np.int64)
-    mask = (1 << width) - 1
-    if streams == 1:
-        index, shift = _gather_plan(count, width)
-        padded = np.frombuffer(bytes(data) + bytes(3), dtype=np.uint8)
-        return (padded[index].view("<u4")[:, 0] >> shift) & mask
-    octets = -(-count // 8)
-    first, shift = _octet_plan(width)
-    padding = bytes(max(0, octets * width + 3 - stride))
-    buffer = np.frombuffer(bytes(data) + padding, dtype=np.uint8)
-    # word [i, g, b]: the 4 bytes from byte b of octet g of stream i
-    words = np.ndarray((streams, octets, width), "<u4", buffer, strides=(stride, width, 1))
-    values = words[:, :, first]  # a copy, shifted and masked in place
+    first, shift = _gather_plan(count, width)
+    buffer = np.frombuffer(bytes(data) + bytes(3), dtype=np.uint8)
+    # word [i, b]: the 4 bytes from byte b of stream i
+    words = np.ndarray((streams, stride), "<u4", buffer, strides=(stride, 1))
+    values = words.take(first, axis=1)  # a copy, shifted and masked in place
     values >>= shift
-    values &= mask
-    return values.reshape(streams, -1)[:, :count].astype(np.int64).reshape(-1)
-
-
-def _bits_from_stream(xof, count: int, width: int) -> np.ndarray:
-    """Extract `count` little-endian `width`-bit values from an XOF stream."""
-    return unpack_values(xof.squeeze((count * width + 7) // 8), width, count)
+    values &= (1 << width) - 1
+    return values.astype(np.int64).reshape(-1)
 
 
 def _expand(seeds, what: str, count: int, width: int) -> np.ndarray:
     """The first `count` `width`-bit values of each 32-byte seed's own XOF
-    stream (as `_bits_from_stream` reads one), seed by seed, all unpacked in
-    one call."""
+    stream, (seeds * count,) seed by seed, all unpacked in one call."""
     if any(len(seed) != 32 for seed in seeds):
         raise ValueError(f"{what} must be 32 bytes")
     size = (count * width + 7) // 8

@@ -8,7 +8,7 @@ from saberxbar.ring import Poly, negacyclic_product, gen_matrix, sample_secret
 from saberxbar.polymult import MultAlgorithm, plan_for
 from saberxbar.xbar import XbarBackend
 from saberxbar.pke import (SoftwareBackend, keygen, encrypt, decrypt,
-                           encode_message, decode_message, frame_payload,
+                           encode_message, encode_messages, decode_message, frame_payload,
                            check_frame, pack_values, unpack_values,
                            pack_public_key, unpack_public_key,
                            pack_secret_key, unpack_secret_key,
@@ -136,6 +136,18 @@ def test_message_codec_roundtrip():
     with pytest.raises(ValueError):
         encode_message(b"short", P)
 
+
+
+def test_a_batch_of_messages_encodes_message_by_message():
+    rng = np.random.default_rng(6)
+    messages = [rng.bytes(P.n // 8) for _ in range(3)]
+    got = encode_messages(messages, P)
+    assert got.shape == (3, P.n) and got.dtype == np.int64
+    for row, data in zip(got, messages):
+        assert np.array_equal(row, encode_message(data, P).coeffs)
+    assert encode_messages([], P).shape == (0, P.n)
+    with pytest.raises(ValueError):
+        encode_messages([messages[0], b"short"], P)
 
 def test_frame_crc():
     payload = bytes(range(28))

@@ -6,7 +6,7 @@ from saberxbar.params import RingParams, DEFAULT_PARAMS, constants
 from saberxbar.ring import (Poly, PolyVec, PolyMatrix, DimensionError,
                             reduce_negacyclic, negacyclic_product, round_shift,
                             gen_matrix, gen_matrices, sample_secret, sample_secrets,
-                            centered_to_vec, unpack_values, _bits_from_stream)
+                            centered_to_vec, unpack_values, _expand)
 from saberxbar.xof import Shake128Xof
 
 
@@ -181,15 +181,32 @@ def _reference_values(raw: bytes, count: int, width: int) -> list:
     return [sum(bits[v * width + i] << i for i in range(width)) for v in range(count)]
 
 
+def _squeezed(fn):
+    """fn's result, and the bytes it drew from XOF streams."""
+    drawn = []
+    squeeze = Shake128Xof.squeeze
+
+    def counted(xof, count):
+        out = squeeze(xof, count)
+        drawn.append(len(out))
+        return out
+    Shake128Xof.squeeze = counted
+    try:
+        return fn(), sum(drawn)
+    finally:
+        Shake128Xof.squeeze = squeeze
+
+
 @pytest.mark.parametrize("width", range(1, 17))
 def test_bits_from_stream_matches_bit_by_bit_reference(width):
+    seed = bytes(range(32))
     for count in (1, 3, 7, 8, 13, 100):  # most leave a partial last byte
-        xof, ref = Shake128Xof(b"bits"), Shake128Xof(b"bits")
-        raw = ref.squeeze((count * width + 7) // 8)
-        got = _bits_from_stream(xof, count, width)
+        raw = Shake128Xof(seed).squeeze((count * width + 7) // 8)
+        got, drawn = _squeezed(lambda: _expand([seed], "seed", count, width))
         assert got.dtype == np.int64
         assert list(got) == _reference_values(raw, count, width)
-        assert xof.squeeze(5) == ref.squeeze(5)  # drew exactly the bytes it used
+        assert drawn == len(raw)  # drew exactly the bytes it used
+        assert list(unpack_values(raw, width, count)) == list(got)
 
 
 @pytest.mark.parametrize("mu", [2, 4, 6, 8, 10])
@@ -212,22 +229,6 @@ def test_gen_matrix_seed_length_check():
         gen_matrices([bytes(32), b"short"])
     with pytest.raises(ValueError):
         sample_secrets([bytes(31)])
-
-
-def _squeezed(fn):
-    """fn's result, and the bytes it drew from XOF streams."""
-    drawn = []
-    squeeze = Shake128Xof.squeeze
-
-    def counted(xof, count):
-        out = squeeze(xof, count)
-        drawn.append(len(out))
-        return out
-    Shake128Xof.squeeze = counted
-    try:
-        return fn(), sum(drawn)
-    finally:
-        Shake128Xof.squeeze = squeeze
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,6 +272,17 @@ def test_unpack_values_reads_equal_streams_back_to_back():
         unpack_values(bytes(7), 10, 3, streams=2)  # not equal streams
     with pytest.raises(ValueError):
         unpack_values(bytes(6), 10, 3, streams=2)  # 3 bytes hold fewer than 30 bits
+
+
+@pytest.mark.parametrize("width", range(17, 26))
+def test_wide_values_unpack_from_every_stream(width):
+    # a value may start at bit 7 of its first byte and span all 4 bytes read
+    for count, streams in ((1, 1), (7, 3), (9, 2), (16, 3)):
+        stride = (count * width + 7) // 8
+        data = Shake128Xof(b"wide").squeeze(stride * streams)
+        want = [v for i in range(streams)
+                for v in _reference_values(data[i * stride:(i + 1) * stride], count, width)]
+        assert unpack_values(data, width, count, streams).tolist() == want
 
 
 @pytest.mark.parametrize("streams", [1, 3])
