@@ -8,7 +8,7 @@ orchestration plus the CLI (`experiments`, `cli`).
 """
 
 from .params import RingParams, DEFAULT_PARAMS, constants
-from .ring import Poly, PolyVec, PolyMatrix
+from .ring import Poly, PolyVec
 from .polymult import MultAlgorithm, multiply, plan_for
 from .pke import (PublicKey, SecretKey, Ciphertext, SoftwareBackend,
                   keygen, encrypt, decrypt, encode_message, decode_message,

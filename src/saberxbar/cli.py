@@ -14,8 +14,9 @@ from dataclasses import replace
 from .costmodel import ArchConfig, estimate
 from .experiments import (ConfigError, ExperimentConfig, SweepRow, load_config,
                           run_verify, run_noise, run_sweep, run_roundtrips,
-                          default_sweep_points, sweep_to_csv, sweep_to_json,
-                          noise_to_csv, noise_to_json, DEFAULT_VARIANCE_GRID)
+                          default_sweep_points, report_fields, sweep_to_csv,
+                          sweep_to_json, noise_to_csv, noise_to_json,
+                          DEFAULT_VARIANCE_GRID)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILURE = 1
@@ -166,27 +167,11 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
 def _cmd_cost(args, cfg: ExperimentConfig) -> int:
     report = estimate(ArchConfig(cfg.operation, cfg.algorithm, cfg.architecture,
                                  cfg.params), cfg.catalog)
+    row = SweepRow(cfg.operation.value, cfg.algorithm.value, cfg.architecture.value, report)
     if args.format == "csv":  # the sweep's CSV, one row
-        row = SweepRow(cfg.operation.value, cfg.algorithm.value, cfg.architecture.value,
-                       report)
         _emit(args, "cost", sweep_to_csv([row], cfg.catalog))
         return EXIT_OK
-    payload = {
-        "operation": cfg.operation.value,
-        "algorithm": cfg.algorithm.value,
-        "architecture": cfg.architecture.value,
-        "latency_ns": report.latency_ns,
-        "energy_pj": report.energy_pj,
-        "total_energy_pj": report.total_energy_pj,
-        "area_um2": report.area_um2,
-        "total_area_um2": report.total_area_um2,
-        "samples_converted": report.samples_converted,
-        "cells_written": report.cells_written,
-        "logical_cell_bits": report.logical_cell_bits,
-        "ce_gbit_s_mm2": report.ce_gbit_s_mm2,
-        "ee_gbit_j": report.ee_gbit_j,
-        "catalog": dataclasses.asdict(cfg.catalog),
-    }
+    payload = {**report_fields(row), "catalog": dataclasses.asdict(cfg.catalog)}
     _emit(args, "cost", json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS
-from .ring import Poly, negacyclic_product, gen_matrices, sample_secrets
+from .ring import Poly, gen_matrices, sample_secrets
 from .polymult import MultAlgorithm, multiply, schoolbook_mul
 from .pke import (keygen, encrypt, decrypt, encode_message, encode_messages,
                   decode_message, frame_payload, check_frame, keygen_arrays,
@@ -36,7 +36,7 @@ from .sac import SacVariant, build_sac_tree, sac_accumulate
 from .costmodel import (Operation, Architecture, ArchConfig, ComponentCatalog,
                         DEFAULT_CATALOG, CostReport, estimate)
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 class ConfigError(ValueError):
@@ -216,7 +216,7 @@ def run_verify(config: ExperimentConfig, stuck_fault=None,
             t, row, col, level = stuck_fault
             tiles[t].set_stuck_fault(row, col, level)
         got = crossbar_polymult(a, s, p, tiles=tiles, layout=layout)
-        want = negacyclic_product(a.coeffs, s) % p.p
+        want = schoolbook_mul(a, Poly(s, p.p)).coeffs
         if not np.array_equal(got.coeffs, want):
             ok = False
             detail = _first_mismatch(got.coeffs, want)
@@ -465,7 +465,9 @@ def run_noise(config: ExperimentConfig,
         margin = Margin(*(None if w == math.inf else w for w in worst[key]))
         points.append(FailurePoint(*key, fails[key] / config.trials, config.trials,
                                    half, errors[key], margin))
-    return FailureCurve(tuple(points), config.as_dict())
+    # the header lists only the settings the run reads
+    return FailureCurve(tuple(points), {"noise.gain": config.noise_gain,
+                                        "trials": config.trials, "seed": config.seed})
 
 
 # ---------------------------------------------------------------------------
@@ -529,32 +531,36 @@ def sweep_to_csv(rows, catalog: ComponentCatalog = DEFAULT_CATALOG) -> str:
     return buf.getvalue()
 
 
+def report_fields(row: SweepRow) -> dict:
+    """The JSON fields of one design point: its operation, algorithm and
+    architecture, and its CostReport's numbers or the error it raised."""
+    entry = {"operation": row.operation, "algorithm": row.algorithm,
+             "architecture": row.architecture}
+    if row.report is None:
+        entry["error"] = row.error
+    else:
+        r = row.report
+        entry.update({
+            "latency_ns": r.latency_ns,
+            "energy_pj": r.energy_pj,
+            "total_energy_pj": r.total_energy_pj,
+            "area_um2": r.area_um2,
+            "total_area_um2": r.total_area_um2,
+            "samples_converted": r.samples_converted,
+            "cells_written": r.cells_written,
+            "logical_cell_bits": r.logical_cell_bits,
+            "ce_gbit_s_mm2": r.ce_gbit_s_mm2,
+            "ee_gbit_j": r.ee_gbit_j,
+        })
+    return entry
+
+
 def sweep_to_json(rows, catalog: ComponentCatalog = DEFAULT_CATALOG) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "catalog": dataclasses.asdict(catalog),
-        "rows": [],
+        "rows": [report_fields(row) for row in rows],
     }
-    for row in rows:
-        entry = {"operation": row.operation, "algorithm": row.algorithm,
-                 "architecture": row.architecture}
-        if row.report is None:
-            entry["error"] = row.error
-        else:
-            r = row.report
-            entry.update({
-                "latency_ns": r.latency_ns,
-                "energy_pj": r.energy_pj,
-                "total_energy_pj": r.total_energy_pj,
-                "area_um2": r.area_um2,
-                "total_area_um2": r.total_area_um2,
-                "samples_converted": r.samples_converted,
-                "cells_written": r.cells_written,
-                "logical_cell_bits": r.logical_cell_bits,
-                "ce_gbit_s_mm2": r.ce_gbit_s_mm2,
-                "ee_gbit_j": r.ee_gbit_j,
-            })
-        payload["rows"].append(entry)
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

@@ -1,9 +1,7 @@
 """Parameter sets and the bit-shift rounding constants."""
 
 import functools
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 
 def _log2_exact(x: int) -> int:
@@ -57,24 +55,15 @@ DEFAULT_PARAMS = RingParams()
 
 @dataclass(frozen=True)
 class SaberConstants:
-    """Constant polynomials h1, h (vector), h2 that turn rounding into shifts.
+    """The coefficients of the constant polynomials h1, h (l copies of h1)
+    and h2 that turn rounding into shifts.
 
-    h1 coefficients are 2^(eps_q - eps_p - 1); h is l copies of h1;
+    h1 coefficients are 2^(eps_q - eps_p - 1);
     h2 coefficients are 2^(eps_p - 2) - 2^(eps_p - eps_T - 1) + 2^(eps_q - eps_p - 1).
     """
 
     h1_value: int
     h2_value: int
-    params: RingParams = field(default=DEFAULT_PARAMS)
-
-    def h1(self) -> np.ndarray:
-        return np.full(self.params.n, self.h1_value, dtype=np.int64)
-
-    def h2(self) -> np.ndarray:
-        return np.full(self.params.n, self.h2_value, dtype=np.int64)
-
-    def h(self) -> np.ndarray:
-        return np.full((self.params.l, self.params.n), self.h1_value, dtype=np.int64)
 
 
 @functools.lru_cache(maxsize=16)
@@ -85,4 +74,4 @@ def constants(params: RingParams = DEFAULT_PARAMS) -> SaberConstants:
         - (1 << (params.eps_p - params.eps_T - 1))
         + (1 << (params.eps_q - params.eps_p - 1))
     )
-    return SaberConstants(h1_value=h1, h2_value=h2, params=params)
+    return SaberConstants(h1_value=h1, h2_value=h2)

@@ -96,8 +96,8 @@ class SoftwareBackend:
 # its secret once and streams all of its products in one matvec.
 
 def keygen_arrays(A: np.ndarray, s: np.ndarray, params: RingParams, backend) -> np.ndarray:
-    """b = round_shift((A^T s + h) mod q), (..., l, n) mod p, for A
-    (..., l, l, n) mod q and the centered secret s (..., l, n)."""
+    """b = ((A^T s + h) mod q) >> (eps_q - eps_p), (..., l, n) mod p, for
+    A (..., l, l, n) mod q and the centered secret s (..., l, n)."""
     backend.install_boot_secret(s)
     As = backend.matvec(np.swapaxes(A, -3, -2), backend.program(s), [params.q] * params.l)
     return ((As + constants(params).h1_value) % params.q) >> (params.eps_q - params.eps_p)
@@ -136,12 +136,12 @@ def decrypt_sums(v: np.ndarray, c_m: np.ndarray, params: RingParams) -> np.ndarr
 
 def keygen(seed_A: bytes, r: bytes, params: RingParams = DEFAULT_PARAMS,
            backend=None):
-    """b = round_shift((A^T s + h) mod q); pk = (seed_A, b), sk = s."""
+    """b = ((A^T s + h) mod q) >> (eps_q - eps_p); pk = (seed_A, b), sk = s."""
     backend = backend or SoftwareBackend()
-    A = gen_matrix(seed_A, params).as_array()
+    A = gen_matrix(seed_A, params)
     s = sample_secret(r, params)
     b = keygen_arrays(A, s, params, backend)
-    return PublicKey(bytes(seed_A), PolyVec.from_array(b, params.p)), SecretKey(s)
+    return PublicKey(bytes(seed_A), PolyVec(b, params.p)), SecretKey(s)
 
 
 def encrypt(pk: PublicKey, m: Poly, r_prime: bytes,
@@ -149,10 +149,10 @@ def encrypt(pk: PublicKey, m: Poly, r_prime: bytes,
     if m.modulus != 2 or m.n != params.n:
         raise ValueError("message must be a degree-n polynomial over modulus 2")
     backend = backend or SoftwareBackend()
-    A = gen_matrix(pk.seed_A, params).as_array()
+    A = gen_matrix(pk.seed_A, params)
     s_prime = sample_secret(r_prime, params)
     c_m, b_prime = encrypt_arrays(A, pk.b.as_array(), m.coeffs, s_prime, params, backend)
-    return Ciphertext(Poly(c_m, params.T), PolyVec.from_array(b_prime, params.p))
+    return Ciphertext(Poly(c_m, params.T), PolyVec(b_prime, params.p))
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext, params: RingParams = DEFAULT_PARAMS,
@@ -228,7 +228,7 @@ def unpack_public_key(data: bytes, params: RingParams = DEFAULT_PARAMS) -> Publi
     _check_length(data, 32 + params.l * params.n * params.eps_p // 8, "public key")
     seed, rest = data[:32], data[32:]
     vals = unpack_values(rest, params.eps_p, params.l * params.n)
-    return PublicKey(seed, PolyVec.from_array(vals.reshape(params.l, params.n), params.p))
+    return PublicKey(seed, PolyVec(vals.reshape(params.l, params.n), params.p))
 
 
 def pack_secret_key(sk: SecretKey, params: RingParams = DEFAULT_PARAMS) -> bytes:
@@ -256,4 +256,4 @@ def unpack_ciphertext(data: bytes, params: RingParams = DEFAULT_PARAMS) -> Ciphe
     _check_length(data, n_cm + params.l * params.n * params.eps_p // 8, "ciphertext")
     c_m = Poly(unpack_values(data[:n_cm], params.eps_T, params.n), params.T)
     vals = unpack_values(data[n_cm:], params.eps_p, params.l * params.n)
-    return Ciphertext(c_m, PolyVec.from_array(vals.reshape(params.l, params.n), params.p))
+    return Ciphertext(c_m, PolyVec(vals.reshape(params.l, params.n), params.p))

@@ -42,10 +42,11 @@ against it, summing each row's products in the evaluation domain so that it
 interpolates once per output polynomial (Bermudo Mera, Karmakar and
 Verbauwhede, "Time-memory trade-off in Toom-Cook multiplication", TCHES
 2020). Both take optional leading axes, so one call multiplies a batch of
-independent secrets by their own operands. `conv_raw` and `multiply` run the
-same core on one pair. Every algorithm must agree with `schoolbook_mul`
-bit-exactly; the test suite enforces this against an independent
-big-integer convolution oracle.
+independent secrets by their own operands. `multiply` is their one-pair
+form, and `conv_raw` runs the same core on one pair without the fold.
+`schoolbook_mul`, an int64 convolution, is the one exact oracle: every
+algorithm must agree with it bit-exactly, and the test suite checks it
+against an independent big-integer convolution.
 """
 
 import decimal
@@ -94,14 +95,10 @@ def plan_for(alg: MultAlgorithm, params: RingParams = DEFAULT_PARAMS) -> MultPla
 
 
 def schoolbook_mul(a: Poly, b: Poly) -> Poly:
-    """Full 2n-1 convolution followed by negacyclic reduction."""
+    """The exact oracle: the full 2n-1 convolution in int64, folded modulo
+    x^n + 1 and reduced modulo the operands' modulus."""
     _check_pair(a, b)
-    conv = np.convolve(a.coeffs, b.coeffs)
-    return _reduce(conv, a)
-
-
-def _reduce(conv: np.ndarray, like: Poly) -> Poly:
-    return Poly(fold_negacyclic(conv, like.n), like.modulus)
+    return Poly(fold_negacyclic(np.convolve(a.coeffs, b.coeffs), a.n), a.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -573,5 +570,7 @@ def conv_raw(alg: MultAlgorithm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def multiply(alg: MultAlgorithm, a: Poly, b: Poly) -> Poly:
+    """a * b in R_q: `matvec` on one row of one polynomial, against `b`
+    programmed as a one-polynomial secret."""
     _check_pair(a, b)
-    return _reduce(conv_raw(alg, a.coeffs, b.coeffs), a)
+    return Poly(matvec(program(alg, b.coeffs[None]), a.coeffs[None, None])[0], a.modulus)

@@ -48,24 +48,12 @@ class Poly:
     def n(self) -> int:
         return len(self.coeffs)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        _check_pair(self, other)
-        return Poly(self.coeffs + other.coeffs, self.modulus)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        _check_pair(self, other)
-        return Poly(self.coeffs - other.coeffs, self.modulus)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
             and self.modulus == other.modulus
             and np.array_equal(self.coeffs, other.coeffs)
         )
-
-    @staticmethod
-    def zero(n: int, modulus: int) -> "Poly":
-        return Poly(np.zeros(n, dtype=np.int64), modulus)
 
 
 def _check_pair(a: Poly, b: Poly) -> None:
@@ -79,27 +67,12 @@ class PolyVec:
     """A length-l vector of polynomials with a uniform modulus, held as one
     read-only (l, n) array of coefficients in [0, modulus)."""
 
-    def __init__(self, polys):
-        polys = tuple(polys)
-        if not polys:
-            raise DimensionError("PolyVec must be non-empty")
-        if len({p.modulus for p in polys}) > 1:
-            raise ValueError("PolyVec entries must share a modulus")
-        if len({p.n for p in polys}) > 1:
-            raise DimensionError("PolyVec entries must share a degree")
-        self._hold(np.array([p.coeffs for p in polys], dtype=np.int64), polys[0].modulus)
-
-    @classmethod
-    def from_array(cls, coeffs: np.ndarray, modulus: int) -> "PolyVec":
+    def __init__(self, coeffs: np.ndarray, modulus: int):
         """From an (l, n) coefficient array, reduced modulo `modulus`."""
         coeffs = np.asarray(coeffs, dtype=np.int64)
         if coeffs.ndim != 2 or not coeffs.shape[0]:
             raise DimensionError("PolyVec needs a non-empty (l, n) array")
-        vec = cls.__new__(cls)
-        vec._hold(_reduce(coeffs, modulus), modulus)
-        return vec
-
-    def _hold(self, coeffs: np.ndarray, modulus: int) -> None:
+        coeffs = _reduce(coeffs, modulus)
         coeffs.setflags(write=False)
         self._coeffs, self.modulus = coeffs, modulus
 
@@ -118,50 +91,6 @@ class PolyVec:
         return self._coeffs
 
 
-class PolyMatrix:
-    """A square l x l grid of polynomials with a uniform modulus, held as one
-    read-only (l, l, n) array of coefficients in [0, modulus)."""
-
-    def __init__(self, rows):
-        rows = tuple(tuple(row) for row in rows)
-        if not rows or any(len(row) != len(rows) for row in rows):
-            raise DimensionError("PolyMatrix must be square and non-empty")
-        if len({p.modulus for row in rows for p in row}) > 1:
-            raise ValueError("PolyMatrix entries must share a modulus")
-        self._hold(np.array([[p.coeffs for p in row] for row in rows], dtype=np.int64),
-                   rows[0][0].modulus)
-
-    @classmethod
-    def from_array(cls, coeffs: np.ndarray, modulus: int) -> "PolyMatrix":
-        """From an (l, l, n) coefficient array, reduced modulo `modulus`."""
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        if coeffs.ndim != 3 or not 0 < coeffs.shape[0] == coeffs.shape[1]:
-            raise DimensionError("PolyMatrix must be square and non-empty")
-        matrix = cls.__new__(cls)
-        matrix._hold(_reduce(coeffs, modulus), modulus)
-        return matrix
-
-    def _hold(self, coeffs: np.ndarray, modulus: int) -> None:
-        coeffs.setflags(write=False)
-        self._coeffs, self.modulus = coeffs, modulus
-
-    def __getitem__(self, ij) -> Poly:
-        i, j = ij
-        return Poly(self._coeffs[i, j], self.modulus)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PolyMatrix) and self.modulus == other.modulus
-                and np.array_equal(self._coeffs, other._coeffs))
-
-    @property
-    def l(self) -> int:
-        return len(self._coeffs)
-
-    def as_array(self) -> np.ndarray:
-        """The (l, l, n) coefficients: one read-only array, not a copy."""
-        return self._coeffs
-
-
 def fold_negacyclic(coeffs, n: int) -> np.ndarray:
     """Fold up-to-(2n-1)-coefficient products (the last axis) modulo
     x^n + 1, unreduced.
@@ -176,45 +105,6 @@ def fold_negacyclic(coeffs, n: int) -> np.ndarray:
     if c.shape[-1] > n:
         out[..., : c.shape[-1] - n] -= c[..., n:]
     return out
-
-
-def reduce_negacyclic(coeffs, params: RingParams = DEFAULT_PARAMS,
-                      modulus: int = None) -> Poly:
-    """Reduce an up-to-(2n-1)-coefficient polynomial modulo (x^n + 1, modulus)."""
-    return Poly(fold_negacyclic(coeffs, params.n),
-                modulus if modulus is not None else params.q)
-
-
-# float64 represents every integer below 2^53 exactly
-_EXACT_FLOAT_LIMIT = 1 << 53
-
-
-def negacyclic_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Signed negacyclic convolution of two equal-length coefficient arrays.
-
-    Convolves in float64, which is exact while every partial sum stays below
-    2^53. Partial sums are bounded by max|a| * sum|b| (SABER needs < 2^23);
-    each call checks that bound and raises ArithmeticError when it is broken.
-    The check itself runs in float64: rounding is monotone and 2^53 is
-    representable, so the computed bound is below 2^53 exactly when the
-    integer one is.
-    """
-    af = np.asarray(a, dtype=np.float64)
-    bf = np.asarray(b, dtype=np.float64)
-    if len(af) != len(bf):
-        raise DimensionError(f"length mismatch: {len(af)} vs {len(bf)}")
-    if not np.abs(af).max() * np.abs(bf).sum() < _EXACT_FLOAT_LIMIT:
-        raise ArithmeticError("negacyclic product operands exceed float64's exact range")
-    return fold_negacyclic(np.convolve(af, bf).astype(np.int64), len(af))
-
-
-def round_shift(poly: Poly, from_bits: int, to_bits: int) -> Poly:
-    """Drop the (from_bits - to_bits) least significant bits of every coefficient."""
-    if to_bits > from_bits:
-        raise ValueError("to_bits must not exceed from_bits")
-    if poly.modulus != (1 << from_bits):
-        raise ValueError("poly modulus does not match from_bits")
-    return Poly(poly.coeffs >> (from_bits - to_bits), 1 << to_bits)
 
 
 @functools.lru_cache(maxsize=16)
@@ -282,10 +172,13 @@ def gen_matrices(seeds, params: RingParams = DEFAULT_PARAMS) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def gen_matrix(seed: bytes, params: RingParams = DEFAULT_PARAMS) -> PolyMatrix:
-    """The public matrix of one seed (`gen_matrices`), memoized per seed
-    since key generation and encryption expand the same matrix."""
-    return PolyMatrix.from_array(gen_matrices([seed], params)[0], params.q)
+def gen_matrix(seed: bytes, params: RingParams = DEFAULT_PARAMS) -> np.ndarray:
+    """The public matrix of one seed (`gen_matrices`), (l, l, n) in [0, q),
+    memoized per seed since key generation and encryption expand the same
+    matrix. Every hit returns the same array, so it is read-only."""
+    matrix = gen_matrices([seed], params)[0]
+    matrix.setflags(write=False)
+    return matrix
 
 
 def sample_secrets(seeds, params: RingParams = DEFAULT_PARAMS) -> np.ndarray:
@@ -294,7 +187,8 @@ def sample_secrets(seeds, params: RingParams = DEFAULT_PARAMS) -> np.ndarray:
 
     Each coefficient is HW(a) - HW(b) for independent mu/2-bit strings a, b,
     so it lies in [-mu/2, mu/2]. The centered form is what the crossbar's
-    bias encoding consumes; reduce mod q via `centered_to_vec` when needed.
+    bias encoding consumes, and what the multipliers take: a product is
+    reduced only after it is summed.
     """
     l, n, mu = params.l, params.n, params.mu
     half = mu // 2
@@ -308,6 +202,3 @@ def sample_secret(r: bytes, params: RingParams = DEFAULT_PARAMS) -> np.ndarray:
     """The (l, n) secret vector of one seed (`sample_secrets`)."""
     return sample_secrets([r], params)[0]
 
-
-def centered_to_vec(s_centered: np.ndarray, modulus: int) -> PolyVec:
-    return PolyVec.from_array(np.asarray(s_centered, dtype=np.int64) % modulus, modulus)

@@ -222,21 +222,21 @@ class ProgramLayout:
         return tile, row % self.tile_rows, phys_col % self.tile_cols
 
 
-def program_operand(M: NegacyclicMatrix, params: RingParams = DEFAULT_PARAMS,
-                    tile_rows: int = DEFAULT_TILE_ROWS,
-                    tile_cols: int = DEFAULT_TILE_COLS,
-                    bits_per_coeff: int = DEFAULT_BITS_PER_COEFF):
-    """Bias, bit-slice and flip-encode the operand matrix into 1-bit tiles."""
+def program_operand(M: NegacyclicMatrix, params: RingParams = DEFAULT_PARAMS):
+    """Bias, bit-slice and flip-encode the operand matrix into 1-bit tiles of
+    the default geometry, the one that `costmodel` prices."""
     n = M.n
     bias = params.mu // 2
+    bpc = DEFAULT_BITS_PER_COEFF
     biased = M.entries + bias
-    if biased.min() < 0 or biased.max() >= (1 << bits_per_coeff):
+    if biased.min() < 0 or biased.max() >= (1 << bpc):
         raise ValueError("biased operand does not fit bits_per_coeff")
-    layout = ProgramLayout(n, n, bits_per_coeff, tile_rows, tile_cols)
+    layout = ProgramLayout(n, n, bpc)
+    tile_rows, tile_cols = layout.tile_rows, layout.tile_cols
 
     # expand to the physical bit plane: column j*bpc+k holds bit k of column j
-    slices = (biased[:, :, None] >> np.arange(bits_per_coeff)) & 1
-    plane = slices.reshape(n, n * bits_per_coeff)
+    slices = (biased[:, :, None] >> np.arange(bpc)) & 1
+    plane = slices.reshape(n, n * bpc)
 
     tiles = []
     for rb in range(layout.row_blocks):
@@ -308,8 +308,6 @@ def crossbar_polymult(a: Poly, s_centered: np.ndarray,
                       params: RingParams = DEFAULT_PARAMS,
                       noise: NoiseSpec = None,
                       adc: AdcSpec = None,
-                      tile_rows: int = DEFAULT_TILE_ROWS,
-                      tile_cols: int = DEFAULT_TILE_COLS,
                       tiles=None, layout=None) -> Poly:
     """Full per-cycle pipeline: program, stream, ADC, correct, accumulate.
 
@@ -322,7 +320,7 @@ def crossbar_polymult(a: Poly, s_centered: np.ndarray,
     target = a.modulus.bit_length() - 1
     if tiles is None or layout is None:
         M = build_negacyclic_matrix(s_centered)
-        tiles, layout = program_operand(M, params, tile_rows, tile_cols)
+        tiles, layout = program_operand(M, params)
     bias = tiles[0].bias
     bpc = layout.bits_per_coeff
 

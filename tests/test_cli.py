@@ -104,7 +104,7 @@ def test_sweep_writes_csv_and_json(tmp_path, capsys):
     out = tmp_path / "results"
     assert main(["sweep", "--out", str(out), "--format", "csv"]) == EXIT_OK
     text = (out / "sweep.csv").read_text()
-    assert text.startswith("# schema_version=3")
+    assert text.startswith("# schema_version=4")
     assert main(["sweep", "--out", str(out), "--format", "json"]) == EXIT_OK
     payload = json.loads((out / "sweep.json").read_text())
     assert len(payload["rows"]) == 10
@@ -144,6 +144,10 @@ def test_cost_reports_configured_point(tmp_path, capsys):
     assert payload["algorithm"] == "K2"
     assert payload["architecture"] == "adcshare"
     assert payload["ee_gbit_j"] > 0
+    # the point's fields are its row of the sweep's JSON
+    assert main(["sweep", "--config", str(cfg), "--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert {k: v for k, v in payload.items() if k != "catalog"} in rows
 
 
 def test_cost_writes_its_report_in_the_format_asked_for(tmp_path, capsys):
@@ -157,7 +161,7 @@ def test_cost_writes_its_report_in_the_format_asked_for(tmp_path, capsys):
 def test_cost_csv_is_the_sweep_csv_of_its_one_point(tmp_path, capsys):
     assert main(["cost", "--format", "csv", "--out", str(tmp_path)]) == EXIT_OK
     lines = (tmp_path / "cost.csv").read_text().splitlines()
-    assert lines[0] == "# schema_version=3" and lines[1].startswith("# catalog={")
+    assert lines[0] == "# schema_version=4" and lines[1].startswith("# catalog={")
     rows = list(csv.DictReader(lines[2:]))
     assert len(rows) == 1
     assert (rows[0]["operation"], rows[0]["algorithm"], rows[0]["architecture"]) == (

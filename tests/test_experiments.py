@@ -76,16 +76,25 @@ def test_build_config_errors():
         build_config({"noise.cell_variance": "-1"})
 
 
-def test_noise_header_lists_exactly_the_settable_keys():
+def test_noise_header_lists_exactly_the_keys_the_run_reads():
     cfg = build_config({"algorithm": "K2", "architecture": "adcshare", "noise.gain": "1.5",
                         "trials": "1", "seed": "5"})
     curve = run_noise(cfg, variance_grid=(0.0,))
     csv_header = noise_to_csv(curve).splitlines()[1].removeprefix("# config=")
     for header in (json.loads(csv_header), json.loads(noise_to_json(curve))["config"]):
-        assert header == cfg.as_dict()
-        # every key but the catalog's is a config key, and rebuilds the config
-        rebuilt = build_config({k: str(v) for k, v in header.items() if k != "catalog"})
-        assert rebuilt.as_dict() == header
+        assert header == {"noise.gain": 1.5, "trials": 1, "seed": 5}
+        # each key is a config key, and rebuilds the setting the run read
+        rebuilt = build_config({k: str(v) for k, v in header.items()})
+        assert ((rebuilt.noise_gain, rebuilt.trials, rebuilt.seed)
+                == (cfg.noise_gain, cfg.trials, cfg.seed))
+
+
+def test_noise_output_does_not_depend_on_settings_the_run_does_not_read():
+    base = ExperimentConfig(trials=40, seed=3)
+    other = build_config({"architecture": "sac-all", "algorithm": "TC4K2",
+                          "catalog.adc_rate": "2e9"}, base)
+    want = noise_to_csv(run_noise(base, (0.05, 0.10), (0, 1)))
+    assert noise_to_csv(run_noise(other, (0.05, 0.10), (0, 1))) == want
 
 
 def _readme_config_block() -> str:
@@ -217,13 +226,13 @@ def test_noise_serialization_schemas():
     cfg = ExperimentConfig(trials=3)
     curve = run_noise(cfg, variance_grid=(0.0,), retries_grid=(0,))
     csv = noise_to_csv(curve)
-    assert csv.startswith("# schema_version=3\n")
+    assert csv.startswith("# schema_version=4\n")
     assert ("cell_variance,max_retries,failure_probability,trials,ci_half_width,"
             "injected_errors,min_margin_successful,min_margin_failed") in csv
     fields = csv.splitlines()[-1].split(",")
     assert fields[5] == "0" and float(fields[6]) > 0 and fields[7] == ""
     payload = json.loads(noise_to_json(curve))
-    assert payload["schema_version"] == "3"
+    assert payload["schema_version"] == "4"
     point = payload["points"][0]
     assert point["trials"] == 3 and point["injected_errors"] == 0
     assert point["min_margin"]["successful"] > 0
@@ -352,13 +361,13 @@ def test_sweep_serialization_schemas():
     rows = run_sweep(default_sweep_points(Operation.DEC))
     csv = sweep_to_csv(rows)
     lines = csv.splitlines()
-    assert lines[0] == "# schema_version=3"
+    assert lines[0] == "# schema_version=4"
     assert lines[1].startswith("# catalog=")
     header = lines[2].split(",")
     assert header[:3] == ["operation", "algorithm", "architecture"]
     assert len(lines) == 3 + 10
     payload = json.loads(sweep_to_json(rows))
-    assert payload["schema_version"] == "3"
+    assert payload["schema_version"] == "4"
     assert len(payload["rows"]) == 10
     assert all("ee_gbit_j" in r for r in payload["rows"])
 

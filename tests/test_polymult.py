@@ -143,10 +143,8 @@ def test_batched_products_match_schoolbook_sums(backend, ring):
         got = backend.matvec(np.array([[p.coeffs for p in row] for row in rows]), handle,
                              [q] * len(rows))
         for i, row in enumerate(rows):
-            want = Poly.zero(len(b[0]), q)
-            for j in range(l):
-                want = want + schoolbook_mul(row[j], Poly(s[j], q))
-            assert Poly(got[i], q) == want
+            want = sum(schoolbook_mul(row[j], Poly(s[j], q)).coeffs for j in range(l))
+            assert Poly(got[i], q) == Poly(want, q)
 
 
 @pytest.mark.parametrize("backend", [SoftwareBackend(MultAlgorithm.SB), XbarBackend()])
@@ -164,9 +162,8 @@ def test_ring_leaf_matches_schoolbook_sums_at_saber_extremes(backend):
         assert handle.ring
         got = backend.matvec(a, handle, [Q] * len(a))
         for row, sums in zip(a, got):
-            want = Poly.zero(N, Q)
-            for j in range(l):
-                want = want + schoolbook_mul(Poly(row[j], Q), Poly(s[j], Q))
+            want = Poly(sum(schoolbook_mul(Poly(row[j], Q), Poly(s[j], Q)).coeffs
+                            for j in range(l)), Q)
             assert Poly(sums, Q) == want
 
 

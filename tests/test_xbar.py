@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from saberxbar.params import DEFAULT_PARAMS
-from saberxbar.ring import Poly, negacyclic_product
+from saberxbar.ring import Poly, fold_negacyclic
+from saberxbar.polymult import schoolbook_mul
 from saberxbar.pke import SoftwareBackend
 from saberxbar.xbar import (NegacyclicMatrix, build_negacyclic_matrix,
                             NoiseSpec, AdcSpec, adc_read, adc_bits_for,
@@ -32,7 +33,7 @@ def test_negacyclic_matrix_product_equals_polymult():
         s = rng.integers(-4, 5, n)
         a = rng.integers(0, 1024, n)
         M = build_negacyclic_matrix(s).entries
-        assert np.array_equal(a @ M, negacyclic_product(a, s))
+        assert np.array_equal(a @ M, fold_negacyclic(np.convolve(a, s), n))
 
 
 def test_negacyclic_matrix_must_be_square():
@@ -139,7 +140,7 @@ def test_crossbar_polymult_matches_software_exactly():
         a = Poly(rng.integers(0, P.p, P.n), P.p)
         s = rng.integers(-4, 5, P.n)
         got = crossbar_polymult(a, s, P)
-        assert np.array_equal(got.coeffs, negacyclic_product(a.coeffs, s) % P.p)
+        assert got == schoolbook_mul(a, Poly(s, P.p))
 
 
 def test_crossbar_polymult_mod_q_width():
@@ -147,7 +148,7 @@ def test_crossbar_polymult_mod_q_width():
     a = Poly(rng.integers(0, P.q, P.n), P.q)
     s = rng.integers(-4, 5, P.n)
     got = crossbar_polymult(a, s, P)
-    assert np.array_equal(got.coeffs, negacyclic_product(a.coeffs, s) % P.q)
+    assert got == schoolbook_mul(a, Poly(s, P.q))
 
 
 def test_crossbar_polymult_reuses_preprogrammed_tiles():
@@ -166,7 +167,7 @@ def test_stuck_fault_breaks_the_product():
     a = Poly(rng.integers(1, P.p, P.n), P.p)
     s = rng.integers(-4, 5, P.n)
     tiles, layout = program_operand(build_negacyclic_matrix(s), P)
-    want = negacyclic_product(a.coeffs, s) % P.p
+    want = schoolbook_mul(a, Poly(s, P.p)).coeffs
     # force a visible flip on a cell whose stored bit is 0
     t, r, c = 0, 0, 0
     level = 1 - int(tiles[t].cells[r, c])
@@ -269,7 +270,8 @@ class _PerPolynomialSlots:
 
 
 def _direct_matvec(rows, s):
-    return np.array([sum(negacyclic_product(row[j], s[j]) for j in range(len(s)))
+    return np.array([sum(fold_negacyclic(np.convolve(row[j], s[j]), len(s[j]))
+                         for j in range(len(s)))
                      for row in rows])
 
 
@@ -308,7 +310,7 @@ def test_held_handles_keep_the_per_polynomial_write_accounting(seed):
                  else key[rng.integers(P.l)])
             a = Poly(rng.integers(0, P.q, n), P.q)
             ref.product(a.coeffs[None, None], s[None])
-            assert np.array_equal(xb.mul_raw(a, s), negacyclic_product(a.coeffs, s) % P.q)
+            assert np.array_equal(xb.mul_raw(a, s), schoolbook_mul(a, Poly(s, P.q)).coeffs)
         assert ((xb.mult_count, xb.cell_bits_written, xb.boot_cell_bits)
                 == (ref.mult_count, ref.cell_bits_written, ref.boot_cell_bits))
 
