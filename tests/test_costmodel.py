@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import math
 
 import pytest
 
+from saberxbar.experiments import default_sweep_points
 from saberxbar.polymult import MultAlgorithm
 from saberxbar.costmodel import (Operation, Architecture, ArchConfig,
                                  ComponentCatalog, DEFAULT_CATALOG,
@@ -180,3 +182,18 @@ def test_report_totals_and_metrics():
     assert rep.total_area_um2 == pytest.approx(sum(rep.area_um2.values()))
     want_ee = 256.0 / (rep.total_energy_pj * 1e-12) / 1e9
     assert rep.ee_gbit_j == pytest.approx(want_ee)
+
+
+def test_default_sweep_reports_are_pinned():
+    # every field of every operation's default sweep reports, hashed: the
+    # cost model's numbers do not move unless a change means them to
+    digest = hashlib.sha256()
+    for op in Operation:
+        for ac in default_sweep_points(op):
+            r = estimate(ac)
+            digest.update(repr((op.value, ac.algorithm.value, ac.architecture.value,
+                                r.latency_ns, sorted(r.energy_pj.items()),
+                                sorted(r.area_um2.items()), r.samples_converted,
+                                r.cells_written, r.logical_cell_bits)).encode())
+    assert digest.hexdigest() == (
+        "b1d67f1ac1aa47f9a4b4d794ec534017afa60e49616ea60a7f981dba6eba4704")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +208,27 @@ def test_key_and_ciphertext_serialization_roundtrip():
 
     out = decode_message(decrypt(unpack_secret_key(sk_bytes, P), ct2, P))
     assert out == msg
+
+
+def _serialized(backend, seed):
+    rng = np.random.default_rng(seed)
+    pk, sk = keygen(rng.bytes(32), rng.bytes(32), P, backend)
+    msg = frame_payload(rng.bytes(P.n // 8 - 4), P)
+    ct = encrypt(pk, encode_message(msg, P), rng.bytes(32), P, backend)
+    return pack_public_key(pk, P) + pack_secret_key(sk, P) + pack_ciphertext(ct, P)
+
+
+def test_serialized_keys_and_ciphertexts_are_pinned():
+    # every backend gives the same bytes, and the bytes are the ones this
+    # digest was recorded from: a refactor must not move a single bit
+    digest = hashlib.sha256()
+    for seed in range(4):
+        backends = [SoftwareBackend(alg) for alg in MultAlgorithm] + [XbarBackend(P)]
+        outputs = {_serialized(backend, seed) for backend in backends}
+        assert len(outputs) == 1
+        digest.update(outputs.pop())
+    assert digest.hexdigest() == (
+        "68fea7b0c02798c85230db91c6fe557014e90ca91668cfcc0b5ed5c9b8187233")
 
 
 def test_secret_key_two_complement_covers_negatives():
