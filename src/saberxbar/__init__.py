@@ -8,13 +8,13 @@ orchestration plus the CLI (`experiments`, `cli`).
 """
 
 from .params import RingParams, DEFAULT_PARAMS, constants
-from .ring import Poly, PolyVec
+from .ring import Poly
 from .polymult import MultAlgorithm, multiply, plan_for
 from .pke import (PublicKey, SecretKey, Ciphertext, SoftwareBackend,
                   keygen, encrypt, decrypt, encode_message, decode_message,
                   frame_payload, check_frame)
-from .xbar import (NegacyclicMatrix, CrossbarTile, ProgramLayout, NoiseSpec,
-                   AdcSpec, XbarBackend, NoisySampleBackend,
+from .xbar import (CrossbarTile, ProgramLayout, NoiseSpec, AdcSpec,
+                   XbarBackend, NoisySampleBackend,
                    build_negacyclic_matrix, program_operand, crossbar_polymult)
 from .schedule import (PrecisionMap, StaggeredSchedule, AdcAssignment,
                        required_bits, accumulate_coefficient, build_stagger,

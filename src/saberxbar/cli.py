@@ -16,7 +16,7 @@ from .experiments import (ConfigError, ExperimentConfig, SweepRow, load_config,
                           run_verify, run_noise, run_sweep, run_roundtrips,
                           default_sweep_points, report_fields, sweep_to_csv,
                           sweep_to_json, noise_to_csv, noise_to_json,
-                          DEFAULT_VARIANCE_GRID)
+                          DEFAULT_VARIANCE_GRID, SCHEMA_VERSION)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILURE = 1
@@ -171,7 +171,8 @@ def _cmd_cost(args, cfg: ExperimentConfig) -> int:
     if args.format == "csv":  # the sweep's CSV, one row
         _emit(args, "cost", sweep_to_csv([row], cfg.catalog))
         return EXIT_OK
-    payload = {**report_fields(row), "catalog": dataclasses.asdict(cfg.catalog)}
+    payload = {**report_fields(row), "catalog": dataclasses.asdict(cfg.catalog),
+               "schema_version": SCHEMA_VERSION}
     _emit(args, "cost", json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from .params import RingParams, DEFAULT_PARAMS
 from .polymult import MultAlgorithm, plan_for
 from .schedule import PrecisionMap, build_stagger, assign_adcs
-from .sac import MAX_CELL_BITS, SacVariant, build_sac_tree, _max_ideal_root
+from .sac import SacVariant, build_sac_tree, _max_ideal_root
 from .xbar import (DEFAULT_TILE_ROWS as TILE_ROWS, DEFAULT_TILE_COLS as TILE_COLS,
                    DEFAULT_BITS_PER_COEFF as BITS_PER_COEFF)
 
@@ -285,7 +285,7 @@ def _root_width(node, digital_shift: int, target_bits: int) -> int:
     value itself is bounded by the tree structure (10 bits for a Round-1
     fold of 6-bit columns).
     """
-    peak = _max_ideal_root([(node, digital_shift)], MAX_CELL_BITS)
+    peak = _max_ideal_root([(node, digital_shift)])
     return min(peak.bit_length(), max(1, target_bits - digital_shift))
 
 
@@ -305,32 +305,24 @@ def _write_costs(config: ArchConfig, catalog: ComponentCatalog):
     return energy, physical, logical, latency
 
 
-def _adc_area(config: ArchConfig, catalog: ComponentCatalog, arrays: int,
-              samples: int, compute_ns: float, widest: int) -> float:
+def _adcs(config: ArchConfig, catalog: ComponentCatalog, arrays: int,
+          samples: int, compute_ns: float, widest: int):
+    """(ADC lanes converting in parallel, their total area in um^2)."""
     arch = config.architecture
     if arch is Architecture.BASELINE:
         per_array = 16 * catalog.adc_6b.area_um2 + catalog.adc_7b.area_um2
-        return arrays * per_array
+        return arrays * (TILE_COLS // ADC_COLUMNS_SHARED), arrays * per_array
     if arch is Architecture.ADC_SHARE:
         # per 2 arrays: one 6-bit + one 4-bit; one 5-bit per 10 arrays
         pairs = -(-arrays // 2)
         fives = -(-arrays // 10)
-        return (pairs * (adc_scale(6, catalog)[1] + adc_scale(4, catalog)[1])
-                + fives * adc_scale(5, catalog)[1])
+        return pairs * 2 + fives, (
+            pairs * (adc_scale(6, catalog)[1] + adc_scale(4, catalog)[1])
+            + fives * adc_scale(5, catalog)[1])
     # SAC/cascade: one root ADC per array, plus extras if draining the
     # samples would otherwise outlast the compute window
     need = max(arrays, math.ceil(samples / (compute_ns * 1e-9 * catalog.adc_rate)))
-    return need * adc_scale(widest, catalog)[1]
-
-
-def _adc_lane_count(config: ArchConfig, arrays: int, samples: int,
-                    compute_ns: float, catalog: ComponentCatalog) -> int:
-    arch = config.architecture
-    if arch is Architecture.BASELINE:
-        return arrays * (TILE_COLS // ADC_COLUMNS_SHARED)
-    if arch is Architecture.ADC_SHARE:
-        return -(-arrays // 2) * 2 + -(-arrays // 10)
-    return max(arrays, math.ceil(samples / (compute_ns * 1e-9 * catalog.adc_rate)))
+    return need, need * adc_scale(widest, catalog)[1]
 
 
 def estimate(config: ArchConfig,
@@ -371,7 +363,7 @@ def estimate(config: ArchConfig,
         physical_bits += buffer_bits
         program_ns += stream_cycles * catalog.write_latency_ns
 
-    lanes = _adc_lane_count(config, arrays, samples, max(compute_ns, 1.0), catalog)
+    lanes, adc_area = _adcs(config, catalog, arrays, samples, max(compute_ns, 1.0), widest)
     drain_ns = samples / (lanes * catalog.adc_rate) * 1e9
     latency = program_ns + max(compute_ns, drain_ns) + tia_ns
 
@@ -387,8 +379,7 @@ def estimate(config: ArchConfig,
               "dac": dac_pj, "sh": sh_pj, "tia": tia_pj}
     area = {
         "arrays": arrays * catalog.array_non_adc_area_um2,
-        "adc": _adc_area(config, catalog, arrays, samples,
-                         max(compute_ns, 1.0), widest),
+        "adc": adc_area,
         "sac": sac_area,
     }
     return CostReport(config, latency, energy, area, samples,

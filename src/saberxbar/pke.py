@@ -14,7 +14,8 @@ The equations themselves (`keygen_arrays`, `encrypt_arrays`,
 of independent instances, so the noise Monte Carlo runs a whole batch of
 trials through one call each; `keygen`, `encrypt` and `decrypt` run them on
 one message. `decrypt_sums` is the decryption equation on its own, for
-products already computed, which a noisy read can reuse.
+products already computed, which a noisy read can reuse. Keys and
+ciphertexts hold those coefficient arrays as they are, and compare by value.
 """
 
 import zlib
@@ -23,25 +24,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS, constants
-from .ring import Poly, PolyVec, gen_matrix, sample_secret, unpack_values
+from .ring import Poly, _ByValue, gen_matrix, sample_secret, unpack_values
 from .polymult import MultAlgorithm, Programmed, program, matvec
 
 
-@dataclass(frozen=True)
-class PublicKey:
+@dataclass(frozen=True, eq=False)
+class PublicKey(_ByValue):
     seed_A: bytes
-    b: PolyVec  # modulus p
+    b: np.ndarray  # (l, n) in [0, p), read-only
 
 
-@dataclass(frozen=True)
-class SecretKey:
+@dataclass(frozen=True, eq=False)
+class SecretKey(_ByValue):
     s_centered: np.ndarray  # (l, n) signed, coefficients in [-mu/2, mu/2]
 
 
-@dataclass(frozen=True)
-class Ciphertext:
-    c_m: Poly       # modulus T
-    b_prime: PolyVec  # modulus p
+@dataclass(frozen=True, eq=False)
+class Ciphertext(_ByValue):
+    c_m: np.ndarray      # (n,) in [0, T), read-only
+    b_prime: np.ndarray  # (l, n) in [0, p), read-only
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 class SoftwareBackend:
@@ -141,7 +147,7 @@ def keygen(seed_A: bytes, r: bytes, params: RingParams = DEFAULT_PARAMS,
     A = gen_matrix(seed_A, params)
     s = sample_secret(r, params)
     b = keygen_arrays(A, s, params, backend)
-    return PublicKey(bytes(seed_A), PolyVec(b, params.p)), SecretKey(s)
+    return PublicKey(bytes(seed_A), _read_only(b)), SecretKey(s)
 
 
 def encrypt(pk: PublicKey, m: Poly, r_prime: bytes,
@@ -151,15 +157,14 @@ def encrypt(pk: PublicKey, m: Poly, r_prime: bytes,
     backend = backend or SoftwareBackend()
     A = gen_matrix(pk.seed_A, params)
     s_prime = sample_secret(r_prime, params)
-    c_m, b_prime = encrypt_arrays(A, pk.b.as_array(), m.coeffs, s_prime, params, backend)
-    return Ciphertext(Poly(c_m, params.T), PolyVec(b_prime, params.p))
+    c_m, b_prime = encrypt_arrays(A, pk.b, m.coeffs, s_prime, params, backend)
+    return Ciphertext(_read_only(c_m), _read_only(b_prime))
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext, params: RingParams = DEFAULT_PARAMS,
             backend=None) -> Poly:
     backend = backend or SoftwareBackend()
-    pre = decrypt_arrays(sk.s_centered, ct.c_m.coeffs, ct.b_prime.as_array(),
-                         params, backend)
+    pre = decrypt_arrays(sk.s_centered, ct.c_m, ct.b_prime, params, backend)
     return Poly(pre >> (params.eps_p - 1), 2)
 
 
@@ -221,14 +226,14 @@ def _check_length(data: bytes, want: int, what: str) -> None:
 
 
 def pack_public_key(pk: PublicKey, params: RingParams = DEFAULT_PARAMS) -> bytes:
-    return pk.seed_A + pack_values(pk.b.as_array().ravel(), params.eps_p)
+    return pk.seed_A + pack_values(pk.b.ravel(), params.eps_p)
 
 
 def unpack_public_key(data: bytes, params: RingParams = DEFAULT_PARAMS) -> PublicKey:
     _check_length(data, 32 + params.l * params.n * params.eps_p // 8, "public key")
     seed, rest = data[:32], data[32:]
     vals = unpack_values(rest, params.eps_p, params.l * params.n)
-    return PublicKey(seed, PolyVec(vals.reshape(params.l, params.n), params.p))
+    return PublicKey(seed, _read_only(vals.reshape(params.l, params.n)))
 
 
 def pack_secret_key(sk: SecretKey, params: RingParams = DEFAULT_PARAMS) -> bytes:
@@ -247,13 +252,13 @@ def unpack_secret_key(data: bytes, params: RingParams = DEFAULT_PARAMS) -> Secre
 
 
 def pack_ciphertext(ct: Ciphertext, params: RingParams = DEFAULT_PARAMS) -> bytes:
-    return (pack_values(ct.c_m.coeffs, params.eps_T)
-            + pack_values(ct.b_prime.as_array().ravel(), params.eps_p))
+    return (pack_values(ct.c_m, params.eps_T)
+            + pack_values(ct.b_prime.ravel(), params.eps_p))
 
 
 def unpack_ciphertext(data: bytes, params: RingParams = DEFAULT_PARAMS) -> Ciphertext:
     n_cm = params.n * params.eps_T // 8
     _check_length(data, n_cm + params.l * params.n * params.eps_p // 8, "ciphertext")
-    c_m = Poly(unpack_values(data[:n_cm], params.eps_T, params.n), params.T)
+    c_m = unpack_values(data[:n_cm], params.eps_T, params.n)
     vals = unpack_values(data[n_cm:], params.eps_p, params.l * params.n)
-    return Ciphertext(c_m, PolyVec(vals.reshape(params.l, params.n), params.p))
+    return Ciphertext(_read_only(c_m), _read_only(vals.reshape(params.l, params.n)))

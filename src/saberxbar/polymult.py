@@ -80,18 +80,10 @@ class MultPlan:
 
 
 def plan_for(alg: MultAlgorithm, params: RingParams = DEFAULT_PARAMS) -> MultPlan:
-    n = params.n
-    if alg is MultAlgorithm.SB:
-        return MultPlan(alg, 1, n)
-    if alg is MultAlgorithm.K2:
-        return MultPlan(alg, 3, n // 2)
-    if alg is MultAlgorithm.K4:
-        return MultPlan(alg, 9, n // 4)
-    if alg is MultAlgorithm.TC4:
-        return MultPlan(alg, 7, n // 4)
-    if alg is MultAlgorithm.TC4K2:
-        return MultPlan(alg, 21, n // 8)
-    raise ValueError(f"unknown algorithm {alg}")
+    """The decomposition `alg`'s table makes: one leaf per point, each of
+    n / limbs coefficients."""
+    table = _TABLES[alg]
+    return MultPlan(alg, table.points, _limb_size(table, alg, params.n))
 
 
 def schoolbook_mul(a: Poly, b: Poly) -> Poly:

@@ -2,7 +2,10 @@
 
 Coefficients live in numpy int64 arrays, and products come back from the
 multipliers as exact int64 sums, unreduced before the final power-of-two
-reduction. All values are treated as immutable after construction.
+reduction. A `Poly` is one polynomial with its modulus; vectors and
+matrices of polynomials are plain (l, n) and (l, l, n) arrays whose modulus
+is the one of the equation that uses them. All values are treated as
+immutable after construction.
 
 Seed expansion is batched: `gen_matrices` and `sample_secrets` expand any
 number of seeds, each from its own XOF stream, and unpack every stream with
@@ -32,8 +35,18 @@ def _reduce(coeffs: np.ndarray, modulus: int) -> np.ndarray:
     return coeffs % modulus
 
 
-@dataclass(frozen=True)
-class Poly:
+class _ByValue:
+    """Equality by value for dataclasses declared with eq=False: the same
+    class, and every field equal, arrays element by element."""
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(vars(self).values(), vars(other).values()))
+
+
+@dataclass(frozen=True, eq=False)
+class Poly(_ByValue):
     """A polynomial of degree < n with coefficients reduced into [0, modulus)."""
 
     coeffs: np.ndarray
@@ -48,47 +61,12 @@ class Poly:
     def n(self) -> int:
         return len(self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.modulus == other.modulus
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
 
 def _check_pair(a: Poly, b: Poly) -> None:
     if a.n != b.n:
         raise DimensionError(f"degree mismatch: {a.n} vs {b.n}")
     if a.modulus != b.modulus:
         raise ValueError(f"modulus mismatch: {a.modulus} vs {b.modulus}")
-
-
-class PolyVec:
-    """A length-l vector of polynomials with a uniform modulus, held as one
-    read-only (l, n) array of coefficients in [0, modulus)."""
-
-    def __init__(self, coeffs: np.ndarray, modulus: int):
-        """From an (l, n) coefficient array, reduced modulo `modulus`."""
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        if coeffs.ndim != 2 or not coeffs.shape[0]:
-            raise DimensionError("PolyVec needs a non-empty (l, n) array")
-        coeffs = _reduce(coeffs, modulus)
-        coeffs.setflags(write=False)
-        self._coeffs, self.modulus = coeffs, modulus
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __getitem__(self, i: int) -> Poly:
-        return Poly(self._coeffs[i], self.modulus)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PolyVec) and self.modulus == other.modulus
-                and np.array_equal(self._coeffs, other._coeffs))
-
-    def as_array(self) -> np.ndarray:
-        """The (l, n) coefficients: one read-only array, not a copy."""
-        return self._coeffs
 
 
 def fold_negacyclic(coeffs, n: int) -> np.ndarray:

@@ -122,19 +122,16 @@ def _fold(nodes_with_shifts, group: int, round_index: int):
 
 
 def build_sac_tree(variant: SacVariant, columns_per_coeff: int = 4,
-                   num_cycles: int = 10,
-                   max_cell_bits: int = MAX_CELL_BITS,
-                   sample_bits: int = MAX_CELL_BITS,
-                   root_bits_override: int = None) -> SacTree:
+                   num_cycles: int = 10) -> SacTree:
     """Construct the per-coefficient accumulation tree for one variant.
 
     ALL keeps folding five-cycle chunks and inserts single-child x32 shift
     stages whenever a chunk sits more than five shifts above the running
-    root, so no cell ever stores a weight beyond 2^(max_cell_bits-1).
+    root, so no cell ever stores a weight beyond MAX_WEIGHT.
     """
     if columns_per_coeff < 1 or num_cycles < 1:
         raise ValueError("need at least one column and one cycle")
-    if columns_per_coeff > max_cell_bits:
+    if columns_per_coeff > MAX_CELL_BITS:
         raise ValueError("Round-1 fold exceeds single-stage weight range")
 
     if variant is SacVariant.NONE:
@@ -148,7 +145,7 @@ def build_sac_tree(variant: SacVariant, columns_per_coeff: int = 4,
         elif variant in (SacVariant.X2, SacVariant.X4):
             level = _fold(level, 2 if variant is SacVariant.X2 else 4, 2)
         elif variant is SacVariant.ALL:
-            max_span = max_cell_bits - 1
+            max_span = MAX_CELL_BITS - 1
             level = _fold(level, max_span, 2)
             root, base = level[0]
             rnd = 3
@@ -163,15 +160,15 @@ def build_sac_tree(variant: SacVariant, columns_per_coeff: int = 4,
         roots = tuple(level)
         stages = max(_depth(node) for node, _ in roots) + 1
 
-    peak = _max_ideal_root(roots, sample_bits)
-    adc_bits = root_bits_override or max(1, peak.bit_length())
+    adc_bits = max(1, _max_ideal_root(roots).bit_length())
     tree = SacTree(variant, roots, num_cycles, columns_per_coeff, stages, adc_bits)
     _check_paths(tree)
     return tree
 
 
-def _max_ideal_root(roots, sample_bits: int) -> int:
-    full = (1 << sample_bits) - 1
+def _max_ideal_root(roots) -> int:
+    """Largest ideal root value, every leaf a full MAX_CELL_BITS-bit sample."""
+    full = (1 << MAX_CELL_BITS) - 1
     return max(sum(full << s for _, s in _leaf_shifts(node))
                if not isinstance(node, SacLeaf) else full
                for node, _ in roots)

@@ -1,10 +1,10 @@
 """Functional simulation of memristor crossbars for negacyclic products.
 
 A polynomial multiplication maps onto crossbars by storing the small operand
-(the secret) as an n x n negacyclic matrix: column j holds the coefficients
-that feed output coefficient j, so streaming the bits of the other operand
-down the wordlines and summing bitline currents computes the product one
-input-bit-plane per cycle.
+(the secret) as an n x n negacyclic matrix, a plain array: column j holds the
+coefficients that feed output coefficient j, so streaming the bits of the
+other operand down the wordlines and summing bitline currents computes the
+product one input-bit-plane per cycle.
 
 Signed values are handled with a bias (stored value = coefficient + mu/2) and
 corrected digitally using the popcount of the cycle's input bits, which a
@@ -55,33 +55,16 @@ DEFAULT_NOISE_GAIN = 1.07
 MAX_SAMPLE_STD = 10.0
 
 
-@dataclass(frozen=True)
-class NegacyclicMatrix:
-    """entries[i][j] = +s[j-i] for j >= i, -s[n+j-i] for j < i."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.int64)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("negacyclic matrix must be square")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-def build_negacyclic_matrix(s_centered: np.ndarray) -> NegacyclicMatrix:
-    """Matrix whose left-product with an input coefficient vector equals the
-    negacyclic (mod x^n + 1) product with s."""
+def build_negacyclic_matrix(s_centered: np.ndarray) -> np.ndarray:
+    """The (n, n) matrix whose left-product with an input coefficient vector
+    equals the negacyclic (mod x^n + 1) product with s: entry [i, j] is
+    +s[j-i] for j >= i and -s[n+j-i] for j < i."""
     s = np.asarray(s_centered, dtype=np.int64)
     n = len(s)
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
     sign = np.where(j >= i, 1, -1)
-    return NegacyclicMatrix(sign * s[(j - i) % n])
+    return sign * s[(j - i) % n]
 
 
 @dataclass
@@ -222,13 +205,17 @@ class ProgramLayout:
         return tile, row % self.tile_rows, phys_col % self.tile_cols
 
 
-def program_operand(M: NegacyclicMatrix, params: RingParams = DEFAULT_PARAMS):
-    """Bias, bit-slice and flip-encode the operand matrix into 1-bit tiles of
-    the default geometry, the one that `costmodel` prices."""
-    n = M.n
+def program_operand(M: np.ndarray, params: RingParams = DEFAULT_PARAMS):
+    """Bias, bit-slice and flip-encode the (n, n) operand matrix
+    (`build_negacyclic_matrix`) into 1-bit tiles of the default geometry,
+    the one that `costmodel` prices."""
+    M = np.asarray(M, dtype=np.int64)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("negacyclic matrix must be square")
+    n = len(M)
     bias = params.mu // 2
     bpc = DEFAULT_BITS_PER_COEFF
-    biased = M.entries + bias
+    biased = M + bias
     if biased.min() < 0 or biased.max() >= (1 << bpc):
         raise ValueError("biased operand does not fit bits_per_coeff")
     layout = ProgramLayout(n, n, bpc)

@@ -140,6 +140,7 @@ def test_cost_reports_configured_point(tmp_path, capsys):
     cfg.write_text("operation = dec\nalgorithm = K2\narchitecture = adcshare\n")
     assert main(["cost", "--config", str(cfg)]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
+    assert payload["schema_version"] == "4"
     assert payload["operation"] == "dec"
     assert payload["algorithm"] == "K2"
     assert payload["architecture"] == "adcshare"
@@ -147,7 +148,8 @@ def test_cost_reports_configured_point(tmp_path, capsys):
     # the point's fields are its row of the sweep's JSON
     assert main(["sweep", "--config", str(cfg), "--format", "json"]) == EXIT_OK
     rows = json.loads(capsys.readouterr().out)["rows"]
-    assert {k: v for k, v in payload.items() if k != "catalog"} in rows
+    assert {k: v for k, v in payload.items()
+            if k not in ("catalog", "schema_version")} in rows
 
 
 def test_cost_writes_its_report_in_the_format_asked_for(tmp_path, capsys):

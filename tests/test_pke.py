@@ -15,7 +15,7 @@ from saberxbar.pke import (SoftwareBackend, keygen, encrypt, decrypt,
                            pack_public_key, unpack_public_key,
                            pack_secret_key, unpack_secret_key,
                            pack_ciphertext, unpack_ciphertext,
-                           SecretKey, SerializationError)
+                           PublicKey, SecretKey, Ciphertext, SerializationError)
 
 P = DEFAULT_PARAMS
 
@@ -121,7 +121,7 @@ def test_keygen_matches_direct_formula():
     for i in range(P.l):
         acc = sum(fold_negacyclic(np.convolve(A[j, i], s[j]), P.n) for j in range(P.l))
         want = ((acc + 4) % P.q) >> (P.eps_q - P.eps_p)
-        assert np.array_equal(pk.b[i].coeffs, want)
+        assert np.array_equal(pk.b[i], want)
 
 
 def test_encrypt_rejects_bad_message_domain():
@@ -194,7 +194,7 @@ def test_key_and_ciphertext_serialization_roundtrip():
     assert len(pk_bytes) == 32 + P.l * P.n * P.eps_p // 8
     pk2 = unpack_public_key(pk_bytes, P)
     assert pk2.seed_A == pk.seed_A
-    assert all(pk2.b[i] == pk.b[i] for i in range(P.l))
+    assert np.array_equal(pk2.b, pk.b)
 
     sk_bytes = pack_secret_key(sk, P)
     assert len(sk_bytes) == P.l * P.n * 4 // 8
@@ -203,8 +203,8 @@ def test_key_and_ciphertext_serialization_roundtrip():
     ct_bytes = pack_ciphertext(ct, P)
     assert len(ct_bytes) == (P.n * P.eps_T + P.l * P.n * P.eps_p) // 8 == 1088
     ct2 = unpack_ciphertext(ct_bytes, P)
-    assert ct2.c_m == ct.c_m
-    assert all(ct2.b_prime[i] == ct.b_prime[i] for i in range(P.l))
+    assert np.array_equal(ct2.c_m, ct.c_m)
+    assert np.array_equal(ct2.b_prime, ct.b_prime)
 
     out = decode_message(decrypt(unpack_secret_key(sk_bytes, P), ct2, P))
     assert out == msg
@@ -229,6 +229,33 @@ def test_serialized_keys_and_ciphertexts_are_pinned():
         digest.update(outputs.pop())
     assert digest.hexdigest() == (
         "68fea7b0c02798c85230db91c6fe557014e90ca91668cfcc0b5ed5c9b8187233")
+
+
+def test_keys_and_ciphertexts_compare_by_value():
+    rng = np.random.default_rng(8)
+    seed_a, r = rng.bytes(32), rng.bytes(32)
+    pk, sk = keygen(seed_a, r, P)
+    msg = encode_message(frame_payload(rng.bytes(P.n // 8 - 4), P), P)
+    ct = encrypt(pk, msg, rng.bytes(32), P)
+    again_pk, again_sk = keygen(seed_a, r, P, XbarBackend(P))
+    assert (pk == again_pk) is True and pk == unpack_public_key(pack_public_key(pk, P), P)
+    assert (sk == again_sk) is True and sk == SecretKey(sk.s_centered.copy())
+    assert (ct == unpack_ciphertext(pack_ciphertext(ct, P), P)) is True
+    for values, shape in ((pk.b, (P.l, P.n)), (ct.c_m, (P.n,)), (ct.b_prime, (P.l, P.n))):
+        assert values.shape == shape and values.dtype == np.int64
+        assert not values.flags.writeable
+
+    def changed(values):
+        out = values.copy()
+        out[(1,) * out.ndim] ^= 1
+        return out
+    assert pk != PublicKey(bytes([seed_a[0] ^ 1]) + seed_a[1:], pk.b)
+    assert pk != PublicKey(seed_a, changed(pk.b))
+    assert sk != SecretKey(changed(sk.s_centered))
+    assert sk != SecretKey(sk.s_centered[:-1])
+    assert ct != Ciphertext(changed(ct.c_m), ct.b_prime)
+    assert ct != Ciphertext(ct.c_m, changed(ct.b_prime))
+    assert pk != sk and sk != ct and ct != pk
 
 
 def test_secret_key_two_complement_covers_negatives():

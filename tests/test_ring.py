@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from saberxbar.params import RingParams, DEFAULT_PARAMS, constants
-from saberxbar.ring import (Poly, PolyVec, DimensionError, fold_negacyclic,
+from saberxbar.ring import (Poly, DimensionError, fold_negacyclic,
                             gen_matrix, gen_matrices, sample_secret, sample_secrets,
                             unpack_values, _expand)
 from saberxbar.polymult import schoolbook_mul
@@ -14,6 +14,8 @@ def test_poly_reduces_into_modulus_range():
     p = Poly([-1, 5, 17], 16)
     assert list(p.coeffs) == [15, 5, 1]
     assert p.n == 3
+    assert p == Poly([15, 5, 1], 16)
+    assert p != Poly([15, 5, 1], 32) and p != Poly([15, 5], 16)
 
 
 def test_poly_coeffs_are_read_only():
@@ -27,25 +29,6 @@ def test_poly_dimension_and_modulus_checks():
         schoolbook_mul(Poly([1, 2], 8), Poly([1, 2, 3], 8))
     with pytest.raises(ValueError):
         schoolbook_mul(Poly([1, 2], 8), Poly([1, 2], 16))
-
-
-def test_polyvec_array_roundtrip():
-    arr = np.array([[1, 2], [3, 4]])
-    v = PolyVec(arr, 8)
-    assert np.array_equal(v.as_array(), arr)
-
-
-def test_polyvec_holds_one_read_only_array():
-    v = PolyVec(np.array([[1, -2], [9, 4]]), 8)
-    held = v.as_array()
-    assert held is v.as_array() and not held.flags.writeable
-    assert np.array_equal(held, [[1, 6], [1, 4]])
-    assert v[1] == Poly([1, 4], 8) and len(v) == 2 and v.modulus == 8
-    assert PolyVec(np.array([[1, 6], [1, 4]]), 8) == v
-    with pytest.raises(ValueError):
-        held[0, 0] = 3
-    with pytest.raises(DimensionError):
-        PolyVec(np.array([1, 2]), 8)
 
 
 def test_reduce_negacyclic_basic_identity():

@@ -69,11 +69,6 @@ def test_root_widths():
     assert alld.adc_bits_at_root == ideal_peak.bit_length() == 20
 
 
-def test_root_bits_override():
-    tree = build_sac_tree(SacVariant.ALL, 4, 10, root_bits_override=10)
-    assert tree.adc_bits_at_root == 10
-
-
 def test_eval_sac_ideal_matches_leaf_shift_sum():
     rng = np.random.default_rng(0)
     tree = build_sac_tree(SacVariant.X4, 4, 13)

@@ -7,7 +7,7 @@ from saberxbar.params import DEFAULT_PARAMS
 from saberxbar.ring import Poly, fold_negacyclic
 from saberxbar.polymult import schoolbook_mul
 from saberxbar.pke import SoftwareBackend
-from saberxbar.xbar import (NegacyclicMatrix, build_negacyclic_matrix,
+from saberxbar.xbar import (build_negacyclic_matrix,
                             NoiseSpec, AdcSpec, adc_read, adc_bits_for,
                             CrossbarTile, ProgramLayout, program_operand,
                             stream_cycle, crossbar_polymult, XbarBackend,
@@ -19,8 +19,8 @@ P = DEFAULT_PARAMS
 
 def test_negacyclic_matrix_entry_formula():
     s = np.array([5, -2, 3])
-    M = build_negacyclic_matrix(s).entries
-    # entries[i][j] = +s[j-i] for j >= i, -s[n+j-i] for j < i
+    M = build_negacyclic_matrix(s)
+    # M[i][j] = +s[j-i] for j >= i, -s[n+j-i] for j < i
     want = np.array([[5, -2, 3],
                      [-3, 5, -2],
                      [2, -3, 5]])
@@ -32,13 +32,13 @@ def test_negacyclic_matrix_product_equals_polymult():
     for n in (4, 16, 256):
         s = rng.integers(-4, 5, n)
         a = rng.integers(0, 1024, n)
-        M = build_negacyclic_matrix(s).entries
+        M = build_negacyclic_matrix(s)
         assert np.array_equal(a @ M, fold_negacyclic(np.convolve(a, s), n))
 
 
 def test_negacyclic_matrix_must_be_square():
     with pytest.raises(ValueError):
-        NegacyclicMatrix(np.zeros((2, 3)))
+        program_operand(np.zeros((2, 3)), P)
 
 
 def test_adc_read_exact_on_integers():
@@ -119,7 +119,7 @@ def test_program_operand_bits_match_matrix():
         stored = tiles[t].cells[pr, pc]
         if tiles[t].flip_flags[pc]:
             stored = 1 - stored
-        assert stored == ((M.entries[row, coeff] + 4) >> bit) & 1
+        assert stored == ((M[row, coeff] + 4) >> bit) & 1
 
 
 def test_stream_cycle_ideal_popcounts():
