@@ -17,7 +17,7 @@ writes with one full-width sample per coefficient.
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 from .params import RingParams, DEFAULT_PARAMS
 from .polymult import MultAlgorithm, plan_for
@@ -80,6 +80,13 @@ class ComponentCatalog:
     sac_all_full_width_root: bool = False      # modulo-optimistic by default
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            numbers = astuple(value) if isinstance(value, Entry) else (value,)
+            if not all(math.isfinite(v) and v >= 0 for v in numbers):
+                raise ValueError(f"catalog.{f.name} must be finite and >= 0, got {value}")
+        if self.adc_rate == 0:
+            raise ValueError("catalog.adc_rate must be > 0")
         if not (0.0 <= self.adc_dac_fraction <= 1.0):
             raise ValueError("adc_dac_fraction must be within [0, 1]")
 

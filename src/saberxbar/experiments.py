@@ -106,6 +106,13 @@ def _enum_by_value(enum_cls, value: str, what: str):
     raise ConfigError(f"unknown {what} {value!r} (expected one of: {valid})")
 
 
+def _parse_bool(text: str) -> bool:
+    for value, spellings in ((True, ("1", "true", "yes")), (False, ("0", "false", "no"))):
+        if text.lower() in spellings:
+            return value
+    raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}")
+
+
 _CATALOG_SCALARS = {
     "adc_rate": float,
     "write_latency_ns": float,
@@ -113,7 +120,7 @@ _CATALOG_SCALARS = {
     "adc_dac_fraction": float,
     "array_area_um2": float,
     "tia_sense_transfer_ns": float,
-    "sac_all_full_width_root": lambda v: v.lower() in ("1", "true", "yes"),
+    "sac_all_full_width_root": _parse_bool,
 }
 
 
@@ -146,7 +153,7 @@ def build_config(mapping: dict, base: ExperimentConfig = None) -> ExperimentConf
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{key} = {value}: {exc}") from exc
     return replace(cfg, catalog=catalog, **updates)
 
 
@@ -186,7 +193,8 @@ def _first_mismatch(got: np.ndarray, want: np.ndarray) -> str:
 def run_verify(config: ExperimentConfig, stuck_fault=None,
                trials_per_suite: int = 25) -> VerifyReport:
     """Oracle-equivalence suites; `stuck_fault` = (tile, row, col, level)
-    injects a stuck cell into the crossbar suite's programmed tiles."""
+    injects a stuck cell into the crossbar suite's programmed tiles, which
+    are numbered row block by row block."""
     rng = np.random.default_rng(config.seed)
     p = config.params
     suites = []
@@ -211,11 +219,13 @@ def run_verify(config: ExperimentConfig, stuck_fault=None,
     for _ in range(max(2, trials_per_suite // 8)):
         a = Poly(rng.integers(0, p.p, p.n), p.p)
         s = rng.integers(-p.mu // 2, p.mu // 2 + 1, p.n)
-        tiles, layout = program_operand(build_negacyclic_matrix(s), p)
+        operand = program_operand(build_negacyclic_matrix(s), p)
         if stuck_fault is not None:
             t, row, col, level = stuck_fault
-            tiles[t].set_stuck_fault(row, col, level)
-        got = crossbar_polymult(a, s, p, tiles=tiles, layout=layout)
+            cells = operand.cells.copy()
+            cells.reshape(-1, *cells.shape[-2:])[t, row, col] = level
+            operand = replace(operand, cells=cells)
+        got = crossbar_polymult(a, s, p, operand=operand)
         want = schoolbook_mul(a, Poly(s, p.p)).coeffs
         if not np.array_equal(got.coeffs, want):
             ok = False

@@ -208,10 +208,16 @@ def check_frame(frame: bytes) -> bool:
 def pack_values(values: np.ndarray, width: int) -> bytes:
     """Pack unsigned values little-endian, `width` bits each, for width
     0..25 (as `unpack_values` reads them): the low `width` bits of each
-    value's 4-byte little-endian word, back to back."""
+    value's 4-byte little-endian word, back to back. Every value must lie
+    in [0, 2^width)."""
     if not 0 <= width <= 25:
         raise ValueError(f"value width must be 0..25 bits, got {width}")
-    words = np.asarray(values, dtype=np.int64).astype("<u4").view(np.uint8)
+    values = np.asarray(values, dtype=np.int64)
+    # one reduction: a negative value sets the sign bit, a large one a bit
+    # at or above `width`
+    if np.bitwise_or.reduce(values, axis=None) >> width:
+        raise SerializationError(f"values must lie in [0, 2^{width})")
+    words = values.astype("<u4").view(np.uint8)
     bits = np.unpackbits(words.reshape(-1, 4), axis=1, count=width, bitorder="little")
     return np.packbits(bits, bitorder="little").tobytes()
 

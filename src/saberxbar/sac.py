@@ -33,14 +33,14 @@ class SacVariant(enum.Enum):
 
 @dataclass(frozen=True)
 class TiaSpec:
-    """Transimpedance amplifier between analog stages."""
+    """Transimpedance amplifier between analog stages: its relative
+    Gaussian noise. (`costmodel` prices its latency from the catalog.)"""
 
-    sense_transfer_ns: float = 11.0
     variance: float = 0.02
 
     def __post_init__(self):
-        if self.sense_transfer_ns <= 0:
-            raise ValueError("TIA latency must be positive")
+        if not (math.isfinite(self.variance) and self.variance >= 0):
+            raise ValueError("TIA variance must be finite and >= 0")
 
 
 @dataclass(frozen=True)

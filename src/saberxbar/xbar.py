@@ -12,8 +12,11 @@ dedicated all-ones unit column provides. Columns whose stored-bit population
 exceeds half the rows are stored complemented (flip encoding) so that no
 bitline current exceeds rows/2; the complement is undone after readout.
 
-`crossbar_polymult` is the one physical model: the explicit per-cycle,
-per-sample pipeline including noise and ADC quantization. The backends used
+`program_operand` lays the biased, bit-sliced, flip-encoded matrix onto one
+array of 1-bit tiles (2 row blocks x 8 column blocks of 128 x 128 at
+n = 256), and `crossbar_polymult` is the one physical model: the explicit
+per-cycle, per-sample pipeline including noise and ADC quantization, which
+reads every cycle on all tiles at once (`read_columns`). The backends used
 by the PKE do not rerun it. `XbarBackend` is the ideal crossbar as ring
 arithmetic (the exact negacyclic product, on `polymult`'s ring leaf: a
 weighted n/2-point FFT that multiplies modulo x^n + 1, as the crossbar's
@@ -30,7 +33,7 @@ trials multiplies at once. The test suite pins the ideal pipeline and
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,233 +116,107 @@ def adc_bits_for(range_max: int) -> int:
     return max(1, int(range_max).bit_length())
 
 
-@dataclass
-class CrossbarTile:
-    """One physical 1-bit-per-cell array plus its all-ones unit column.
-
-    `cells` holds the stored (possibly complemented) bit levels. `writes`
-    counts physical cell-bit writes. Stuck-at faults override the stored
-    level at readout time without touching the write counter.
-    """
-
-    rows: int = DEFAULT_TILE_ROWS
-    cols: int = DEFAULT_TILE_COLS
-    cell_bits: int = 1
-    bias: int = 0
-    cells: np.ndarray = None
-    flip_flags: np.ndarray = None
-    writes: int = 0
-    stuck_faults: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.cells is None:
-            self.cells = np.zeros((self.rows, self.cols), dtype=np.int64)
-        if self.flip_flags is None:
-            self.flip_flags = np.zeros(self.cols, dtype=bool)
-
-    def program(self, levels: np.ndarray) -> None:
-        """Store a full grid of cell levels, applying flip encoding per column."""
-        levels = np.asarray(levels, dtype=np.int64)
-        if levels.shape != (self.rows, self.cols):
-            raise ValueError("programming grid must match tile dimensions")
-        top = (1 << self.cell_bits) - 1
-        if levels.min() < 0 or levels.max() > top:
-            raise ValueError("cell level out of range for cell_bits")
-        self.flip_flags = levels.sum(axis=0) > self.rows // 2
-        self.cells = np.where(self.flip_flags[None, :], top - levels, levels)
-        self.writes += self.rows * self.cols * self.cell_bits
-
-    def effective_cells(self) -> np.ndarray:
-        if not self.stuck_faults:
-            return self.cells
-        out = self.cells.copy()
-        for (r, c), level in self.stuck_faults.items():
-            out[r, c] = level
-        return out
-
-    def set_stuck_fault(self, row: int, col: int, level: int) -> None:
-        self.stuck_faults[(row, col)] = int(level)
-
-    def clear_faults(self) -> None:
-        self.stuck_faults.clear()
-
-
 @dataclass(frozen=True)
-class ProgramLayout:
-    """Mapping from logical (row, coeff-column, bit-slice) to physical cells.
+class Operand:
+    """A secret as the crossbars hold it: one negacyclic matrix on an array
+    of 1-bit tiles, each with an all-ones unit column.
 
-    Logical coefficient j, slice k occupies physical column (j*bpc + k) within
-    its column block; logical rows are chunked into row blocks. One PolyMult
-    at n=256 with 4-bit operands on 128x128 tiles needs 2 x 8 = 16 tiles.
+    `cells` (row_blocks, col_blocks, rows, cols) holds the stored bits and
+    `flips` (row_blocks, col_blocks, cols) marks the columns stored
+    complemented. Both are read-only; a stuck cell is an edit to a copy of
+    `cells`.
     """
 
-    logical_rows: int
-    logical_cols: int
-    bits_per_coeff: int
-    tile_rows: int = DEFAULT_TILE_ROWS
-    tile_cols: int = DEFAULT_TILE_COLS
-
-    @property
-    def row_blocks(self) -> int:
-        return -(-self.logical_rows // self.tile_rows)
-
-    @property
-    def col_blocks(self) -> int:
-        return -(-self.logical_cols * self.bits_per_coeff // self.tile_cols)
-
-    @property
-    def tiles_used(self) -> int:
-        return self.row_blocks * self.col_blocks
-
-    @property
-    def coeff_cols_per_tile(self) -> int:
-        return self.tile_cols // self.bits_per_coeff
-
-    def locate(self, row: int, coeff_col: int, bit: int):
-        """-> (tile_index, physical_row, physical_column)."""
-        if not (0 <= row < self.logical_rows and 0 <= coeff_col < self.logical_cols
-                and 0 <= bit < self.bits_per_coeff):
-            raise ValueError("logical coordinates out of range")
-        phys_col = coeff_col * self.bits_per_coeff + bit
-        tile = (row // self.tile_rows) * self.col_blocks + phys_col // self.tile_cols
-        return tile, row % self.tile_rows, phys_col % self.tile_cols
+    cells: np.ndarray
+    flips: np.ndarray
 
 
-def program_operand(M: np.ndarray, params: RingParams = DEFAULT_PARAMS):
+def program_operand(M: np.ndarray, params: RingParams = DEFAULT_PARAMS) -> Operand:
     """Bias, bit-slice and flip-encode the (n, n) operand matrix
     (`build_negacyclic_matrix`) into 1-bit tiles of the default geometry,
-    the one that `costmodel` prices."""
+    the one that `costmodel` prices. Logical row i lies in row block
+    i // rows; bit k of coefficient column j lies in physical column
+    j * bits_per_coeff + k, cut into column blocks of `cols`. At n = 256 with
+    4-bit operands on 128 x 128 tiles that is 2 x 8 tiles."""
     M = np.asarray(M, dtype=np.int64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("negacyclic matrix must be square")
     n = len(M)
-    bias = params.mu // 2
-    bpc = DEFAULT_BITS_PER_COEFF
-    biased = M + bias
+    bpc, rows, cols = DEFAULT_BITS_PER_COEFF, DEFAULT_TILE_ROWS, DEFAULT_TILE_COLS
+    biased = M + params.mu // 2
     if biased.min() < 0 or biased.max() >= (1 << bpc):
         raise ValueError("biased operand does not fit bits_per_coeff")
-    layout = ProgramLayout(n, n, bpc)
-    tile_rows, tile_cols = layout.tile_rows, layout.tile_cols
-
-    # expand to the physical bit plane: column j*bpc+k holds bit k of column j
-    slices = (biased[:, :, None] >> np.arange(bpc)) & 1
-    plane = slices.reshape(n, n * bpc)
-
-    tiles = []
-    for rb in range(layout.row_blocks):
-        for cb in range(layout.col_blocks):
-            grid = np.zeros((tile_rows, tile_cols), dtype=np.int64)
-            rows = plane[rb * tile_rows: (rb + 1) * tile_rows,
-                         cb * tile_cols: (cb + 1) * tile_cols]
-            grid[: rows.shape[0], : rows.shape[1]] = rows
-            tile = CrossbarTile(tile_rows, tile_cols, 1, bias)
-            tile.program(grid)
-            tiles.append(tile)
-    return tiles, layout
+    row_blocks, col_blocks = -(-n // rows), -(-n * bpc // cols)
+    plane = np.zeros((row_blocks * rows, col_blocks * cols), dtype=np.uint8)
+    plane[:n, :n * bpc] = np.unpackbits(biased.astype(np.uint8)[..., None], axis=-1,
+                                        count=bpc, bitorder="little").reshape(n, n * bpc)
+    bits = plane.reshape(row_blocks, rows, col_blocks, cols).swapaxes(1, 2)
+    # a column holding more than rows/2 ones is stored complemented, so that
+    # no bitline current exceeds rows/2
+    flips = bits.sum(axis=2) > rows // 2
+    cells = np.where(flips[:, :, None, :], 1 - bits, bits)
+    cells.setflags(write=False)
+    flips.setflags(write=False)
+    return Operand(cells, flips)
 
 
-@dataclass(frozen=True)
-class CycleReadout:
-    """Raw (pre-correction) analog bitline values for one streamed cycle."""
-
-    columns: np.ndarray   # (num_tiles, tile_cols)
-    unit: np.ndarray      # (num_tiles,) all-ones unit-column current
-    ones: np.ndarray      # (num_tiles,) exact input popcount per row block
-
-
-def stream_cycle(tiles, layout: ProgramLayout, input_bits: np.ndarray,
-                 noise: NoiseSpec = None) -> CycleReadout:
-    """Drive one bit per logical row; return raw analog column currents.
-
-    Each active cell contributes its level times N(1, cell_variance^2) when
-    noisy; a column with k active unit cells therefore reads N(k, k*var^2).
-    Flipped columns are corrected digitally after ADC readout, not here.
-    """
-    bits = np.asarray(input_bits, dtype=np.int64)
-    if len(bits) != layout.logical_rows:
-        raise ValueError("input_bits length must equal logical rows")
-    num_tiles = layout.tiles_used
-    columns = np.zeros((num_tiles, layout.tile_cols), dtype=np.float64)
-    unit = np.zeros(num_tiles, dtype=np.float64)
-    ones = np.zeros(num_tiles, dtype=np.int64)
-    for t, tile in enumerate(tiles):
-        rb = t // layout.col_blocks
-        seg = np.zeros(tile.rows, dtype=np.int64)
-        chunk = bits[rb * tile.rows: (rb + 1) * tile.rows]
-        seg[: len(chunk)] = chunk
-        active = seg @ tile.effective_cells()
-        pop = int(seg.sum())
-        ones[t] = pop
-        if noise is not None and noise.cell_variance > 0:
-            std = noise.cell_variance
-            columns[t] = active + noise.rng.normal(
-                0.0, std * np.sqrt(np.maximum(active, 0)))
-            unit[t] = pop + noise.rng.normal(0.0, std * math.sqrt(pop)) if pop else 0.0
-        else:
-            columns[t] = active
-            unit[t] = pop
-    return CycleReadout(columns, unit, ones)
-
-
-def _corrected_columns(tiles, layout: ProgramLayout, codes: np.ndarray,
-                       unit_codes: np.ndarray) -> np.ndarray:
-    """Undo flip encoding digitally: true = input_popcount - raw."""
-    out = np.array(codes, dtype=np.int64)
-    for t, tile in enumerate(tiles):
-        flip = tile.flip_flags
-        out[t, flip] = unit_codes[t] - out[t, flip]
-    return out
+def read_columns(operand: Operand, planes: np.ndarray, noise: NoiseSpec = None):
+    """The analog reads of input bit planes (..., row_blocks, rows) on every
+    tile at once: the data columns' currents (..., row_blocks, col_blocks,
+    cols) and each tile's unit column (..., row_blocks, col_blocks), which
+    reads the popcount of its row block's input bits. With noise each active
+    cell's current is N(1, var^2), so a column with k active cells reads
+    N(k, k var^2)."""
+    columns = np.einsum("...rk,rckj->...rcj", planes, operand.cells, optimize=True)
+    unit = np.broadcast_to(planes.sum(axis=-1)[..., None], columns.shape[:-1])
+    if noise is not None and noise.cell_variance > 0:
+        std = noise.cell_variance
+        columns = columns + noise.rng.normal(0.0, std * np.sqrt(columns))
+        unit = unit + noise.rng.normal(0.0, std * np.sqrt(unit))
+    return columns, unit
 
 
 def crossbar_polymult(a: Poly, s_centered: np.ndarray,
                       params: RingParams = DEFAULT_PARAMS,
                       noise: NoiseSpec = None,
                       adc: AdcSpec = None,
-                      tiles=None, layout=None) -> Poly:
+                      operand: Operand = None) -> Poly:
     """Full per-cycle pipeline: program, stream, ADC, correct, accumulate.
 
-    Accumulation shifts each cycle's signed per-coefficient dot product by its
-    bit weight and reduces modulo a.modulus; in ideal mode the result is
-    bit-identical to the software product. Pass pre-programmed (tiles, layout)
-    to model the stationary secret across many multiplications.
+    Each cycle streams one bit plane of `a` through all tiles. Accumulation
+    shifts each cycle's signed per-coefficient dot product by its bit weight
+    and reduces modulo a.modulus; in ideal mode the result is bit-identical
+    to the software product. Pass a programmed `operand` to model the
+    stationary secret across many multiplications.
     """
-    n = a.n
-    target = a.modulus.bit_length() - 1
-    if tiles is None or layout is None:
-        M = build_negacyclic_matrix(s_centered)
-        tiles, layout = program_operand(M, params)
-    bias = tiles[0].bias
-    bpc = layout.bits_per_coeff
-
+    if operand is None:
+        operand = program_operand(build_negacyclic_matrix(s_centered), params)
+    row_blocks, col_blocks, rows, cols = operand.cells.shape
+    bpc = DEFAULT_BITS_PER_COEFF
     if adc is None:
-        # cover the worst-case post-flip column current so integer levels are
-        # represented exactly (a population tie at rows/2 can still read rows/2)
-        peak = max(int(t.effective_cells().sum(axis=0).max()) for t in tiles)
-        peak = max(peak, layout.tile_rows)  # the unit column reads up to rows
-        bits = adc_bits_for(peak)
-        # full scale = 2^bits - 1 >= peak keeps integer levels 1:1 with codes
+        # a full scale of 2^bits - 1 covering the largest stored column (a
+        # population tie at rows/2 reads rows/2) and the unit column, which
+        # reads up to rows, maps integer levels 1:1 onto codes
+        bits = adc_bits_for(max(int(operand.cells.sum(axis=2).max()), rows))
         adc = AdcSpec(bits, (1 << bits) - 1)
 
-    acc = np.zeros(n, dtype=np.int64)
-    mod = np.int64(a.modulus)
-    slice_w = (np.int64(1) << np.arange(bpc, dtype=np.int64))
-    for cycle in range(target):
-        in_bits = (a.coeffs >> cycle) & 1
-        readout = stream_cycle(tiles, layout, in_bits, noise)
-        codes = adc_read(readout.columns, adc)
-        unit_codes = adc_read(readout.unit, adc)
-        true_cols = _corrected_columns(tiles, layout, codes, unit_codes)
+    n, cycles = a.n, a.modulus.bit_length() - 1
+    planes = np.zeros((cycles, row_blocks * rows))
+    planes[:, :n] = (a.coeffs >> np.arange(cycles)[:, None]) & 1
+    columns, unit = read_columns(operand, planes.reshape(cycles, row_blocks, rows), noise)
+    codes, unit_codes = adc_read(columns, adc), adc_read(unit, adc)
+    # undo flip encoding digitally: a complemented column reads popcount - true
+    true = np.where(operand.flips, unit_codes[..., None] - codes, codes)
 
-        # reassemble per-coefficient biased dot products from the bit slices
-        per_tile = true_cols.reshape(layout.row_blocks, layout.col_blocks,
-                                     layout.coeff_cols_per_tile, bpc)
-        unit_sum = unit_codes.reshape(layout.row_blocks, layout.col_blocks)
-        biased = (per_tile * slice_w).sum(axis=3).sum(axis=0)  # (col_blocks, ccpt)
-        biased = biased.reshape(-1)[:n]
-        pop_total = unit_sum[:, 0].sum()  # popcount is identical across blocks' columns
-        signed = biased - bias * pop_total
-        acc = (acc + ((signed % mod) << cycle)) % mod
-    return Poly(acc, a.modulus)
+    # reassemble per-coefficient biased dot products from the bit slices,
+    # summed over row blocks, and remove the bias with the input popcount
+    # that column block 0's unit columns read
+    slices = true.reshape(cycles, row_blocks, col_blocks * cols // bpc, bpc)
+    biased = (slices @ (1 << np.arange(bpc))).sum(axis=1)[:, :n]
+    signed = biased - params.mu // 2 * unit_codes[:, :, 0].sum(axis=1)[:, None]
+    mod = a.modulus
+    weighted = ((signed % mod) << np.arange(cycles)[:, None]) % mod
+    return Poly(weighted.sum(axis=0) % mod, mod)
 
 
 class XbarBackend:

@@ -237,3 +237,30 @@ def test_an_out_path_that_is_or_lies_under_a_file_exits_two_before_running(
     assert blocker.read_text() == "keep"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["results"]
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, named", [
+    ("catalog.adc_rate = 0", "adc_rate"),
+    ("catalog.adc_rate = -1e9", "adc_rate"),
+    ("catalog.write_energy_pj_per_cell_bit = -0.1", "write_energy_pj_per_cell_bit"),
+    ("catalog.array_area_um2 = inf", "array_area_um2"),
+    ("catalog.write_latency_ns = nan", "write_latency_ns"),
+    ("catalog.sac_all_full_width_root = ture", "sac_all_full_width_root"),
+])
+def test_bad_catalog_values_exit_two_naming_the_field(tmp_path, capsys, line, named):
+    # a zero ADC rate divided by zero, a negative one priced negative
+    # energies, and a misspelt boolean read as false
+    (tmp_path / "point.cfg").write_text(line + "\n")
+    assert main(["cost", "--config", str(tmp_path / "point.cfg")]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and named in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("spelling, value", [
+    ("1", True), ("TRUE", True), ("yes", True), ("0", False), ("false", False), ("No", False),
+])
+def test_catalog_booleans_take_six_spellings(tmp_path, capsys, spelling, value):
+    (tmp_path / "point.cfg").write_text(f"catalog.sac_all_full_width_root = {spelling}\n")
+    assert main(["cost", "--config", str(tmp_path / "point.cfg")]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["catalog"]["sac_all_full_width_root"] is value

@@ -319,3 +319,31 @@ def test_secret_key_out_of_range_is_rejected(value):
     s[1, 7] = value
     with pytest.raises(SerializationError):
         pack_secret_key(SecretKey(s), P)
+
+
+def _with_last(values, value):
+    edited = values.copy()
+    edited.reshape(-1)[-1] = value
+    return edited
+
+
+@pytest.mark.parametrize("value", [-1, 0, "top", "top + 1", 1 << 20])
+def test_public_keys_and_ciphertexts_pack_only_values_in_range(value):
+    # a coefficient outside [0, p) or [0, T) would pack its low bits into
+    # the bytes of a different key or ciphertext
+    rng = np.random.default_rng(5)
+    pk, _ = keygen(rng.bytes(32), rng.bytes(32), P)
+    ct = encrypt(pk, encode_message(rng.bytes(P.n // 8), P), rng.bytes(32), P)
+    edits = [(pack_public_key, unpack_public_key, P.p,
+              lambda v: PublicKey(pk.seed_A, _with_last(pk.b, v))),
+             (pack_ciphertext, unpack_ciphertext, P.T,
+              lambda v: Ciphertext(_with_last(ct.c_m, v), ct.b_prime)),
+             (pack_ciphertext, unpack_ciphertext, P.p,
+              lambda v: Ciphertext(ct.c_m, _with_last(ct.b_prime, v)))]
+    for pack, unpack, modulus, edit in edits:
+        v = {"top": modulus - 1, "top + 1": modulus}.get(value, value)
+        if 0 <= v < modulus:
+            assert unpack(pack(edit(v), P), P) == edit(v)
+        else:
+            with pytest.raises(SerializationError):
+                pack(edit(v), P)

@@ -110,5 +110,7 @@ def test_build_validation():
 
 
 def test_tia_spec_validation():
-    with pytest.raises(ValueError):
-        TiaSpec(sense_transfer_ns=0.0)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TiaSpec(variance=bad)
+    assert TiaSpec(variance=0.0).variance == 0.0

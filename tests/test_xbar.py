@@ -1,3 +1,5 @@
+import hashlib
+from dataclasses import replace
 import tracemalloc
 
 import numpy as np
@@ -9,8 +11,8 @@ from saberxbar.polymult import schoolbook_mul
 from saberxbar.pke import SoftwareBackend
 from saberxbar.xbar import (build_negacyclic_matrix,
                             NoiseSpec, AdcSpec, adc_read, adc_bits_for,
-                            CrossbarTile, ProgramLayout, program_operand,
-                            stream_cycle, crossbar_polymult, XbarBackend,
+                            program_operand, read_columns, crossbar_polymult,
+                            XbarBackend,
                             NoisySampleBackend, DEFAULT_NOISE_GAIN, MAX_SAMPLE_STD,
                             error_magnitudes, _magnitude_tails, _phi_tail)
 
@@ -63,75 +65,83 @@ def test_adc_bits_for_covers_range():
 
 
 def test_tile_flip_encoding_bounds_column_current():
-    tile = CrossbarTile(rows=8, cols=4)
-    levels = np.zeros((8, 4), dtype=np.int64)
-    levels[:, 0] = 1          # full column -> stored complemented
-    levels[:3, 1] = 1         # light column -> stored as-is
-    tile.program(levels)
-    assert tile.flip_flags[0] and not tile.flip_flags[1]
-    assert tile.cells[:, 0].sum() == 0
-    assert tile.cells[:, 1].sum() == 3
-    assert tile.writes == 8 * 4
+    rng = np.random.default_rng(0)
+    op = program_operand(build_negacyclic_matrix(rng.integers(-4, 5, P.n)), P)
+    stored = op.cells.sum(axis=2)
+    assert stored.max() <= 64
+    # a flipped column holds the complement of a population above rows/2
+    assert np.all(128 - stored[op.flips] > 64)
+    assert op.flips.any() and not op.flips.all()
 
 
 def test_tile_program_validates_shape_and_levels():
-    tile = CrossbarTile(rows=4, cols=4)
     with pytest.raises(ValueError):
-        tile.program(np.zeros((3, 4), dtype=np.int64))
+        program_operand(np.zeros((4, 3), dtype=np.int64), P)
+    # biased by mu/2 = 4, a coefficient must lie in [-4, 11] to fit 4 bits
     with pytest.raises(ValueError):
-        tile.program(np.full((4, 4), 2, dtype=np.int64))
+        program_operand(np.full((4, 4), 12, dtype=np.int64), P)
+    with pytest.raises(ValueError):
+        program_operand(np.full((4, 4), -5, dtype=np.int64), P)
 
 
 def test_tile_stuck_fault_overrides_readout_only():
-    tile = CrossbarTile(rows=4, cols=4)
-    tile.program(np.zeros((4, 4), dtype=np.int64))
-    writes = tile.writes
-    tile.set_stuck_fault(1, 2, 1)
-    assert tile.effective_cells()[1, 2] == 1
-    assert tile.cells[1, 2] == 0
-    assert tile.writes == writes
-    tile.clear_faults()
-    assert tile.effective_cells()[1, 2] == 0
+    rng = np.random.default_rng(2)
+    s = rng.integers(-4, 5, P.n)
+    op = program_operand(build_negacyclic_matrix(s), P)
+    assert not op.cells.flags.writeable and not op.flips.flags.writeable
+    cells = op.cells.copy()
+    cells.reshape(-1, 128, 128)[9, 3, 5] ^= 1  # tile 9 is row block 1, column block 1
+    stuck = replace(op, cells=cells)
+    bits = np.zeros((2, 128), dtype=np.int64)
+    bits[1, 3] = 1
+    ideal, _ = read_columns(op, bits)
+    got, _ = read_columns(stuck, bits)
+    changed = np.argwhere(got != ideal)
+    assert changed.tolist() == [[1, 1, 5]]
+    assert abs(got[1, 1, 5] - ideal[1, 1, 5]) == 1
 
 
 def test_program_layout_geometry():
-    layout = ProgramLayout(256, 256, 4)
-    assert layout.row_blocks == 2
-    assert layout.col_blocks == 8
-    assert layout.tiles_used == 16
-    assert layout.coeff_cols_per_tile == 32
-    # coefficient 32 bit 1 sits at the start of the second column block
-    assert layout.locate(0, 32, 1) == (1, 0, 1)
-    assert layout.locate(128, 0, 0) == (8, 0, 0)
-    with pytest.raises(ValueError):
-        layout.locate(256, 0, 0)
+    # 2 row blocks of 128 logical rows x 8 column blocks of 32 coefficients
+    # x 4 bit slices: 16 tiles of 128 x 128
+    op = program_operand(build_negacyclic_matrix(np.zeros(P.n, dtype=np.int64)), P)
+    assert op.cells.shape == (2, 8, 128, 128)
+    assert op.flips.shape == (2, 8, 128)
+    # a small operand pads its one tile with zero rows and columns
+    small = program_operand(build_negacyclic_matrix(np.ones(16, dtype=np.int64)), P)
+    assert small.cells.shape == (1, 1, 128, 128)
+    assert not small.flips[0, 0, 64:].any()
 
 
 def test_program_operand_bits_match_matrix():
     rng = np.random.default_rng(1)
     s = rng.integers(-4, 5, P.n)
     M = build_negacyclic_matrix(s)
-    tiles, layout = program_operand(M, P)
-    assert len(tiles) == 16
-    # reconstruct a few logical cells through the layout
-    for row, coeff, bit in ((0, 0, 0), (37, 200, 3), (255, 255, 2)):
-        t, pr, pc = layout.locate(row, coeff, bit)
-        stored = tiles[t].cells[pr, pc]
-        if tiles[t].flip_flags[pc]:
+    op = program_operand(M, P)
+    for row, coeff, bit in ((0, 0, 0), (37, 200, 3), (255, 255, 2), (128, 32, 1)):
+        col = coeff * 4 + bit
+        rb, r, cb, c = row // 128, row % 128, col // 128, col % 128
+        stored = op.cells[rb, cb, r, c]
+        if op.flips[rb, cb, c]:
             stored = 1 - stored
         assert stored == ((M[row, coeff] + 4) >> bit) & 1
 
 
-def test_stream_cycle_ideal_popcounts():
+def test_column_reads_ideal_popcounts():
     rng = np.random.default_rng(2)
     s = rng.integers(-4, 5, P.n)
-    tiles, layout = program_operand(build_negacyclic_matrix(s), P)
-    bits = rng.integers(0, 2, P.n)
-    readout = stream_cycle(tiles, layout, bits)
-    assert np.array_equal(readout.unit, readout.ones)
-    # block 0 sees the first 128 input bits, block 1 the rest
-    assert readout.ones[0] == bits[:128].sum()
-    assert readout.ones[8] == bits[128:].sum()
+    M = build_negacyclic_matrix(s)
+    op = program_operand(M, P)
+    bits = rng.integers(0, 2, (2, 128))
+    columns, unit = read_columns(op, bits)
+    # row block 0 sees the first 128 input bits, block 1 the rest, on
+    # every column block's unit column
+    assert np.array_equal(unit, np.repeat(bits.sum(axis=1)[:, None], 8, axis=1))
+    # flip-corrected and summed over row blocks, the columns read the bit
+    # plane times each bit slice of the biased matrix
+    slices = ((M[:, :, None] + 4) >> np.arange(4)) & 1
+    true = np.where(op.flips, unit[..., None] - columns, columns)
+    assert np.array_equal(true.sum(axis=0).ravel(), bits.ravel() @ slices.reshape(P.n, -1))
 
 
 def test_crossbar_polymult_matches_software_exactly():
@@ -151,29 +161,57 @@ def test_crossbar_polymult_mod_q_width():
     assert got == schoolbook_mul(a, Poly(s, P.q))
 
 
-def test_crossbar_polymult_reuses_preprogrammed_tiles():
+def test_crossbar_polymult_reuses_preprogrammed_tiles(monkeypatch):
     rng = np.random.default_rng(5)
     s = rng.integers(-4, 5, P.n)
-    tiles, layout = program_operand(build_negacyclic_matrix(s), P)
-    writes = sum(t.writes for t in tiles)
-    for _ in range(3):
-        a = Poly(rng.integers(0, P.p, P.n), P.p)
-        crossbar_polymult(a, s, P, tiles=tiles, layout=layout)
-    assert sum(t.writes for t in tiles) == writes
+    op = program_operand(build_negacyclic_matrix(s), P)
+    inputs = [Poly(rng.integers(0, P.p, P.n), P.p) for _ in range(3)]
+    wants = [schoolbook_mul(a, Poly(s, P.p)) for a in inputs]
+    # with an operand the pipeline programs nothing
+    monkeypatch.setattr("saberxbar.xbar.program_operand", None)
+    assert [crossbar_polymult(a, s, P, operand=op) for a in inputs] == wants
 
 
 def test_stuck_fault_breaks_the_product():
     rng = np.random.default_rng(6)
     a = Poly(rng.integers(1, P.p, P.n), P.p)
     s = rng.integers(-4, 5, P.n)
-    tiles, layout = program_operand(build_negacyclic_matrix(s), P)
+    op = program_operand(build_negacyclic_matrix(s), P)
     want = schoolbook_mul(a, Poly(s, P.p)).coeffs
-    # force a visible flip on a cell whose stored bit is 0
-    t, r, c = 0, 0, 0
-    level = 1 - int(tiles[t].cells[r, c])
-    tiles[t].set_stuck_fault(r, c, level)
-    got = crossbar_polymult(a, s, P, tiles=tiles, layout=layout)
+    # force a visible flip on tile 0's cell (0, 0)
+    cells = op.cells.copy()
+    cells[0, 0, 0, 0] ^= 1
+    got = crossbar_polymult(a, s, P, operand=replace(op, cells=cells))
     assert not np.array_equal(got.coeffs, want)
+    # the programmed operand itself is untouched
+    assert np.array_equal(crossbar_polymult(a, s, P, operand=op).coeffs, want)
+
+
+def test_noisy_reads_follow_the_cell_noise_law():
+    # 1000 reads of one programmed operand at one input: a column with k
+    # active cells reads N(k, k var^2), a unit column with popcount pop
+    # N(pop, pop var^2). Bounds: the sample mean within 5 standard errors
+    # of k, the sample variance within 6 standard errors, sqrt(2 / (reads
+    # - 1)) relative, of k var^2.
+    rng = np.random.default_rng(13)
+    var, reads = 0.03, 1000
+    op = program_operand(build_negacyclic_matrix(rng.integers(-4, 5, P.n)), P)
+    bits = rng.integers(0, 2, (2, 128)).astype(np.float64)
+    ideal, pop = read_columns(op, bits)
+    columns, unit = read_columns(op, np.broadcast_to(bits, (reads, 2, 128)),
+                                 NoiseSpec(var, seed=14))
+    for k, got in ((ideal, columns), (pop, unit)):
+        mean, spread = got.mean(axis=0), got.var(axis=0, ddof=1)
+        assert np.all(np.abs(mean - k) <= 5 * var * np.sqrt(k / reads))
+        assert np.all(np.abs(spread - k * var**2)
+                      <= 6 * np.sqrt(2 / (reads - 1)) * k * var**2)
+        assert np.all(got[:, k == 0] == 0)
+    # at zero variance the pipeline gives the ideal product; at 0.03 it errs
+    a = Poly(rng.integers(0, P.p, P.n), P.p)
+    s = rng.integers(-4, 5, P.n)
+    want = schoolbook_mul(a, Poly(s, P.p))
+    assert crossbar_polymult(a, s, P, noise=NoiseSpec(0.0, seed=15)) == want
+    assert crossbar_polymult(a, s, P, noise=NoiseSpec(var, seed=15)) != want
 
 
 def test_xbar_backend_matches_software_backend():
@@ -460,3 +498,43 @@ def test_noisy_backend_broadcasts_one_exact_product_over_its_sources():
     exact = XbarBackend(P).matvec(rows, XbarBackend(P).program(s), [P.q])
     assert np.array_equal(out[0], exact) and not nb.last_injected[0].any()
     assert nb.last_injected[1].sum() > 0
+
+
+def _stick(a, s, seed):
+    """The product of `a` by `s` with one cell stuck at the complement of
+    its stored bit, at a tile, row and column drawn from `seed`."""
+    rng = np.random.default_rng(100 + seed)
+    t, r, c = int(rng.integers(16)), int(rng.integers(128)), int(rng.integers(128))
+    operand = program_operand(build_negacyclic_matrix(s), P)
+    cells = operand.cells.copy()
+    tile = cells.reshape(-1, 128, 128)[t]
+    tile[r, c] = 1 - tile[r, c]
+    return crossbar_polymult(a, s, P, operand=replace(operand, cells=cells))
+
+
+def test_pipeline_outputs_are_pinned():
+    # sha256 of the pipeline's outputs for seeds 0-3: the default ADC at
+    # both moduli, a 6-bit ADC (whose unit column saturates) and one stuck
+    # cell per seed
+    cases = {"p": [], "q": [], "adc6": [], "stuck": []}
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        s = rng.integers(-4, 5, P.n)
+        a_p = Poly(rng.integers(0, P.p, P.n), P.p)
+        a_q = Poly(rng.integers(0, P.q, P.n), P.q)
+        cases["p"].append(crossbar_polymult(a_p, s, P))
+        cases["q"].append(crossbar_polymult(a_q, s, P))
+        cases["adc6"].append(crossbar_polymult(a_p, s, P, adc=AdcSpec(6, 63)))
+        cases["stuck"].append(_stick(a_p, s, seed))
+    digests = {name: hashlib.sha256(b"".join(out.coeffs.astype("<i8").tobytes()
+                                             for out in outs)).hexdigest()
+               for name, outs in cases.items()}
+    # the stuck cell and the saturating ADC both show in every product
+    assert all(x != y for x, y in zip(cases["stuck"], cases["p"]))
+    assert all(x != y for x, y in zip(cases["adc6"], cases["p"]))
+    assert digests == {
+        "p": "42338726d6d72bb52ef2df9847094116613a9158e0798d88938c7364df9c90cb",
+        "q": "a680cfe25479200c26c5bbf19c58b44eb2b2eca63d07c76d7aea993e081616c5",
+        "adc6": "858d40e42c68d1687889bacd5231f89b1c627c910b08771ed7af4508cefd86c1",
+        "stuck": "aa3a503a95f01f271c0cd0f4f65b52803b552f55dba4bf682783028c1c7956f0",
+    }
