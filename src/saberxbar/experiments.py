@@ -19,6 +19,7 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -194,9 +195,18 @@ def run_verify(config: ExperimentConfig, stuck_fault=None,
                trials_per_suite: int = 25) -> VerifyReport:
     """Oracle-equivalence suites; `stuck_fault` = (tile, row, col, level)
     injects a stuck cell into the crossbar suite's programmed tiles, which
-    are numbered row block by row block."""
+    are numbered row block by row block. A fault outside the operand's
+    tiles, or at a level other than 0 or 1, raises ValueError."""
     rng = np.random.default_rng(config.seed)
     p = config.params
+    if stuck_fault is not None:
+        shape = program_operand(np.zeros((p.n, p.n), dtype=np.int64), p).cells.shape
+        limits = (shape[0] * shape[1], shape[2], shape[3], 2)
+        if not (len(stuck_fault) == 4
+                and all(isinstance(v, numbers.Integral) and 0 <= v < limit
+                        for v, limit in zip(stuck_fault, limits))):
+            raise ValueError(f"stuck fault {tuple(stuck_fault)} is not (tile < {limits[0]}, "
+                             f"row < {limits[1]}, column < {limits[2]}, level 0 or 1)")
     suites = []
 
     # polymult algorithms vs schoolbook

@@ -3,38 +3,36 @@
 Every algorithm is one table for a single evaluate -> leaf -> interpolate
 core: split both operands into equal limbs, evaluate the limbs at the
 table's points, multiply the evaluations pointwise (the leaf products),
-interpolate the product's limbs exactly, and overlap-add them into the full
-2n-1 convolution, folded modulo (x^n + 1) in the same step. Schoolbook is
-the one-point table, Karatsuba the {0, 1, inf} Toom-2 table, and K4 and
-TC4+K2 are tensor products of two tables.
+interpolate the product's limbs exactly, and overlap-add them into the
+product, folded modulo (x^n + 1) in the same step. Schoolbook is the
+one-point table, Karatsuba the {0, 1, inf} Toom-2 table, and K4 and TC4+K2
+are tensor products of two tables.
 
-The leaf is one float64 real FFT of the whole block of evaluated limbs: a
-leaf product is a pointwise product of two spectra, and an inverse transform
-rounded to the nearest integer. Evaluation, interpolation and the
-overlap-add with the fold are float64 matrix products over the whole block,
-with the points axis leading so that each is one BLAS call; the
-interpolation divides exactly and checks it by multiplying back (tables
-whose denominators are all 1, SB, K2 and K4, fold the interpolation into the
+The one leaf multiplies modulo x^size + 1 with the weighted right-angle
+transform (Crandall and Fagin, "Discrete weighted transforms and
+large-integer arithmetic", Math. Comp. 1994). Each operand packs into
+size/2 complex values x_lo + i x_hi, its residue modulo x^(size/2) - i; as
+x^size + 1 = (x^(size/2) - i)(x^(size/2) + i) and the coefficients are real,
+the product's residue determines the product. Weighting the values by
+zeta^j, zeta = exp(i pi / size), turns the product modulo x^(size/2) - i
+into a cyclic convolution of size/2 points, so the unweighted inverse
+transform's real and imaginary parts are the low and high halves of the
+product.
+
+The one-limb (schoolbook) table at n a power of two runs the leaf at
+size = n: the leaf itself folds, and nothing follows it. Every other table
+(a Toom table, or schoolbook at another n) packs its evaluated limbs of k
+coefficients zero-padded to size = `_fft_size(k)`, a power of two of at
+least 2k, so that the product modulo x^size + 1 cannot wrap and is the
+limbs' linear product. Evaluation, interpolation and the overlap-add with
+the fold are then float64 matrix products over the whole block, with the
+points axis leading so that each is one BLAS call; the interpolation
+divides exactly and checks it by multiplying back (tables whose
+denominators are all 1, SB, K2 and K4, fold the interpolation into the
 overlap-add matrix instead). Each call checks a rigorous round-off bound
 before it transforms, the observed rounding residual after, and a per-table
 bound that keeps every float64 sum after the leaf an exact integer below
 2^53, and raises ArithmeticError rather than return an inexact product.
-
-A folded product of the one-limb (schoolbook) table, for n a power of two,
-runs on the ring leaf instead, which multiplies modulo x^n + 1 directly: the
-weighted right-angle transform (Crandall and Fagin, "Discrete weighted
-transforms and large-integer arithmetic", Math. Comp. 1994). Each operand
-packs into n/2 complex values x_lo + i x_hi, its residue modulo
-x^(n/2) - i; as x^n + 1 = (x^(n/2) - i)(x^(n/2) + i) and the coefficients
-are real, the product's residue determines the product. Weighting the
-values by zeta^j, zeta = exp(i pi / n), turns the product modulo
-x^(n/2) - i into a cyclic convolution of n/2 points, so the unweighted
-inverse transform's real and imaginary parts are the low and high halves of
-the folded product. This is half the transform length of the zero-padded
-linear leaf, with no fold after it. Toom tables keep the linear leaf: a Toom leaf
-is a linear product of limbs zero-padded to twice their length, whose upper
-halves are zero, so right-angle packing has nothing to pack; and the
-unfolded `conv_raw` needs the whole product.
 
 The secret side of a product is stationary, as on the crossbar: `program`
 evaluates a secret vector once, and `matvec` streams rows of public operands
@@ -43,7 +41,8 @@ interpolates once per output polynomial (Bermudo Mera, Karmakar and
 Verbauwhede, "Time-memory trade-off in Toom-Cook multiplication", TCHES
 2020). Both take optional leading axes, so one call multiplies a batch of
 independent secrets by their own operands. `multiply` is their one-pair
-form, and `conv_raw` runs the same core on one pair without the fold.
+form, and `conv_raw` the unreduced one: the product of the two operands
+zero-padded to 2n coefficients, modulo x^(2n) + 1, which does not wrap.
 `schoolbook_mul`, an int64 convolution, is the one exact oracle: every
 algorithm must agree with it bit-exactly, and the test suite checks it
 against an independent big-integer convolution.
@@ -147,30 +146,27 @@ class _Table:
     def float_denominators(self) -> np.ndarray:
         return self.denominators.astype(np.float64)[:, None]
 
-    def _placement(self, fold: bool) -> np.ndarray:
-        """(chunks, 2 * product limbs) 0/±1 matrix that overlap-adds the
-        product limbs into the product's chunks of k coefficients. Column
-        2t holds limb t's coefficients 0..k-1, which land in chunk
+    def _placement(self) -> np.ndarray:
+        """(limbs, 2 * product limbs) 0/±1 matrix that overlap-adds the
+        product limbs into the folded product's chunks of k coefficients.
+        Column 2t holds limb t's coefficients 0..k-1, which land in chunk
         offsets[t], and column 2t + 1 its coefficients k..2k-1 (the last one
-        0), which land in chunk offsets[t] + 1. Unfolded, the 2n-coefficient
-        product has chunks = 2 * limbs; folded modulo x^n + 1, chunk
-        limbs + g adds to chunk g with its sign flipped (x^n = -1), leaving
-        chunks = limbs."""
+        0), which land in chunk offsets[t] + 1; modulo x^n + 1, chunk
+        limbs + g adds to chunk g with its sign flipped (x^n = -1)."""
         halves = (self.offsets[:, None] + np.arange(2)).ravel()
         place = np.zeros((2 * self.limbs, len(halves)))
         place[halves, np.arange(len(halves))] = 1
-        return place[: self.limbs] - place[self.limbs:] if fold else place
+        return place[: self.limbs] - place[self.limbs:]
 
     @cached_property
-    def outputs(self) -> dict:
-        """{fold: the matrix the core applies after the leaf}: the placement
-        of the exact quotients' halves, or, for a table that never divides,
-        the placement times the interpolation, applied to the halves of the
+    def output(self) -> np.ndarray:
+        """The matrix the core applies after the leaf: the placement of the
+        exact quotients' halves, or, for a table that never divides, the
+        placement times the interpolation, applied to the halves of the
         leaf sums (column 2p + h takes half h of point p)."""
-        halves = np.kron(self.float_interpolation, np.eye(2))
-        return {fold: self._placement(fold) if self.divides
-                else np.dot(self._placement(fold), halves)
-                for fold in (False, True)}
+        if self.divides:
+            return self._placement()
+        return np.dot(self._placement(), np.kron(self.float_interpolation, np.eye(2)))
 
     @cached_property
     def growth(self) -> np.ndarray:
@@ -187,19 +183,19 @@ class _Table:
         at most sum_t (|F[g, 2t]| + |F[g, 2t + 1]|) sum_p |I[t, p]| M_p / d_t
         (row g after the product-limb rows). A table that does not divide
         applies placement times interpolation as one matrix, whose partial
-        sums the same rows bound (triangle inequality). Below 2^53 float64 holds every integer, so
-        each addition and fused multiply-add of these integers is exact
-        whatever order BLAS sums in. The exact-division check multiplies each
-        quotient q back: q d != y cannot round to y, since it is either exact
-        or at least 2^53 > |y|. The unfolded placement sends each half to a
-        row of its own, so the folded rows bound it too. The bound is per
-        point because the points' leaf sums differ by orders of magnitude:
-        with one M for all points, TC4K2's widest row (sum |I[t, p]| = 2550)
-        would reject uniform operands mod 2^13 at n = 256.
+        sums the same rows bound (triangle inequality). Below 2^53 float64
+        holds every integer, so each addition and fused multiply-add of
+        these integers is exact whatever order BLAS sums in. The
+        exact-division check multiplies each quotient q back: q d != y
+        cannot round to y, since it is either exact or at least
+        2^53 > |y|. The bound is per point because the points' leaf sums
+        differ by orders of magnitude: with one M for all points, TC4K2's
+        widest row (sum |I[t, p]| = 2550) would reject uniform operands
+        mod 2^13 at n = 256.
         """
         interpolation = np.abs(self.float_interpolation)
         quotients = np.repeat(interpolation / self.float_denominators, 2, axis=0)
-        return np.vstack([interpolation, np.dot(np.abs(self._placement(fold=True)), quotients)])
+        return np.vstack([interpolation, np.dot(np.abs(self._placement()), quotients)])
 
 
 def _powers(x, count: int) -> list:
@@ -274,15 +270,8 @@ def _evaluate(table: _Table, x: np.ndarray, k: int) -> np.ndarray:
     table's points. The points axis leads, so one matrix product evaluates
     the whole block; schoolbook's one limb is its own value at its one
     point, so its values are the limbs as they are, without a second copy.
-
-    Every partial sum of a value is at most max |x| times the table's widest
-    evaluation row, and each call checks that this stays below 2^53, so the
-    values are exact. Rounding is monotone, so a coefficient cast inexactly
-    (|x| > 2^53) fails the check too."""
+    `_pack` checks that the values are exact."""
     limbs = x.reshape(-1, table.limbs, k).transpose(1, 0, 2).astype(np.float64, order="C")
-    if limbs.size and not (max(limbs.max(), -limbs.min()) * table.evaluation_weight
-                           < _EXACT_FLOAT_LIMIT):
-        raise ArithmeticError("operands exceed the exact float64 range of the evaluation")
     if table.points > 1:
         limbs = np.dot(table.float_evaluation, limbs.reshape(table.limbs, -1))
     return limbs.reshape((table.points,) + x.shape[:-1] + (k,))
@@ -292,7 +281,7 @@ def _evaluate(table: _Table, x: np.ndarray, k: int) -> np.ndarray:
 # the core: program a secret once, stream public operands against it
 
 # float64 unit round-off, and the error assumed for the FFT's roots of unity
-# (the ring leaf's weights are computed to within it, see `_ring_weights`)
+# (the leaf's weights are computed to within it, see `_weights`)
 _EPS = 2.0 ** -53
 _ROOT_ERROR = 2.0 ** -52
 # covers the rounding of the norms and of the bounds computed from them
@@ -302,32 +291,35 @@ _MAX_ROUNDOFF = 0.25
 
 
 def _fft_size(k: int) -> int:
-    """Smallest power of two of at least 2k points: a (2k-1)-term linear
-    convolution and one zero, so that a leaf product splits into two halves
-    of k coefficients."""
+    """Smallest power of two of at least 2k coefficients: a (2k-1)-term
+    linear convolution and one zero, so that a leaf product modulo
+    x^size + 1 does not wrap and splits into two halves of k
+    coefficients."""
     return 1 << (2 * k - 1).bit_length()
 
 
-def _on_ring(table: _Table, n: int) -> bool:
-    """Whether folded products of `table` at n coefficients run on the ring
-    leaf: one limb, and n a power of two, so that its n/2-point transform has
-    the radix-2 size that the round-off bound models."""
+def _folds(table: _Table, n: int) -> bool:
+    """Whether products of `table` at n coefficients run on the leaf at
+    size = n, which folds modulo x^n + 1 itself: one limb, and n a power of
+    two, so that its n/2-point transform has the radix-2 size that the
+    round-off bound models."""
     return table.limbs == 1 and n > 1 and not n & (n - 1)
 
 
 @lru_cache(maxsize=16)
-def _ring_weights(n: int) -> np.ndarray:
-    """The weights zeta^j = exp(i pi j / n) for j < n/2, n a power of two,
-    and their conjugates, which unweight: (2, n/2). They are computed in
-    40-digit decimal arithmetic, halving the angle pi/2 down to pi/n and then
-    taking powers, and rounded once to float64, so each lies within
-    sqrt(2) 2^-54 < `_ROOT_ERROR` of its exact value on any platform."""
+def _weights(size: int) -> np.ndarray:
+    """The weights zeta^j = exp(i pi j / size) for j < size/2, size a power
+    of two, and their conjugates, which unweight: (2, size/2). They are
+    computed in 40-digit decimal arithmetic, halving the angle pi/2 down to
+    pi/size and then taking powers, and rounded once to float64, so each
+    lies within sqrt(2) 2^-54 < `_ROOT_ERROR` of its exact value on any
+    platform."""
     with decimal.localcontext(prec=40):
         cos, sin = decimal.Decimal(0), decimal.Decimal(1)
-        for _ in range(n.bit_length() - 2):
+        for _ in range(size.bit_length() - 2):
             cos, sin = ((1 + cos) / 2).sqrt(), ((1 - cos) / 2).sqrt()
         re, im, weights = decimal.Decimal(1), decimal.Decimal(0), []
-        for _ in range(n // 2):
+        for _ in range(size // 2):
             weights.append(complex(float(re), float(im)))
             re, im = re * cos - im * sin, re * sin + im * cos
     weights = np.array(weights)
@@ -337,10 +329,11 @@ def _ring_weights(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _roundoff_factor(size: int, terms: int, weighted: bool = False) -> float:
+def _roundoff_factor(size: int, terms: int) -> float:
     """Factor f such that a leaf sum of `terms` products, each of two
-    operands x and y transformed at `size` points, is off by less than
-    f * sum ||x|| ||y|| (Euclidean norms) in every coefficient.
+    operands x and y packed into `size` complex values, is off by less than
+    f * sum ||x|| ||y|| (Euclidean norms of their coefficients) in every
+    coefficient.
 
     For one cyclic convolution of size = 2^m complex points, Percival's bound
     ("Rapid multiplication modulo the sum and difference of highly composite
@@ -348,34 +341,33 @@ def _roundoff_factor(size: int, terms: int, weighted: bool = False) -> float:
     (1+b)^3m - 1 times ||x|| ||y||, for unit round-off e and roots of unity
     within b of exact: three transforms of m radix-2 passes, and the
     pointwise complex products, each within e sqrt5 of exact relative to
-    its factors. The linear leaf's real FFT is such a convolution of the
-    zero-padded limbs.
+    its factors.
 
-    The ring leaf (`weighted`) transforms size = n/2 complex values
-    u = x_lo + i x_hi, with ||u|| the norm of x's n coefficients. It
-    multiplies by weights within b of zeta^j, |zeta^j| = 1, three times:
-    each operand before its forward transform, and the inverse transform's
-    output c~ after it. Each such product is within d = (1 + e sqrt5)(1 + b)
-    - 1 of exact relative to the unweighted factor. So the computed weighted
-    operands are the exact ones plus r, r' with ||r|| <= d ||u|| and
-    ||r'|| <= d ||v||, and their exact cyclic convolution moves by at most
-    ((1+d)^2 - 1) ||u|| ||v|| (Cauchy-Schwarz), Percival's bound on their
-    norms adds (1+d)^2 P ||u|| ||v||, and unweighting turns an error E in a
-    coefficient c, |c| <= ||u|| ||v||, into at most (1+d) E + d |c|. In all,
+    The leaf is such a convolution of the packed values u = x_lo + i x_hi,
+    with ||u|| the norm of x's coefficients (zero padding adds nothing to
+    it). It multiplies by weights within b of zeta^j, |zeta^j| = 1, three
+    times: each operand before its forward transform, and the inverse
+    transform's output c~ after it. Each such product is within
+    d = (1 + e sqrt5)(1 + b) - 1 of exact relative to the unweighted factor.
+    So the computed weighted operands are the exact ones plus r, r' with
+    ||r|| <= d ||u|| and ||r'|| <= d ||v||, and their exact cyclic
+    convolution moves by at most ((1+d)^2 - 1) ||u|| ||v||
+    (Cauchy-Schwarz), Percival's bound on their norms adds (1+d)^2 P ||u||
+    ||v||, and unweighting turns an error E in a coefficient c,
+    |c| <= ||u|| ||v||, into at most (1+d) E + d |c|. In all,
     ((1+d)^3 (1+P) - 1) ||u|| ||v||: (1+e)^3m (1+e sqrt5)^(3m+4)
     (1+b)^(3m+3) - 1.
 
-    Either way the bound is summed over the products by the triangle
-    inequality, with (1+e)^(terms-1) for the frequency-domain additions,
-    which enter like the pointwise products' rounding. It models a radix-2
-    complex FFT; numpy's FFT is not that algorithm, so every call also
-    checks the observed rounding residual.
+    The bound is summed over the products by the triangle inequality, with
+    (1+e)^(terms-1) for the frequency-domain additions, which enter like the
+    pointwise products' rounding. It models a radix-2 complex FFT; numpy's
+    FFT is not that algorithm, so every call also checks the observed
+    rounding residual.
     """
     m = size.bit_length() - 1
-    weights = 3 if weighted else 0
     return math.expm1(3 * m * math.log1p(_EPS)
-                      + (3 * m + 1 + weights) * math.log1p(_EPS * math.sqrt(5))
-                      + (3 * m + weights) * math.log1p(_ROOT_ERROR)
+                      + (3 * m + 4) * math.log1p(_EPS * math.sqrt(5))
+                      + (3 * m + 3) * math.log1p(_ROOT_ERROR)
                       + (terms - 1) * math.log1p(_EPS))
 
 
@@ -384,14 +376,14 @@ class Programmed:
     """A secret vector (..., l, n) transformed once, in the form its
     products use.
 
-    On the linear leaf, `spectra` holds the real FFT of every limb evaluated
-    at the algorithm's points, (points, ..., l, size // 2 + 1), and `norms`
-    their Euclidean norms, (points, ..., l); the points axis leads, as
-    everywhere in the linear core. On the ring leaf (`ring`), `spectra`
-    holds the n/2-point FFT of each weighted, packed secret polynomial,
-    (..., l, n/2), and `norms` the norms of its n coefficients, (..., l).
-    Leading axes `...`, if any, index independent secrets (one per trial of
-    a batch).
+    `spectra` holds the leaf's transform of each weighted, packed operand,
+    and `norms` the Euclidean norms of the coefficients each packs. On the
+    folding leaf (`ring`), the operands are the secret polynomials:
+    (..., l, n/2) and (..., l). Otherwise they are the limbs evaluated at the
+    algorithm's points and zero-padded to `_fft_size(k)` coefficients:
+    (points, ..., l, size/2) and (points, ..., l), with the points axis
+    leading, as everywhere in the core. Leading axes `...`, if any, index
+    independent secrets (one per trial of a batch).
     """
 
     algorithm: MultAlgorithm
@@ -399,7 +391,7 @@ class Programmed:
     spectra: np.ndarray     # complex128
     norms: np.ndarray       # float64
     evaluations: int        # secret polynomials evaluated: polynomials x points
-    ring: bool              # whether products run on the ring leaf
+    ring: bool              # whether the leaf folds modulo x^n + 1 itself
 
     @property
     def n(self) -> int:
@@ -411,7 +403,7 @@ class Programmed:
 
 
 def _norms(values: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("...k,...k->...", values, values))
+    return np.sqrt(np.vecdot(values, values))
 
 
 def _widen(values: np.ndarray, axes: int) -> np.ndarray:
@@ -419,60 +411,65 @@ def _widen(values: np.ndarray, axes: int) -> np.ndarray:
     return values.reshape(values.shape[:1] + (1,) * axes + values.shape[1:])
 
 
-def _pack(x: np.ndarray) -> tuple:
-    """(..., n) int64 coefficients -> the ring leaf's (..., n/2) complex
-    values x_lo + i x_hi, each weighted by zeta^j, and the (...) Euclidean
-    norms of the coefficients. As in `_evaluate`, each call checks
-    |x| < 2^53, so the values are exact before weighting."""
-    half = x.shape[-1] // 2
-    packed = np.empty(x.shape[:-1] + (half,), dtype=np.complex128)
-    packed.real, packed.imag = x[..., :half], x[..., half:]
-    flat = packed.view(np.float64)
-    if flat.size and not max(flat.max(), -flat.min()) < _EXACT_FLOAT_LIMIT:
+def _pack(table: _Table, x: np.ndarray, folds: bool) -> tuple:
+    """(..., n) int64 coefficients -> the leaf's weighted, packed operands
+    and the Euclidean norms of the coefficients they pack. The folding leaf
+    packs each polynomial into (..., n/2) complex values x_lo + i x_hi. Any
+    other leaf packs each limb of k coefficients evaluated at the table's
+    points, zero-padded to size = `_fft_size(k)` coefficients, into
+    (points, ..., size/2) values, of which the first k are nonzero.
+
+    Every partial sum of an evaluated value is at most max |x| times the
+    table's widest evaluation row (1 for one limb), and each call checks
+    that this stays below 2^53, so the values are exact before weighting."""
+    if x.size and not (max(int(x.max()), -int(x.min())) * table.evaluation_weight
+                       < _EXACT_FLOAT_LIMIT):
         raise ArithmeticError("operands exceed the exact float64 range of the evaluation")
-    norms = _norms(flat)
-    packed *= _ring_weights(x.shape[-1])[0]
-    return packed, norms
+    n = x.shape[-1]
+    if folds:
+        half = n // 2
+        packed = np.empty(x.shape[:-1] + (half,), dtype=np.complex128)
+        packed.real, packed.imag = x[..., :half], x[..., half:]
+        norms = _norms(packed.view(np.float64))
+        packed *= _weights(n)[0]
+        return packed, norms
+    k = n // table.limbs
+    size = _fft_size(k)
+    values = _evaluate(table, x, k)  # (points, ..., k)
+    packed = values * _weights(size)[0, :k]
+    if 2 * k < size:
+        packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, size // 2 - k)])
+    return packed, _norms(values)
 
 
 def program(alg: MultAlgorithm, s) -> Programmed:
     """Transform the secret vector `s` (..., l, n) once, for any number of
-    `matvec`s: on the ring leaf where the table and n allow it."""
-    return _program(alg, s, ring=True)
-
-
-def _program(alg: MultAlgorithm, s, ring: bool) -> Programmed:
+    `matvec`s."""
     s = np.asarray(s, dtype=np.int64)
     table = _TABLES[alg]
     n = s.shape[-1]
-    k = _limb_size(table, alg, n)
-    evaluations = s.size // n * table.points
-    if ring and _on_ring(table, n):
-        packed, norms = _pack(s)
-        return Programmed(alg, s, np.fft.fft(packed, axis=-1, out=packed), norms,
-                          evaluations, ring=True)
-    values = _evaluate(table, s, k)  # (points, ..., l, k)
-    return Programmed(alg, s, np.fft.rfft(values, _fft_size(k)), _norms(values),
-                      evaluations, ring=False)
+    _limb_size(table, alg, n)
+    folds = _folds(table, n)
+    packed, norms = _pack(table, s, folds)
+    return Programmed(alg, s, np.fft.fft(packed, axis=-1, out=packed), norms,
+                      s.size // n * table.points, folds)
 
 
-def _products(h: Programmed, a, fold: bool) -> np.ndarray:
-    """Row i of the result is sum_j a[..., i, j] * s_j for a of shape
-    (..., rows, l, n), unreduced: folded modulo x^n + 1, (..., rows, n), or
-    else the full (..., rows, 2n) product, whose last coefficient is 0. A
-    ring handle multiplies on the ring leaf (`_ring_products`), which folds.
+def matvec(h: Programmed, a) -> np.ndarray:
+    """(..., rows, n) negacyclic sums sum_j a[..., i, j] * s_j for a of shape
+    (..., rows, l, n), unreduced.
 
-    On the linear leaf, the points axis leads throughout, so that
-    evaluation, interpolation and the overlap-add with the fold are each one
-    float64 matrix product over the whole block. Each row's l leaf products
-    at a point are summed in the frequency domain, so the row takes one
-    inverse FFT per point. Every leaf-sum coefficient at point p is at most
-    M_p = sum_j ||x_j|| ||y_j|| over the row's evaluated limbs
-    (Cauchy-Schwarz), and each call checks these bounds twice: their
-    maximum against the FFT round-off bound, so that every coefficient
-    rounds to its exact integer, and all of them through the table's
-    `growth` against 2^53, so that every float64 sum after the leaf is
-    exact.
+    Each row's l leaf products at a point are summed in the frequency
+    domain, so the row takes one inverse transform per point. A coefficient
+    of a leaf sum adds, over j, signed products of x_j's coefficients with
+    some of y_j's, so it is at most M = sum_j ||x_j|| ||y_j|| over the row's
+    packed operands (Cauchy-Schwarz), and each call checks M against the
+    leaf's round-off bound, so that every coefficient rounds to its exact
+    integer. On the folding leaf that bound's factor exceeds 2^-50, so
+    M < 2^48 then: the rounded halves are the exact folded sums, and no
+    float64 sum follows the leaf. Otherwise each call also checks the
+    bounds M_p of every point p through the table's `growth` against 2^53,
+    so that every float64 sum after the leaf is exact.
     """
     table = _TABLES[h.algorithm]
     a = np.asarray(a, dtype=np.int64)
@@ -483,82 +480,63 @@ def _products(h: Programmed, a, fold: bool) -> np.ndarray:
     if a.shape[:-3] != h.secret.shape[:-2]:  # shared operands or a shared secret
         a = np.broadcast_to(a, np.broadcast_shapes(a.shape[:-3], h.secret.shape[:-2])
                             + a.shape[-3:])
+    x, norms = _pack(table, a, h.ring)  # ([points,] ..., rows, l, size/2)
     if h.ring:
-        return _ring_products(h, a)
-    k = n // table.limbs
-    size = _fft_size(k)
-    x = _evaluate(table, a, k)  # (points, ..., rows, l, k)
-    extra = x.ndim - h.spectra.ndim - 1  # leading axes a has beyond s
-    bound = np.einsum("...j,...j->...", _norms(x), _widen(h.norms, extra)[..., None, :])
-    bound = bound.reshape(len(bound), -1).max(axis=1) * _NORM_SLACK  # per point
-    if not np.dot(table.growth, bound).max() < _EXACT_FLOAT_LIMIT:
-        raise ArithmeticError("operands exceed the exact float64 range of the interpolation")
-    if not bound.max() * _roundoff_factor(size, l) < _MAX_ROUNDOFF:
+        spectra = h.spectra
+        bound = np.vecdot(norms, h.norms[..., None, :]).max() * _NORM_SLACK
+    else:
+        extra = x.ndim - h.spectra.ndim - 1  # leading axes a has beyond s
+        spectra = _widen(h.spectra, extra)
+        bound = np.vecdot(norms, _widen(h.norms, extra)[..., None, :])
+        bound = bound.reshape(len(bound), -1).max(axis=1) * _NORM_SLACK  # per point
+        if not np.dot(table.growth, bound).max() < _EXACT_FLOAT_LIMIT:
+            raise ArithmeticError("operands exceed the exact float64 range of the interpolation")
+        bound = bound.max()
+    if not bound * _roundoff_factor(x.shape[-1], l) < _MAX_ROUNDOFF:
         raise ArithmeticError("operands exceed the exact range of the FFT leaf")
     # freeing each block once used keeps a batch's peak memory down, and
     # with it the page faults of allocations the C allocator returns
-    spectra = np.fft.rfft(x, size)
-    del x
-    spectra *= _widen(h.spectra, extra)[..., None, :, :]
-    leaf = np.fft.irfft(spectra.sum(axis=-2), size)
-    del spectra
-    leaf = leaf[..., : 2 * k]  # (points, ..., rows, 2k)
-    exact = np.rint(leaf)
-    leaf -= exact
-    if not np.abs(leaf, out=leaf).max() < _MAX_ROUNDOFF:
-        raise ArithmeticError("FFT leaf round-off reached 1/4")
-    exact = exact.reshape(len(exact), -1)
-    if table.divides:
-        sums = np.dot(table.float_interpolation, exact)
-        exact = np.rint(sums / table.float_denominators)
-        if (exact * table.float_denominators != sums).any():
-            raise ArithmeticError("Toom-Cook interpolation produced a non-integer")
-    halves = exact.reshape(len(exact), -1, 2, k).swapaxes(1, 2).reshape(2 * len(exact), -1)
-    chunks = np.dot(table.outputs[fold], halves).reshape(len(table.outputs[fold]), -1, k)
-    out = chunks.transpose(1, 0, 2).astype(np.int64, order="C")  # (... rows, chunks, k)
-    return out.reshape(leaf.shape[1:-1] + (-1,))
-
-
-def _ring_products(h: Programmed, a: np.ndarray) -> np.ndarray:
-    """The folded (..., rows, n) sums of `_products` on the ring leaf.
-
-    Each row's l products are summed in the frequency domain, so the row
-    takes one inverse transform. A coefficient of the sum adds, over j,
-    signed products of a_j's coefficients with a permutation of s_j's, so it
-    is at most M = sum_j ||a_j|| ||s_j|| (Cauchy-Schwarz), and each call
-    checks M against the weighted transform's round-off bound. Since that
-    bound's factor exceeds 2^-50, M < 2^48 then, so the rounded halves are
-    the exact folded product and no float64 sum follows the leaf.
-    """
-    x, norms = _pack(a)  # (..., rows, l, n/2)
-    bound = np.einsum("...j,...j->...", norms, h.norms[..., None, :]).max() * _NORM_SLACK
-    if not bound * _roundoff_factor(h.n // 2, h.l, weighted=True) < _MAX_ROUNDOFF:
-        raise ArithmeticError("operands exceed the exact range of the FFT leaf")
     x = np.fft.fft(x, axis=-1, out=x)
-    x *= h.spectra[..., None, :, :]
-    leaf = x.sum(axis=-2)  # (..., rows, n/2)
+    x *= spectra[..., None, :, :]
+    leaf = x.sum(axis=-2)
     del x
     leaf = np.fft.ifft(leaf, axis=-1, out=leaf)
-    leaf *= _ring_weights(h.n)[1]
+    leaf *= _weights(2 * leaf.shape[-1])[1]
     flat = leaf.view(np.float64)  # low and high halves, interleaved
     exact = np.rint(flat)
     flat -= exact
     if not np.abs(flat, out=flat).max() < _MAX_ROUNDOFF:
         raise ArithmeticError("FFT leaf round-off reached 1/4")
     halves = exact.reshape(exact.shape[:-1] + (-1, 2)).swapaxes(-1, -2)
-    return halves.astype(np.int64, order="C").reshape(exact.shape)
-
-
-def matvec(h: Programmed, a) -> np.ndarray:
-    """(..., rows, n) negacyclic sums sum_j a[..., i, j] * s_j for a of shape
-    (..., rows, l, n), unreduced."""
-    return _products(h, a, fold=True)
+    if h.ring:
+        return halves.astype(np.int64, order="C").reshape(exact.shape)
+    # the limb products in halves of k coefficients, row 2p + h for half h
+    # of point p
+    k, size = n // table.limbs, exact.shape[-1]
+    halves = halves.reshape(len(halves), -1, 2, size // 2)  # (points, rows, 2, size/2)
+    if size > 2 * k:  # the limb products fill only their first 2k coefficients
+        halves = halves.reshape(len(halves), -1, size)[..., : 2 * k]
+        halves = halves.reshape(len(halves), -1, 2, k)
+    halves = halves.swapaxes(1, 2).reshape(2 * len(halves), -1)
+    if table.divides:
+        sums = np.dot(table.float_interpolation, halves.reshape(table.points, -1))
+        exact = np.rint(sums / table.float_denominators)
+        if (exact * table.float_denominators != sums).any():
+            raise ArithmeticError("Toom-Cook interpolation produced a non-integer")
+        halves = exact.reshape(2 * len(exact), -1)
+    chunks = np.dot(table.output, halves).reshape(table.limbs, -1, k)
+    out = chunks.transpose(1, 0, 2).astype(np.int64, order="C")  # (... rows, limbs, k)
+    return out.reshape(a.shape[:-2] + (n,))
 
 
 def conv_raw(alg: MultAlgorithm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full (2n-1)-term product of two coefficient arrays, no reduction."""
-    return _products(_program(alg, np.asarray(b)[None], ring=False),
-                     np.asarray(a)[None, None], fold=False)[0, :-1]
+    """Full (2n-1)-term product of two coefficient arrays, no reduction:
+    `matvec` on both zero-padded to 2n coefficients, whose product modulo
+    x^(2n) + 1 does not wrap."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    _limb_size(_TABLES[alg], alg, len(b))
+    a, b = (np.concatenate([x, np.zeros_like(x)]) for x in (a, b))
+    return matvec(program(alg, b[None]), a[None, None])[0, :-1]
 
 
 def multiply(alg: MultAlgorithm, a: Poly, b: Poly) -> Poly:

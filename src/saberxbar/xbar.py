@@ -18,16 +18,16 @@ n = 256), and `crossbar_polymult` is the one physical model: the explicit
 per-cycle, per-sample pipeline including noise and ADC quantization, which
 reads every cycle on all tiles at once (`read_columns`). The backends used
 by the PKE do not rerun it. `XbarBackend` is the ideal crossbar as ring
-arithmetic (the exact negacyclic product, on `polymult`'s ring leaf: a
-weighted n/2-point FFT that multiplies modulo x^n + 1, as the crossbar's
-negacyclic matrix does) plus write accounting for the programmed secrets.
-Like the crossbar, whose secret stays written while public operands stream
-past it, each of its slots keeps the transform of the key it was programmed
-with, one (l, n) key or a batch of them, so products against that key
-transform nothing again. `NoisySampleBackend` adds sample-referred read
-errors on top (`inject`), from one noise source per trial when a batch of
-trials multiplies at once. The test suite pins the ideal pipeline and
-`XbarBackend` to each other bit-exactly.
+arithmetic (the exact negacyclic product, on `polymult`'s one leaf at
+size = n: a weighted n/2-point FFT that multiplies modulo x^n + 1 by
+itself, as the crossbar's negacyclic matrix does) plus write accounting
+for the programmed secrets. Like the crossbar, whose secret stays written
+while public operands stream past it, each of its slots keeps the transform
+of the key it was programmed with, one (l, n) key or a batch of them, so
+products against that key transform nothing again. `NoisySampleBackend`
+adds sample-referred read errors on top (`inject`), from one noise source
+per trial when a batch of trials multiplies at once. The test suite pins
+the ideal pipeline and `XbarBackend` to each other bit-exactly.
 """
 
 import functools
@@ -73,8 +73,10 @@ def build_negacyclic_matrix(s_centered: np.ndarray) -> np.ndarray:
 @dataclass
 class NoiseSpec:
     """Relative Gaussian noise on per-cell currents, and the generator that
-    draws it. A zero variance means exact products. (SAC trees take their
-    TIA noise from `sac.TiaSpec`.)
+    draws it. Despite its name, `cell_variance` is a relative standard
+    deviation: an active cell's current reads N(1, cell_variance^2). A zero
+    variance means exact products. (SAC trees take their TIA noise from
+    `sac.TiaSpec`.)
 
     `seed` is anything np.random.default_rng accepts: an int, or a
     SeedSequence such as one trial's own child stream."""
@@ -224,14 +226,14 @@ class XbarBackend:
 
     An ideal crossbar yields the exact negacyclic product, so `matvec`
     computes it directly, with the schoolbook table of `polymult`'s core,
-    whose products modulo x^n + 1 run on its ring leaf (for n a power of
-    two). What the backend models is the stationary secret: which secret
-    polynomials the boot and work slots hold, and the cell bits written to
-    program them. The work slot holds at most l polynomials, its physical
-    size; multiplying by a secret held in neither slot programs it into the
-    work slot ad hoc, evicting the oldest entry, and counts its writes.
-    Secrets with a leading axis (a batch of independent crossbars, one per
-    trial) fill the slots polynomial by polynomial.
+    whose leaf multiplies modulo x^n + 1 itself for n a power of two, with
+    nothing after it. What the backend models is the stationary secret:
+    which secret polynomials the boot and work slots hold, and the cell bits
+    written to program them. The work slot holds at most l polynomials, its
+    physical size; multiplying by a secret held in neither slot programs it
+    into the work slot ad hoc, evicting the oldest entry, and counts its
+    writes. Secrets with a leading axis (a batch of independent crossbars,
+    one per trial) fill the slots polynomial by polynomial.
 
     A slot also holds the transform of the (..., l, n) key it was programmed
     with, a single key or a batch, next to a read-only copy of the key:

@@ -139,15 +139,24 @@ def test_run_verify_all_suites_pass():
 
 
 def test_run_verify_detects_injected_stuck_fault():
+    # at seed 0 the first crossbar trial stores a 1 in tile 0, row 0,
+    # column 0, so a stuck-at-0 fault there changes the stored bit, and the
+    # suite must fail and name the injected cell
     report = run_verify(ExperimentConfig(trials=1), trials_per_suite=5,
-                        stuck_fault=(0, 0, 0, 1))
+                        stuck_fault=(0, 0, 0, 0))
     crossbar = report.suites[1]
-    # the fault flips a stored bit in roughly half the runs; when it does,
-    # the suite must fail and name the injected cell
-    if not crossbar.passed:
-        assert "tile 0, row 0, column 0" in crossbar.detail
-        assert "first failing coefficient" in crossbar.detail
-        assert not report.passed
+    assert not crossbar.passed and not report.passed
+    assert "injected stuck-at-0 cell at tile 0, row 0, column 0" in crossbar.detail
+    assert "first failing coefficient" in crossbar.detail
+
+
+@pytest.mark.parametrize("fault", [(0, 0, 0, 2), (0, 0, 0, -1), (99, 0, 0, 1),
+                                   (16, 0, 0, 1), (0, 128, 0, 1), (0, 0, 128, 0),
+                                   (-1, 0, 0, 1), (0, 0, 0.5, 1), (0, 0, 0)])
+def test_run_verify_rejects_a_stuck_fault_outside_the_operand(fault):
+    # the default operand is 16 tiles of 128 x 128 one-bit cells
+    with pytest.raises(ValueError, match=rf"stuck fault \({fault[0]}, "):
+        run_verify(ExperimentConfig(trials=1), trials_per_suite=1, stuck_fault=fault)
 
 
 def test_run_verify_fault_seed_that_fails():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saberxbar import polymult
-from saberxbar.params import DEFAULT_PARAMS
+from saberxbar import xbar
+from saberxbar.params import DEFAULT_PARAMS, RingParams
+from saberxbar.experiments import run_roundtrips
 from saberxbar.ring import Poly, fold_negacyclic, gen_matrix, sample_secret
 from saberxbar.polymult import MultAlgorithm, plan_for, schoolbook_mul
 from saberxbar.xbar import XbarBackend
@@ -84,12 +85,12 @@ def test_decryption_reuses_the_key_programmed_by_key_generation(monkeypatch):
     msg = frame_payload(rng.bytes(P.n // 8 - 4), P)
     ct = encrypt(pk, encode_message(msg, P), rng.bytes(32), P, backend)
     transforms = []
-    original = polymult._program
+    original = xbar.program
 
     def counted(*args, **kwargs):
         transforms.append(args)
         return original(*args, **kwargs)
-    monkeypatch.setattr(polymult, "_program", counted)
+    monkeypatch.setattr(xbar, "program", counted)
     assert decode_message(decrypt(sk, ct, P, backend)) == msg
     assert transforms == []
 
@@ -229,6 +230,27 @@ def test_serialized_keys_and_ciphertexts_are_pinned():
         digest.update(outputs.pop())
     assert digest.hexdigest() == (
         "68fea7b0c02798c85230db91c6fe557014e90ca91668cfcc0b5ed5c9b8187233")
+
+
+# (params, public key bytes, ciphertext bytes) of the three SABER sets
+_SABER_SETS = {
+    "LightSaber": (RingParams(l=2, T=1 << 3, mu=10), 672, 736),
+    "Saber": (P, 992, 1088),
+    "FireSaber": (RingParams(l=4, T=1 << 6, mu=6), 1312, 1472),
+}
+
+
+@pytest.mark.parametrize("name", _SABER_SETS)
+def test_saber_parameter_sets_roundtrip_on_every_backend(name):
+    params, pk_bytes, ct_bytes = _SABER_SETS[name]
+    for backend in [SoftwareBackend(alg) for alg in MultAlgorithm] + [XbarBackend(params)]:
+        assert run_roundtrips(3, seed=11, backend=backend, params=params) == 0
+    rng = np.random.default_rng(11)
+    pk, _ = keygen(rng.bytes(32), rng.bytes(32), params)
+    msg = encode_message(frame_payload(rng.bytes(params.n // 8 - 4), params), params)
+    ct = encrypt(pk, msg, rng.bytes(32), params)
+    assert len(pack_public_key(pk, params)) == pk_bytes
+    assert len(pack_ciphertext(ct, params)) == ct_bytes
 
 
 def test_keys_and_ciphertexts_compare_by_value():

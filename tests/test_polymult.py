@@ -103,6 +103,10 @@ def test_dimension_requirements():
         multiply(MultAlgorithm.TC4, b, b)
     with pytest.raises(ValueError):
         multiply(MultAlgorithm.K2, Poly([1], Q), Poly([1], Q))
+    # conv_raw multiplies at 2n, which these tables divide, but checks n
+    for alg, n in ((MultAlgorithm.TC4K2, 4), (MultAlgorithm.TC4, 6), (MultAlgorithm.K2, 1)):
+        with pytest.raises(ValueError, match="requires n divisible"):
+            conv_raw(alg, np.arange(n), np.arange(n))
 
 
 def test_multiplication_by_x_rotates_with_sign():
@@ -208,13 +212,13 @@ def test_exact_division_check_catches_a_wrong_leaf(alg, monkeypatch):
     a, s = rng.integers(0, Q, (1, 3, N)), rng.integers(-4, 5, (3, N))
     handle = program(alg, s)
     matvec(handle, a)
-    irfft = np.fft.irfft
+    ifft = np.fft.ifft
 
     def off_by_one(*args, **kwargs):
-        leaf = irfft(*args, **kwargs)
+        leaf = ifft(*args, **kwargs)
         leaf[(0,) * leaf.ndim] += 1
         return leaf
-    monkeypatch.setattr(np.fft, "irfft", off_by_one)
+    monkeypatch.setattr(np.fft, "ifft", off_by_one)
     with pytest.raises(ArithmeticError, match="non-integer"):
         matvec(handle, a)
 
@@ -312,5 +316,5 @@ def test_growth_bounds_every_sum_after_the_leaf(alg):
     assert not (sums % table.denominators[:, None, None]).any()
     halves = np.abs(sums // table.denominators[:, None, None]).reshape(-1, rows, 2, k)
     halves = halves.transpose(0, 2, 1, 3).reshape(-1, rows, k)  # (2 * product limbs, ...)
-    placed = np.einsum("gj,jrc->grc", np.abs(table._placement(True)), halves)
+    placed = np.einsum("gj,jrc->grc", np.abs(table._placement()), halves)
     assert (placed.max(axis=(1, 2)) <= limits[len(partial):]).all()
