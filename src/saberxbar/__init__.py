@@ -13,7 +13,7 @@ from .polymult import MultAlgorithm, multiply, plan_for
 from .pke import (PublicKey, SecretKey, Ciphertext, SoftwareBackend,
                   keygen, encrypt, decrypt, encode_message, decode_message,
                   frame_payload, check_frame)
-from .xbar import (NoiseSpec, AdcSpec, XbarBackend, NoisySampleBackend,
+from .xbar import (NoiseSpec, XbarBackend, NoisySampleBackend,
                    build_negacyclic_matrix, program_operand, crossbar_polymult)
 from .schedule import (PrecisionMap, StaggeredSchedule, AdcAssignment,
                        required_bits, accumulate_coefficient, build_stagger,

@@ -31,7 +31,7 @@ from .pke import (keygen, encrypt, decrypt, encode_message, encode_messages,
                   decode_message, frame_payload, check_frame, keygen_arrays,
                   encrypt_arrays, decrypt_sums)
 from .xbar import (XbarBackend, NoisySampleBackend, NoiseSpec, DEFAULT_NOISE_GAIN,
-                   MAX_SAMPLE_STD, build_negacyclic_matrix, program_operand, crossbar_polymult)
+                   MAX_SAMPLE_STD, program_operand, crossbar_polymult, inject)
 from .schedule import PrecisionMap, accumulate_coefficient, truncate_to_required
 from .sac import SacVariant, build_sac_tree, sac_accumulate
 from .costmodel import (Operation, Architecture, ArchConfig, ComponentCatalog,
@@ -200,7 +200,7 @@ def run_verify(config: ExperimentConfig, stuck_fault=None,
     rng = np.random.default_rng(config.seed)
     p = config.params
     if stuck_fault is not None:
-        shape = program_operand(np.zeros((p.n, p.n), dtype=np.int64), p).cells.shape
+        shape = program_operand(np.zeros(p.n, dtype=np.int64), p).cells.shape
         limits = (shape[0] * shape[1], shape[2], shape[3], 2)
         if not (len(stuck_fault) == 4
                 and all(isinstance(v, numbers.Integral) and 0 <= v < limit
@@ -229,13 +229,13 @@ def run_verify(config: ExperimentConfig, stuck_fault=None,
     for _ in range(max(2, trials_per_suite // 8)):
         a = Poly(rng.integers(0, p.p, p.n), p.p)
         s = rng.integers(-p.mu // 2, p.mu // 2 + 1, p.n)
-        operand = program_operand(build_negacyclic_matrix(s), p)
+        operand = program_operand(s, p)
         if stuck_fault is not None:
             t, row, col, level = stuck_fault
             cells = operand.cells.copy()
             cells.reshape(-1, *cells.shape[-2:])[t, row, col] = level
             operand = replace(operand, cells=cells)
-        got = crossbar_polymult(a, s, p, operand=operand)
+        got = crossbar_polymult(a, operand)
         want = schoolbook_mul(a, Poly(s, p.p)).coeffs
         if not np.array_equal(got.coeffs, want):
             ok = False
@@ -382,8 +382,9 @@ def _run_trials(config: ExperimentConfig, variance_grid, max_r: int, trials) -> 
     one batched call each, key generation and encryption make one product
     each, and the exact decryption sums one more, for every (variance,
     trial) entry against the trials' key that key generation programmed.
-    Only the sample errors are drawn per read, so a retry redraws them over
-    the same exact sums.
+    Key generation and the exact sums run on an ideal `XbarBackend`,
+    encryption on a `NoisySampleBackend`. Only the sample errors are drawn
+    per read (`inject`), so a retry redraws them over the same exact sums.
     """
     p = config.params
     variances = list(dict.fromkeys(variance_grid))
@@ -397,29 +398,29 @@ def _run_trials(config: ExperimentConfig, variance_grid, max_r: int, trials) -> 
     # one crossbar per (variance, trial); exact products broadcast over them
     noise = np.array([[NoiseSpec(var, _trial_seed(config.seed, t, var)) for t in trials]
                       for var in variances], dtype=object)
-    backend = NoisySampleBackend(NoiseSpec(), p, config.noise_gain)
-    b = keygen_arrays(A, s, p, backend)  # exact, so one key serves every variance
-    backend.noise = noise
-    c_m, b_prime = encrypt_arrays(A, b, m, s_enc, p, backend)
-    # b'^T s of every (variance, trial) entry, once: the inherited product,
-    # without sample errors, against the key that key generation holds
-    exact = XbarBackend.matvec(backend, b_prime[..., None, :, :], backend.program(s), [p.p])
+    ideal = XbarBackend(p)
+    b = keygen_arrays(A, s, p, ideal)  # exact, so one key serves every variance
+    noisy = NoisySampleBackend(noise, p, config.noise_gain)
+    c_m, b_prime = encrypt_arrays(A, b, m, s_enc, p, noisy)
+    # b'^T s of every (variance, trial) entry, once, without sample errors,
+    # against the key that key generation holds
+    exact = ideal.matvec(b_prime[..., None, :, :], ideal.program(s), [p.p])
 
     # per (variance, trial) entry, flattened
     first_success = np.full(noise.size, -1)
     margins = np.full((noise.size, max_r + 1), np.nan)
     errors = np.zeros((noise.size, max_r + 2), dtype=np.int64)
-    errors[:, 0] = backend.last_injected.ravel()
+    errors[:, 0] = noisy.last_injected.ravel()
     m = np.broadcast_to(m, noise.shape + m.shape[1:]).reshape(noise.size, p.n)
     c_m, exact = c_m.reshape(noise.size, p.n), exact.reshape(noise.size, 1, p.n)
     retryable = np.repeat(np.array(variances) > 0, len(draws))  # exact decryption is final
     pending = np.arange(noise.size)
     for attempt in range(max_r + 1):
-        backend.noise = noise.ravel()[pending]
-        v = backend.inject(exact[pending], [p.p], p.l)[:, 0]
-        margin = decryption_margins(decrypt_sums(v, c_m[pending], p), m[pending], p).min(axis=-1)
+        v, errors[pending, attempt + 1] = inject(exact[pending], [p.p], p.l,
+                                                 noise.ravel()[pending], config.noise_gain)
+        margin = decryption_margins(decrypt_sums(v[:, 0], c_m[pending], p), m[pending],
+                                    p).min(axis=-1)
         margins[pending, attempt] = margin
-        errors[pending, attempt + 1] = backend.last_injected
         ok = margin > 0
         first_success[pending[ok]] = attempt
         pending = pending[~ok & retryable[pending]]

@@ -314,7 +314,8 @@ def _weights(size: int) -> np.ndarray:
     pi/size and then taking powers, and rounded once to float64, so each
     lies within sqrt(2) 2^-54 < `_ROOT_ERROR` of its exact value on any
     platform."""
-    with decimal.localcontext(prec=40):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
         cos, sin = decimal.Decimal(0), decimal.Decimal(1)
         for _ in range(size.bit_length() - 2):
             cos, sin = ((1 + cos) / 2).sqrt(), ((1 - cos) / 2).sqrt()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .xbar import NoiseSpec, AdcSpec, adc_read
+from .xbar import NoiseSpec, adc_read
 
 MAX_CELL_BITS = 6
 MAX_WEIGHT = 1 << (MAX_CELL_BITS - 1)
@@ -218,10 +218,8 @@ def eval_sac(tree: SacTree, leaf_values, noise: NoiseSpec = None,
 def sac_accumulate(tree: SacTree, leaf_values, target_mod_bits: int,
                    noise: NoiseSpec = None, tia: TiaSpec = None) -> int:
     """ADC-convert each root and finish the reduction digitally."""
-    full = (1 << tree.adc_bits_at_root) - 1
-    adc = AdcSpec(tree.adc_bits_at_root, full)
     mod = 1 << target_mod_bits
     total = 0
     for value, shift in eval_sac(tree, leaf_values, noise, tia):
-        total += int(adc_read(value, adc)) << shift
+        total += int(adc_read(value, tree.adc_bits_at_root)) << shift
     return total % mod

@@ -12,10 +12,13 @@ dedicated all-ones unit column provides. Columns whose stored-bit population
 exceeds half the rows are stored complemented (flip encoding) so that no
 bitline current exceeds rows/2; the complement is undone after readout.
 
-`program_operand` lays the biased, bit-sliced, flip-encoded matrix onto one
-array of 1-bit tiles (2 row blocks x 8 column blocks of 128 x 128 at
-n = 256), and `crossbar_polymult` is the one physical model: the explicit
-per-cycle, per-sample pipeline including noise and ADC quantization, which
+`program_operand` takes the secret polynomial and lays its biased,
+bit-sliced, flip-encoded matrix onto one array of 1-bit tiles (2 row blocks
+x 8 column blocks of 128 x 128 at n = 256): an `Operand`, which carries its
+bias. `crossbar_polymult(a, operand, noise, adc_bits)` is the one physical
+model: the explicit per-cycle, per-sample read of a programmed operand,
+including noise and quantization by an ADC of `adc_bits` bits (by
+default the narrowest that reads the operand's columns exactly), which
 reads every cycle on all tiles at once (`read_columns`). The backends used
 by the PKE do not rerun it. `XbarBackend` is the ideal crossbar as ring
 arithmetic (the exact negacyclic product, on `polymult`'s one leaf at
@@ -33,6 +36,7 @@ the ideal pipeline and `XbarBackend` to each other bit-exactly.
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,27 +94,14 @@ class NoiseSpec:
         self.rng = np.random.default_rng(self.seed)
 
 
-@dataclass(frozen=True)
-class AdcSpec:
-    bits: int
-    range_max: float
-
-    def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("ADC resolution must be >= 1 bit")
-        if not self.range_max > 0:
-            raise ValueError("ADC range_max must be > 0")
-
-
-def adc_read(value, adc: AdcSpec):
-    """Round-to-nearest quantization onto [0, 2^bits - 1], clamped.
-
-    With range_max = 2^bits - 1 and integer-valued ideal inputs the
-    quantization is exact (code == value).
-    """
-    full = (1 << adc.bits) - 1
-    code = np.rint(np.asarray(value, dtype=np.float64) * (full / adc.range_max))
-    return np.clip(code, 0, full).astype(np.int64)
+def adc_read(value, bits: int):
+    """An ADC of `bits` bits: round-to-nearest onto codes 0..2^bits - 1,
+    clamped. Integer inputs inside that range read exactly (code == value).
+    A width that is not an integer >= 1 raises ValueError."""
+    if not (isinstance(bits, numbers.Integral) and bits >= 1):
+        raise ValueError(f"ADC resolution must be an integer >= 1 bit, got {bits!r}")
+    code = np.rint(np.asarray(value, dtype=np.float64))
+    return np.clip(code, 0, (1 << bits) - 1).astype(np.int64)
 
 
 def adc_bits_for(range_max: int) -> int:
@@ -120,32 +111,36 @@ def adc_bits_for(range_max: int) -> int:
 
 @dataclass(frozen=True)
 class Operand:
-    """A secret as the crossbars hold it: one negacyclic matrix on an array
+    """A secret as the crossbars hold it: its negacyclic matrix on an array
     of 1-bit tiles, each with an all-ones unit column.
 
     `cells` (row_blocks, col_blocks, rows, cols) holds the stored bits and
     `flips` (row_blocks, col_blocks, cols) marks the columns stored
     complemented. Both are read-only; a stuck cell is an edit to a copy of
-    `cells`.
+    `cells`. `bias` is the value added to every stored coefficient, which
+    the read removes.
     """
 
     cells: np.ndarray
     flips: np.ndarray
+    bias: int
 
 
-def program_operand(M: np.ndarray, params: RingParams = DEFAULT_PARAMS) -> Operand:
-    """Bias, bit-slice and flip-encode the (n, n) operand matrix
-    (`build_negacyclic_matrix`) into 1-bit tiles of the default geometry,
-    the one that `costmodel` prices. Logical row i lies in row block
-    i // rows; bit k of coefficient column j lies in physical column
-    j * bits_per_coeff + k, cut into column blocks of `cols`. At n = 256 with
-    4-bit operands on 128 x 128 tiles that is 2 x 8 tiles."""
-    M = np.asarray(M, dtype=np.int64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("negacyclic matrix must be square")
-    n = len(M)
+def program_operand(s_centered: np.ndarray, params: RingParams = DEFAULT_PARAMS) -> Operand:
+    """Bias by mu/2, bit-slice and flip-encode the negacyclic matrix of the
+    centered secret polynomial (`build_negacyclic_matrix`) into 1-bit tiles
+    of the default geometry, the one that `costmodel` prices. Logical row i
+    lies in row block i // rows; bit k of coefficient column j lies in
+    physical column j * bits_per_coeff + k, cut into column blocks of
+    `cols`. At n = 256 with 4-bit operands on 128 x 128 tiles that is 2 x 8
+    tiles. A secret that is not one polynomial, or whose biased matrix does
+    not fit bits_per_coeff, raises ValueError."""
+    s = np.asarray(s_centered, dtype=np.int64)
+    if s.ndim != 1:
+        raise ValueError("the operand must be one polynomial, a 1-D array of coefficients")
+    n, bias = len(s), params.mu // 2
     bpc, rows, cols = DEFAULT_BITS_PER_COEFF, DEFAULT_TILE_ROWS, DEFAULT_TILE_COLS
-    biased = M + params.mu // 2
+    biased = build_negacyclic_matrix(s) + bias
     if biased.min() < 0 or biased.max() >= (1 << bpc):
         raise ValueError("biased operand does not fit bits_per_coeff")
     row_blocks, col_blocks = -(-n // rows), -(-n * bpc // cols)
@@ -159,7 +154,7 @@ def program_operand(M: np.ndarray, params: RingParams = DEFAULT_PARAMS) -> Opera
     cells = np.where(flips[:, :, None, :], 1 - bits, bits)
     cells.setflags(write=False)
     flips.setflags(write=False)
-    return Operand(cells, flips)
+    return Operand(cells, flips, bias)
 
 
 def read_columns(operand: Operand, planes: np.ndarray, noise: NoiseSpec = None):
@@ -178,35 +173,32 @@ def read_columns(operand: Operand, planes: np.ndarray, noise: NoiseSpec = None):
     return columns, unit
 
 
-def crossbar_polymult(a: Poly, s_centered: np.ndarray,
-                      params: RingParams = DEFAULT_PARAMS,
-                      noise: NoiseSpec = None,
-                      adc: AdcSpec = None,
-                      operand: Operand = None) -> Poly:
-    """Full per-cycle pipeline: program, stream, ADC, correct, accumulate.
+def crossbar_polymult(a: Poly, operand: Operand, noise: NoiseSpec = None,
+                      adc_bits: int = None) -> Poly:
+    """Full per-cycle pipeline on a programmed operand: stream, ADC,
+    correct, accumulate.
 
-    Each cycle streams one bit plane of `a` through all tiles. Accumulation
-    shifts each cycle's signed per-coefficient dot product by its bit weight
-    and reduces modulo a.modulus; in ideal mode the result is bit-identical
-    to the software product. Pass a programmed `operand` to model the
-    stationary secret across many multiplications.
+    Each cycle streams one bit plane of `a` through all tiles, and every
+    column and unit column is read by an ADC of `adc_bits` bits, by default
+    the narrowest that reads them exactly (`adc_read` rejects a width that
+    is not an integer >= 1). Accumulation shifts each cycle's signed per-coefficient dot product by
+    its bit weight and reduces modulo a.modulus; in ideal mode the result is
+    bit-identical to the software product. The operand stays programmed
+    across any number of reads.
     """
-    if operand is None:
-        operand = program_operand(build_negacyclic_matrix(s_centered), params)
     row_blocks, col_blocks, rows, cols = operand.cells.shape
     bpc = DEFAULT_BITS_PER_COEFF
-    if adc is None:
+    if adc_bits is None:
         # a full scale of 2^bits - 1 covering the largest stored column (a
         # population tie at rows/2 reads rows/2) and the unit column, which
         # reads up to rows, maps integer levels 1:1 onto codes
-        bits = adc_bits_for(max(int(operand.cells.sum(axis=2).max()), rows))
-        adc = AdcSpec(bits, (1 << bits) - 1)
+        adc_bits = adc_bits_for(max(int(operand.cells.sum(axis=2).max()), rows))
 
     n, cycles = a.n, a.modulus.bit_length() - 1
     planes = np.zeros((cycles, row_blocks * rows))
     planes[:, :n] = (a.coeffs >> np.arange(cycles)[:, None]) & 1
     columns, unit = read_columns(operand, planes.reshape(cycles, row_blocks, rows), noise)
-    codes, unit_codes = adc_read(columns, adc), adc_read(unit, adc)
+    codes, unit_codes = adc_read(columns, adc_bits), adc_read(unit, adc_bits)
     # undo flip encoding digitally: a complemented column reads popcount - true
     true = np.where(operand.flips, unit_codes[..., None] - codes, codes)
 
@@ -215,7 +207,7 @@ def crossbar_polymult(a: Poly, s_centered: np.ndarray,
     # that column block 0's unit columns read
     slices = true.reshape(cycles, row_blocks, col_blocks * cols // bpc, bpc)
     biased = (slices @ (1 << np.arange(bpc))).sum(axis=1)[:, :n]
-    signed = biased - params.mu // 2 * unit_codes[:, :, 0].sum(axis=1)[:, None]
+    signed = biased - operand.bias * unit_codes[:, :, 0].sum(axis=1)[:, None]
     mod = a.modulus
     weighted = ((signed % mod) << np.arange(cycles)[:, None]) % mod
     return Poly(weighted.sum(axis=0) % mod, mod)
@@ -321,6 +313,60 @@ class XbarBackend:
         self.boot_cell_bits = 0
 
 
+def inject(exact: np.ndarray, moduli, terms: int, noise, gain: float):
+    """The (..., rows, n) exact sums, of `terms` products each, plus the
+    sample errors of one read, and the number of errors injected: a pair
+    (sums, counts), both new arrays broadcast over the shape of `noise`.
+
+    `noise` is one NoiseSpec or an array of them, one crossbar per entry of
+    a batch; entry i draws its errors from noise[i].rng at a sample-referred
+    std of its cell variance x `gain`, and one at zero std draws nothing and
+    gets the exact sums. Row i's products read its modulus' bits, one input
+    cycle per bit. The number of errors an entry draws does not depend on
+    the exact sums, so sums computed once can take the errors of several
+    reads, one call each: a decryption retry rereads the same exact
+    product."""
+    if len(moduli) != exact.shape[-2]:
+        raise ValueError("noisy products need one modulus per row")
+    sources = np.asarray(noise, dtype=object)
+    lead = np.broadcast_shapes(exact.shape[:-2], sources.shape)
+    out = np.broadcast_to(exact, lead + exact.shape[-2:]).copy()
+    entries = out.reshape(-1, *out.shape[-2:])  # a view: (entries, rows, n)
+    counts = np.zeros(len(entries), dtype=np.int64)
+    n = out.shape[-1]
+    slices = DEFAULT_BITS_PER_COEFF
+    # runs of consecutive rows that share a modulus, hence a number of input
+    # cycles: (rows, cycles). Drawing each run with a scalar count and a
+    # scalar bound gives the same draws as per-row array arguments, at a
+    # fraction of numpy's per-call cost for arrays.
+    runs = [(len(list(group)), m.bit_length() - 1)
+            for m, group in itertools.groupby(moduli)]
+    starts = np.cumsum([0] + [rows for rows, _ in runs[:-1]])
+    samples_per_cycle = n * slices * -(-n // DEFAULT_TILE_ROWS)
+    for i, (spec, result) in enumerate(zip(np.broadcast_to(sources, lead).ravel(), entries)):
+        std = spec.cell_variance * gain
+        if std <= 0:
+            continue
+        # P(|N(0,std)| crosses the half-LSB rounding threshold)
+        tail = _phi_tail(0.5 / std)
+        rng = spec.rng
+        per_row = np.concatenate([
+            rng.binomial(cycles * samples_per_cycle, 2.0 * tail, (rows, terms))
+            for rows, cycles in runs]).sum(axis=1)
+        k = counts[i] = per_row.sum()
+        if k == 0:
+            continue
+        row = np.repeat(np.arange(len(per_row)), per_row)
+        cycle = np.concatenate([rng.integers(0, cycles, errors) for (_, cycles), errors
+                                in zip(runs, np.add.reduceat(per_row, starts))])
+        coeff = rng.integers(0, n, k)
+        sl = rng.integers(0, slices, k)
+        mag = error_magnitudes(rng.random(k) * tail, std)
+        sign = np.where(rng.random(k) < 0.5, 1, -1)
+        np.add.at(result, (row, coeff), (sign * mag) << (cycle + sl))
+    return out, counts.reshape(lead)
+
+
 class NoisySampleBackend(XbarBackend):
     """Crossbar backend with post-calibration sample-referred read noise.
 
@@ -334,17 +380,12 @@ class NoisySampleBackend(XbarBackend):
     coefficient, bit-slice) sample with weight 2^(cycle+slice).
 
     `noise` is one NoiseSpec, the noise source of every product, or an
-    array of them, one crossbar per entry of a batch: `inject` broadcasts
-    the exact sums over the array's shape, and entry i draws its errors from
-    noise[i].rng at its own variance. Errors are additive, so one exact
-    product serves every entry it broadcasts to, and an entry at zero
-    variance draws nothing and gets the exact sums (boot-time programming is
-    verified off-line, so key generation runs with `NoiseSpec()`). The
-    number of errors an entry draws does not depend on the exact sums, so
-    sums computed once, by the inherited `XbarBackend.matvec`, can take the
-    errors of several reads, one `inject` each: a decryption retry rereads
-    the same exact product. Its slots hold batch keys as `XbarBackend`'s do.
-    `last_injected` counts the errors injected by the latest `inject`, per
+    array of them, one crossbar per entry of a batch: `matvec` adds the
+    errors of one read (`inject`) to `XbarBackend`'s exact sums, broadcast
+    over the array's shape. Errors are additive, so one exact product
+    serves every entry it broadcasts to, and an entry at zero variance gets
+    the exact sums. Its slots hold batch keys as `XbarBackend`'s do.
+    `last_injected` counts the errors injected by the latest product, per
     entry.
     """
 
@@ -360,54 +401,9 @@ class NoisySampleBackend(XbarBackend):
     def matvec(self, rows: np.ndarray, handle: Programmed, moduli) -> np.ndarray:
         """The exact sums of `XbarBackend.matvec` plus sample errors. The
         rows' moduli set each product's number of input cycles."""
-        return self.inject(super().matvec(rows, handle, moduli), moduli, handle.l)
-
-    def inject(self, exact: np.ndarray, moduli, terms: int) -> np.ndarray:
-        """The (..., rows, n) exact sums, of `terms` products each, plus the
-        sample errors of one read: a new array, broadcast over the shape of
-        `noise`. Row i's products read its modulus' bits, one input cycle
-        per bit."""
-        if len(moduli) != exact.shape[-2]:
-            raise ValueError("noisy products need one modulus per row")
-        sources = np.asarray(self.noise, dtype=object)
-        lead = np.broadcast_shapes(exact.shape[:-2], sources.shape)
-        out = np.broadcast_to(exact, lead + exact.shape[-2:]).copy()
-        entries = out.reshape(-1, *out.shape[-2:])  # a view: (entries, rows, n)
-        counts = np.zeros(len(entries), dtype=np.int64)
-        self.last_injected = counts.reshape(lead)
-        n = out.shape[-1]
-        slices = DEFAULT_BITS_PER_COEFF
-        # runs of consecutive rows that share a modulus, hence a number of
-        # input cycles: (rows, cycles). Drawing each run with a scalar count
-        # and a scalar bound gives the same draws as per-row array arguments,
-        # at a fraction of numpy's per-call cost for arrays.
-        runs = [(len(list(group)), m.bit_length() - 1)
-                for m, group in itertools.groupby(moduli)]
-        starts = np.cumsum([0] + [rows for rows, _ in runs[:-1]])
-        samples_per_cycle = n * slices * -(-n // DEFAULT_TILE_ROWS)
-        for i, (spec, result) in enumerate(zip(np.broadcast_to(sources, lead).ravel(),
-                                               entries)):
-            std = spec.cell_variance * self.noise_gain
-            if std <= 0:
-                continue
-            # P(|N(0,std)| crosses the half-LSB rounding threshold)
-            tail = _phi_tail(0.5 / std)
-            rng = spec.rng
-            per_row = np.concatenate([
-                rng.binomial(cycles * samples_per_cycle, 2.0 * tail, (rows, terms))
-                for rows, cycles in runs]).sum(axis=1)
-            k = counts[i] = per_row.sum()
-            if k == 0:
-                continue
-            row = np.repeat(np.arange(len(per_row)), per_row)
-            cycle = np.concatenate([rng.integers(0, cycles, errors) for (_, cycles), errors
-                                    in zip(runs, np.add.reduceat(per_row, starts))])
-            coeff = rng.integers(0, n, k)
-            sl = rng.integers(0, slices, k)
-            mag = error_magnitudes(rng.random(k) * tail, std)
-            sign = np.where(rng.random(k) < 0.5, 1, -1)
-            np.add.at(result, (row, coeff), (sign * mag) << (cycle + sl))
-        return out
+        sums, self.last_injected = inject(super().matvec(rows, handle, moduli), moduli,
+                                          handle.l, self.noise, self.noise_gain)
+        return sums
 
     def mul_raw(self, a: Poly, s_poly_centered: np.ndarray) -> np.ndarray:
         """One product with sample errors, reduced modulo a.modulus. Its own

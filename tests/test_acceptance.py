@@ -13,7 +13,7 @@ from saberxbar.params import RingParams, DEFAULT_PARAMS
 from saberxbar.ring import Poly, fold_negacyclic
 from saberxbar.polymult import MultAlgorithm, multiply, schoolbook_mul
 from saberxbar.pke import SoftwareBackend, keygen, encrypt, decrypt
-from saberxbar.xbar import XbarBackend, crossbar_polymult
+from saberxbar.xbar import XbarBackend, crossbar_polymult, program_operand
 from saberxbar.schedule import (PrecisionMap, accumulate_coefficient,
                                 truncate_to_required, build_stagger)
 from saberxbar.sac import (SacVariant, build_sac_tree, sac_accumulate,
@@ -100,7 +100,7 @@ def test_criterion_03_crossbar_fidelity(capsys):
         for _ in range(3):
             a = Poly(rng.integers(0, modulus, P.n), modulus)
             s = rng.integers(-4, 5, P.n)
-            got = crossbar_polymult(a, s, P)
+            got = crossbar_polymult(a, program_operand(s, P))
             want = schoolbook_mul(a, Poly(s, modulus)).coeffs
             pipe_bad += not np.array_equal(got.coeffs, want)
     xb, sw = XbarBackend(P), SoftwareBackend()

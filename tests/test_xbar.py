@@ -10,10 +10,10 @@ from saberxbar.ring import Poly, fold_negacyclic
 from saberxbar.polymult import schoolbook_mul
 from saberxbar.pke import SoftwareBackend
 from saberxbar.xbar import (build_negacyclic_matrix,
-                            NoiseSpec, AdcSpec, adc_read, adc_bits_for,
+                            NoiseSpec, adc_read, adc_bits_for,
                             program_operand, read_columns, crossbar_polymult,
                             XbarBackend,
-                            NoisySampleBackend, DEFAULT_NOISE_GAIN, MAX_SAMPLE_STD,
+                            NoisySampleBackend, DEFAULT_NOISE_GAIN, MAX_SAMPLE_STD, inject,
                             error_magnitudes, _magnitude_tails, _phi_tail)
 
 P = DEFAULT_PARAMS
@@ -38,23 +38,34 @@ def test_negacyclic_matrix_product_equals_polymult():
         assert np.array_equal(a @ M, fold_negacyclic(np.convolve(a, s), n))
 
 
-def test_negacyclic_matrix_must_be_square():
-    with pytest.raises(ValueError):
-        program_operand(np.zeros((2, 3)), P)
+def test_program_operand_takes_one_polynomial():
+    # the secret polynomial, not its matrix: anything but a 1-D array of
+    # coefficients is refused
+    for bad in (np.zeros((2, 3)), np.zeros((4, 4)), np.zeros((2, P.l, 4)), np.int64(1)):
+        with pytest.raises(ValueError, match="one polynomial"):
+            program_operand(bad, P)
 
 
 def test_adc_read_exact_on_integers():
-    adc = AdcSpec(8, (1 << 8) - 1)
     vals = np.arange(256)
-    assert np.array_equal(adc_read(vals, adc), vals)
-    assert adc_read(300.0, adc) == 255  # clamped
-    assert adc_read(-3.0, adc) == 0
+    assert np.array_equal(adc_read(vals, 8), vals)
+    assert adc_read(300.0, 8) == 255  # clamped
+    assert adc_read(-3.0, 8) == 0
 
 
-def test_adc_spec_rejects_non_positive_range():
-    for bad in (0, -1.0, float("nan")):
-        with pytest.raises(ValueError):
-            AdcSpec(4, bad)
+def test_adc_read_rejects_a_width_below_one():
+    # an ADC is its width: an integer number of bits >= 1, given to the
+    # pipeline or to the converter itself
+    rng = np.random.default_rng(17)
+    s = rng.integers(-4, 5, P.n)
+    op = program_operand(s, P)
+    a = Poly(rng.integers(0, P.p, P.n), P.p)
+    for bad in (0, -1, 6.0, 6.5, float("nan"), "6"):
+        with pytest.raises(ValueError, match="ADC resolution"):
+            adc_read(np.arange(4), bad)
+        with pytest.raises(ValueError, match="ADC resolution"):
+            crossbar_polymult(a, op, adc_bits=bad)
+    assert np.array_equal(adc_read(np.arange(4), np.int64(1)), [0, 1, 1, 1])
 
 
 def test_adc_bits_for_covers_range():
@@ -66,7 +77,7 @@ def test_adc_bits_for_covers_range():
 
 def test_tile_flip_encoding_bounds_column_current():
     rng = np.random.default_rng(0)
-    op = program_operand(build_negacyclic_matrix(rng.integers(-4, 5, P.n)), P)
+    op = program_operand(rng.integers(-4, 5, P.n), P)
     stored = op.cells.sum(axis=2)
     assert stored.max() <= 64
     # a flipped column holds the complement of a population above rows/2
@@ -75,19 +86,21 @@ def test_tile_flip_encoding_bounds_column_current():
 
 
 def test_tile_program_validates_shape_and_levels():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one polynomial"):
         program_operand(np.zeros((4, 3), dtype=np.int64), P)
-    # biased by mu/2 = 4, a coefficient must lie in [-4, 11] to fit 4 bits
-    with pytest.raises(ValueError):
-        program_operand(np.full((4, 4), 12, dtype=np.int64), P)
-    with pytest.raises(ValueError):
-        program_operand(np.full((4, 4), -5, dtype=np.int64), P)
+    # biased by mu/2 = 4, a stored entry must lie in [-4, 11] to fit 4 bits;
+    # the matrix stores every coefficient and (but for s[0]) its negation
+    for s in ([12, 0, 0, 0], [-5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 0, -5]):
+        with pytest.raises(ValueError, match="bits_per_coeff"):
+            program_operand(np.array(s, dtype=np.int64), P)
+    op = program_operand(np.array([-4, 4, -4, 4], dtype=np.int64), P)
+    assert op.bias == P.mu // 2 == 4
 
 
 def test_tile_stuck_fault_overrides_readout_only():
     rng = np.random.default_rng(2)
     s = rng.integers(-4, 5, P.n)
-    op = program_operand(build_negacyclic_matrix(s), P)
+    op = program_operand(s, P)
     assert not op.cells.flags.writeable and not op.flips.flags.writeable
     cells = op.cells.copy()
     cells.reshape(-1, 128, 128)[9, 3, 5] ^= 1  # tile 9 is row block 1, column block 1
@@ -104,11 +117,11 @@ def test_tile_stuck_fault_overrides_readout_only():
 def test_program_layout_geometry():
     # 2 row blocks of 128 logical rows x 8 column blocks of 32 coefficients
     # x 4 bit slices: 16 tiles of 128 x 128
-    op = program_operand(build_negacyclic_matrix(np.zeros(P.n, dtype=np.int64)), P)
+    op = program_operand(np.zeros(P.n, dtype=np.int64), P)
     assert op.cells.shape == (2, 8, 128, 128)
     assert op.flips.shape == (2, 8, 128)
     # a small operand pads its one tile with zero rows and columns
-    small = program_operand(build_negacyclic_matrix(np.ones(16, dtype=np.int64)), P)
+    small = program_operand(np.ones(16, dtype=np.int64), P)
     assert small.cells.shape == (1, 1, 128, 128)
     assert not small.flips[0, 0, 64:].any()
 
@@ -117,7 +130,7 @@ def test_program_operand_bits_match_matrix():
     rng = np.random.default_rng(1)
     s = rng.integers(-4, 5, P.n)
     M = build_negacyclic_matrix(s)
-    op = program_operand(M, P)
+    op = program_operand(s, P)
     for row, coeff, bit in ((0, 0, 0), (37, 200, 3), (255, 255, 2), (128, 32, 1)):
         col = coeff * 4 + bit
         rb, r, cb, c = row // 128, row % 128, col // 128, col % 128
@@ -131,7 +144,7 @@ def test_column_reads_ideal_popcounts():
     rng = np.random.default_rng(2)
     s = rng.integers(-4, 5, P.n)
     M = build_negacyclic_matrix(s)
-    op = program_operand(M, P)
+    op = program_operand(s, P)
     bits = rng.integers(0, 2, (2, 128))
     columns, unit = read_columns(op, bits)
     # row block 0 sees the first 128 input bits, block 1 the rest, on
@@ -149,7 +162,7 @@ def test_crossbar_polymult_matches_software_exactly():
     for _ in range(3):
         a = Poly(rng.integers(0, P.p, P.n), P.p)
         s = rng.integers(-4, 5, P.n)
-        got = crossbar_polymult(a, s, P)
+        got = crossbar_polymult(a, program_operand(s, P))
         assert got == schoolbook_mul(a, Poly(s, P.p))
 
 
@@ -157,34 +170,34 @@ def test_crossbar_polymult_mod_q_width():
     rng = np.random.default_rng(4)
     a = Poly(rng.integers(0, P.q, P.n), P.q)
     s = rng.integers(-4, 5, P.n)
-    got = crossbar_polymult(a, s, P)
+    got = crossbar_polymult(a, program_operand(s, P))
     assert got == schoolbook_mul(a, Poly(s, P.q))
 
 
 def test_crossbar_polymult_reuses_preprogrammed_tiles(monkeypatch):
     rng = np.random.default_rng(5)
     s = rng.integers(-4, 5, P.n)
-    op = program_operand(build_negacyclic_matrix(s), P)
+    op = program_operand(s, P)
     inputs = [Poly(rng.integers(0, P.p, P.n), P.p) for _ in range(3)]
     wants = [schoolbook_mul(a, Poly(s, P.p)) for a in inputs]
-    # with an operand the pipeline programs nothing
+    # the pipeline reads the operand it is given and programs nothing
     monkeypatch.setattr("saberxbar.xbar.program_operand", None)
-    assert [crossbar_polymult(a, s, P, operand=op) for a in inputs] == wants
+    assert [crossbar_polymult(a, op) for a in inputs] == wants
 
 
 def test_stuck_fault_breaks_the_product():
     rng = np.random.default_rng(6)
     a = Poly(rng.integers(1, P.p, P.n), P.p)
     s = rng.integers(-4, 5, P.n)
-    op = program_operand(build_negacyclic_matrix(s), P)
+    op = program_operand(s, P)
     want = schoolbook_mul(a, Poly(s, P.p)).coeffs
     # force a visible flip on tile 0's cell (0, 0)
     cells = op.cells.copy()
     cells[0, 0, 0, 0] ^= 1
-    got = crossbar_polymult(a, s, P, operand=replace(op, cells=cells))
+    got = crossbar_polymult(a, replace(op, cells=cells))
     assert not np.array_equal(got.coeffs, want)
     # the programmed operand itself is untouched
-    assert np.array_equal(crossbar_polymult(a, s, P, operand=op).coeffs, want)
+    assert np.array_equal(crossbar_polymult(a, op).coeffs, want)
 
 
 def test_noisy_reads_follow_the_cell_noise_law():
@@ -195,7 +208,7 @@ def test_noisy_reads_follow_the_cell_noise_law():
     # - 1)) relative, of k var^2.
     rng = np.random.default_rng(13)
     var, reads = 0.03, 1000
-    op = program_operand(build_negacyclic_matrix(rng.integers(-4, 5, P.n)), P)
+    op = program_operand(rng.integers(-4, 5, P.n), P)
     bits = rng.integers(0, 2, (2, 128)).astype(np.float64)
     ideal, pop = read_columns(op, bits)
     columns, unit = read_columns(op, np.broadcast_to(bits, (reads, 2, 128)),
@@ -210,8 +223,9 @@ def test_noisy_reads_follow_the_cell_noise_law():
     a = Poly(rng.integers(0, P.p, P.n), P.p)
     s = rng.integers(-4, 5, P.n)
     want = schoolbook_mul(a, Poly(s, P.p))
-    assert crossbar_polymult(a, s, P, noise=NoiseSpec(0.0, seed=15)) == want
-    assert crossbar_polymult(a, s, P, noise=NoiseSpec(var, seed=15)) != want
+    op = program_operand(s, P)
+    assert crossbar_polymult(a, op, noise=NoiseSpec(0.0, seed=15)) == want
+    assert crossbar_polymult(a, op, noise=NoiseSpec(var, seed=15)) != want
 
 
 def test_xbar_backend_matches_software_backend():
@@ -234,7 +248,8 @@ def test_xbar_backend_matches_crossbar_pipeline_exactly():
         for _ in range(2):
             a = Poly(rng.integers(0, modulus, P.n), modulus)
             s = rng.integers(-4, 5, P.n)
-            assert np.array_equal(xb.mul_raw(a, s), crossbar_polymult(a, s, P).coeffs)
+            assert np.array_equal(xb.mul_raw(a, s),
+                                  crossbar_polymult(a, program_operand(s, P)).coeffs)
 
 
 def test_xbar_backend_write_accounting():
@@ -500,16 +515,36 @@ def test_noisy_backend_broadcasts_one_exact_product_over_its_sources():
     assert nb.last_injected[1].sum() > 0
 
 
+def test_inject_is_the_noisy_backends_read():
+    # the noisy product is the exact one plus one `inject`, drawn from the
+    # same sources; the exact sums are left as they were
+    rng = np.random.default_rng(18)
+    rows = rng.integers(0, P.q, (2, 3, P.l, P.n))
+    s = rng.integers(-4, 5, (2, P.l, P.n))
+    moduli = [P.q, P.q, P.p]
+
+    def sources():
+        return np.array([NoiseSpec(0.3, seed=1), NoiseSpec(0.0), NoiseSpec(0.3, seed=2)])
+    nb = NoisySampleBackend(sources()[:, None], P, noise_gain=1.5)
+    noisy = nb.matvec(rows, nb.program(s), moduli)
+    exact = XbarBackend(P).matvec(rows, XbarBackend(P).program(s), moduli)
+    kept = exact.copy()
+    sums, counts = inject(exact, moduli, P.l, sources()[:, None], 1.5)
+    assert np.array_equal(sums, noisy) and np.array_equal(counts, nb.last_injected)
+    assert counts.shape == (3, 2) and not counts[1].any() and counts.sum() > 0
+    assert np.array_equal(exact, kept) and np.array_equal(sums[1], exact)
+
+
 def _stick(a, s, seed):
     """The product of `a` by `s` with one cell stuck at the complement of
     its stored bit, at a tile, row and column drawn from `seed`."""
     rng = np.random.default_rng(100 + seed)
     t, r, c = int(rng.integers(16)), int(rng.integers(128)), int(rng.integers(128))
-    operand = program_operand(build_negacyclic_matrix(s), P)
+    operand = program_operand(s, P)
     cells = operand.cells.copy()
     tile = cells.reshape(-1, 128, 128)[t]
     tile[r, c] = 1 - tile[r, c]
-    return crossbar_polymult(a, s, P, operand=replace(operand, cells=cells))
+    return crossbar_polymult(a, replace(operand, cells=cells))
 
 
 def test_pipeline_outputs_are_pinned():
@@ -522,9 +557,10 @@ def test_pipeline_outputs_are_pinned():
         s = rng.integers(-4, 5, P.n)
         a_p = Poly(rng.integers(0, P.p, P.n), P.p)
         a_q = Poly(rng.integers(0, P.q, P.n), P.q)
-        cases["p"].append(crossbar_polymult(a_p, s, P))
-        cases["q"].append(crossbar_polymult(a_q, s, P))
-        cases["adc6"].append(crossbar_polymult(a_p, s, P, adc=AdcSpec(6, 63)))
+        op = program_operand(s, P)
+        cases["p"].append(crossbar_polymult(a_p, op))
+        cases["q"].append(crossbar_polymult(a_q, op))
+        cases["adc6"].append(crossbar_polymult(a_p, op, adc_bits=6))
         cases["stuck"].append(_stick(a_p, s, seed))
     digests = {name: hashlib.sha256(b"".join(out.coeffs.astype("<i8").tobytes()
                                              for out in outs)).hexdigest()
