@@ -139,19 +139,29 @@ def test_run_verify_all_suites_pass():
 
 
 def test_run_verify_detects_injected_stuck_fault():
-    # tile 0, row 0, column 0 stores a 1 in seed 0's crossbar trials and a
-    # 0 in seed 2's first one, so a fault there at the other level changes
-    # the stored bit, and the suite must fail and name the injected cell
-    for seed, level in ((0, 0), (2, 1)):
-        report = run_verify(ExperimentConfig(trials=1, seed=seed), trials_per_suite=5,
-                            stuck_fault=(0, 0, 0, level))
-        crossbar = report.suites[1]
-        assert not crossbar.passed and not report.passed
-        assert f"injected stuck-at-{level} cell at tile 0, row 0, column 0" in crossbar.detail
-        assert "first failing coefficient" in crossbar.detail
+    # at seed 0 the crossbar trials store a 1 in tile 0, row 0, column 0, so
+    # a stuck-at-0 fault there changes the stored bit, and the suite must
+    # fail and name the injected cell
+    report = run_verify(ExperimentConfig(trials=1), trials_per_suite=5,
+                        stuck_fault=(0, 0, 0, 0))
+    crossbar = report.suites[1]
+    assert not crossbar.passed and not report.passed
+    assert "injected stuck-at-0 cell at tile 0, row 0, column 0" in crossbar.detail
+    assert "first failing coefficient" in crossbar.detail
     # a cell stuck at the level it stores reads as programmed
     assert run_verify(ExperimentConfig(trials=1), trials_per_suite=5,
                       stuck_fault=(0, 0, 0, 1)).passed
+
+
+def test_run_verify_fault_seed_that_fails():
+    # seed 2's first crossbar trial stores a 0 in tile 0, row 0, column 0,
+    # so a stuck-at-1 fault there differs from the stored bit
+    report = run_verify(ExperimentConfig(trials=1, seed=2), trials_per_suite=3,
+                        stuck_fault=(0, 0, 0, 1))
+    crossbar = report.suites[1]
+    assert not crossbar.passed and not report.passed
+    assert "injected stuck-at-1 cell at tile 0, row 0, column 0" in crossbar.detail
+    assert "first failing coefficient" in crossbar.detail
 
 
 @pytest.mark.parametrize("fault", [(0, 0, 0, 2), (0, 0, 0, -1), (99, 0, 0, 1),
