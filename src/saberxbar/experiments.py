@@ -25,13 +25,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS
-from .ring import Poly, gen_matrices, sample_secrets
+from .ring import Poly, _reduce, gen_matrices, sample_secrets
 from .polymult import MultAlgorithm, multiply, schoolbook_mul
 from .pke import (keygen, encrypt, decrypt, encode_message, encode_messages,
                   decode_message, frame_payload, check_frame, keygen_arrays,
                   encrypt_arrays, decrypt_sums)
 from .xbar import (XbarBackend, NoisySampleBackend, NoiseSpec, DEFAULT_NOISE_GAIN,
-                   MAX_SAMPLE_STD, program_operand, crossbar_polymult, inject)
+                   MAX_SAMPLE_STD, operand_shape, program_operand, crossbar_polymult,
+                   inject)
 from .schedule import PrecisionMap, accumulate_coefficient, truncate_to_required
 from .sac import SacVariant, build_sac_tree, sac_accumulate
 from .costmodel import (Operation, Architecture, ArchConfig, ComponentCatalog,
@@ -200,7 +201,7 @@ def run_verify(config: ExperimentConfig, stuck_fault=None,
     rng = np.random.default_rng(config.seed)
     p = config.params
     if stuck_fault is not None:
-        shape = program_operand(np.zeros(p.n, dtype=np.int64), p).cells.shape
+        shape = operand_shape(p.n)
         limits = (shape[0] * shape[1], shape[2], shape[3], 2)
         if not (len(stuck_fault) == 4
                 and all(isinstance(v, numbers.Integral) and 0 <= v < limit
@@ -342,7 +343,7 @@ def decryption_margins(pre: np.ndarray, m: np.ndarray, params: RingParams) -> np
     nearer edge of the interval that decodes to its message bit m, in units
     of 1 mod p: positive exactly when the bit decodes correctly."""
     half = params.p // 2
-    offset = (pre - m * half + half // 2) % params.p - half  # from the interval's center
+    offset = _reduce(pre - m * half + half // 2, params.p) - half  # from the interval's center
     return half / 2 - np.abs(offset + 0.5)
 
 

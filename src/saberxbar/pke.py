@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import RingParams, DEFAULT_PARAMS, constants
-from .ring import Poly, _ByValue, gen_matrix, sample_secret, unpack_values
+from .ring import Poly, _ByValue, _reduce, gen_matrix, sample_secret, unpack_values
 from .polymult import MultAlgorithm, Programmed, program, matvec
 
 
@@ -106,7 +106,7 @@ def keygen_arrays(A: np.ndarray, s: np.ndarray, params: RingParams, backend) -> 
     A (..., l, l, n) mod q and the centered secret s (..., l, n)."""
     backend.install_boot_secret(s)
     As = backend.matvec(np.swapaxes(A, -3, -2), backend.program(s), [params.q] * params.l)
-    return ((As + constants(params).h1_value) % params.q) >> (params.eps_q - params.eps_p)
+    return _reduce(As + constants(params).h1_value, params.q) >> (params.eps_q - params.eps_p)
 
 
 def encrypt_arrays(A: np.ndarray, b: np.ndarray, m: np.ndarray, s_prime: np.ndarray,
@@ -119,8 +119,8 @@ def encrypt_arrays(A: np.ndarray, b: np.ndarray, m: np.ndarray, s_prime: np.ndar
     sums = backend.matvec(rows, backend.program(s_prime),
                           [params.q] * params.l + [params.p])
     h1 = constants(params).h1_value
-    b_prime = ((sums[..., :-1, :] + h1) % params.q) >> (params.eps_q - params.eps_p)
-    pre = (sums[..., -1, :] + h1 - (m << (params.eps_p - 1))) % params.p
+    b_prime = _reduce(sums[..., :-1, :] + h1, params.q) >> (params.eps_q - params.eps_p)
+    pre = _reduce(sums[..., -1, :] + h1 - (m << (params.eps_p - 1)), params.p)
     return pre >> (params.eps_p - params.eps_T), b_prime
 
 
@@ -136,8 +136,8 @@ def decrypt_sums(v: np.ndarray, c_m: np.ndarray, params: RingParams) -> np.ndarr
     """The decryption equation on products already computed: the message
     coefficients before rounding, (..., n) mod p, from the unreduced sums
     v = b'^T s (..., n) and c_m (..., n) mod T."""
-    return (v - (c_m << (params.eps_p - params.eps_T))
-            + constants(params).h2_value) % params.p
+    return _reduce(v - (c_m << (params.eps_p - params.eps_T)) + constants(params).h2_value,
+                   params.p)
 
 
 def keygen(seed_A: bytes, r: bytes, params: RingParams = DEFAULT_PARAMS,

@@ -46,11 +46,21 @@ zero-padded to 2n coefficients, modulo x^(2n) + 1, which does not wrap.
 `schoolbook_mul`, an int64 convolution, is the one exact oracle: every
 algorithm must agree with it bit-exactly, and the test suite checks it
 against an independent big-integer convolution.
+
+`matvec` takes its three large temporaries, the packed public operands, the
+leaf sums and the rounded leaf, from a buffer kept per thread (`_Scratch`)
+when the packed block has 64 KiB or more, as a Toom-Cook encryption's does
+(126 KiB on TC4K2), up to 2 MiB in all. Allocated per call, blocks of that
+size made the C allocator grow its heap and give it back on every product,
+at a page fault per 4 KiB page. Smaller blocks are still allocated per
+call, which costs less than taking views of the buffer. Results and
+`Programmed.spectra` never view the buffer.
 """
 
 import decimal
 import enum
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -403,6 +413,47 @@ class Programmed:
         return self.secret.shape[-2]
 
 
+class _Scratch(threading.local):
+    """One thread's buffer for the large blocks of `matvec`: the packed
+    operands, the leaf sums and the rounded leaf.
+
+    Allocated anew on every call, blocks of 64 KiB and more make the C
+    allocator grow its heap and give it back to the system each time, at
+    a page fault per 4 KiB page touched again. The buffer instead grows to
+    the largest blocks asked for, up to `_SCRATCH_CAP`, and stays. The
+    packed operands lie at its start and the leaf sums after them; the
+    rounded leaf reuses the start, as the leaf sums have consumed the
+    packed operands by then. Nothing `matvec` returns views it, and no
+    `Programmed` does: `program` packs into a new array."""
+
+    def __init__(self):
+        self.buffer = np.empty(0, dtype=np.complex128)
+
+    def blocks(self, shape: tuple) -> tuple:
+        """(packed, leaf sums, rounded leaf) for packed operands of `shape`
+        (..., l, size/2): views of the buffer, or None three times, for new
+        blocks, when the packed block is under `_SCRATCH_MIN` bytes or it
+        and the leaf sums together exceed `_SCRATCH_CAP`."""
+        count, leaf = math.prod(shape), math.prod(shape[:-2]) * shape[-1]
+        if not _SCRATCH_MIN <= 16 * count <= _SCRATCH_CAP - 16 * leaf:
+            return None, None, None
+        if len(self.buffer) < count + leaf:
+            self.buffer = np.empty(count + leaf, dtype=np.complex128)
+        sums = self.buffer[count:count + leaf].reshape(shape[:-2] + shape[-1:])
+        rounded = self.buffer[:leaf].view(np.float64).reshape(
+            shape[:-2] + (2 * shape[-1],))
+        return self.buffer[:count].reshape(shape), sums, rounded
+
+
+# packed blocks under `_SCRATCH_MIN` bytes are allocated per call: their
+# churn is small, and taking views of the buffer would cost them more time
+# than it saves. The buffer holds at most `_SCRATCH_CAP` bytes, twice what
+# a batch of 32 trials' encryption takes on the folding leaf at n = 256.
+_SCRATCH_MIN = 1 << 16
+_SCRATCH_CAP = 1 << 21
+_SCRATCH = _Scratch()
+
+
 def _norms(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(values, values))
 
@@ -412,13 +463,25 @@ def _widen(values: np.ndarray, axes: int) -> np.ndarray:
     return values.reshape(values.shape[:1] + (1,) * axes + values.shape[1:])
 
 
-def _pack(table: _Table, x: np.ndarray, folds: bool) -> tuple:
+def _packed_shape(table: _Table, shape: tuple, folds: bool) -> tuple:
+    """The shape of the packed operands of (..., n) coefficients (`_pack`)."""
+    if folds:
+        return shape[:-1] + (shape[-1] // 2,)
+    return (table.points,) + shape[:-1] + (_fft_size(shape[-1] // table.limbs) // 2,)
+
+
+def _pack(table: _Table, x: np.ndarray, folds: bool, packed: np.ndarray = None) -> tuple:
     """(..., n) int64 coefficients -> the leaf's weighted, packed operands
     and the Euclidean norms of the coefficients they pack. The folding leaf
     packs each polynomial into (..., n/2) complex values x_lo + i x_hi. Any
     other leaf packs each limb of k coefficients evaluated at the table's
     points, zero-padded to size = `_fft_size(k)` coefficients, into
     (points, ..., size/2) values, of which the first k are nonzero.
+
+    `packed`, if given, is the block of `_packed_shape` to pack into. The
+    values are copied into it and weighted in place there, as a product
+    with the complex weights written to `out` would first convert them to
+    complex in numpy's buffers, two of up to the whole block's size.
 
     Every partial sum of an evaluated value is at most max |x| times the
     table's widest evaluation row (1 for one limb), and each call checks
@@ -429,7 +492,8 @@ def _pack(table: _Table, x: np.ndarray, folds: bool) -> tuple:
     n = x.shape[-1]
     if folds:
         half = n // 2
-        packed = np.empty(x.shape[:-1] + (half,), dtype=np.complex128)
+        if packed is None:
+            packed = np.empty(x.shape[:-1] + (half,), dtype=np.complex128)
         packed.real, packed.imag = x[..., :half], x[..., half:]
         norms = _norms(packed.view(np.float64))
         packed *= _weights(n)[0]
@@ -437,9 +501,15 @@ def _pack(table: _Table, x: np.ndarray, folds: bool) -> tuple:
     k = n // table.limbs
     size = _fft_size(k)
     values = _evaluate(table, x, k)  # (points, ..., k)
-    packed = values * _weights(size)[0, :k]
-    if 2 * k < size:
-        packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, size // 2 - k)])
+    weights = _weights(size)[0, :k]
+    if packed is None:
+        packed = values * weights
+        if 2 * k < size:
+            packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, size // 2 - k)])
+    else:
+        packed[..., :k] = values
+        packed[..., :k] *= weights
+        packed[..., k:] = 0
     return packed, _norms(values)
 
 
@@ -481,7 +551,8 @@ def matvec(h: Programmed, a) -> np.ndarray:
     if a.shape[:-3] != h.secret.shape[:-2]:  # shared operands or a shared secret
         a = np.broadcast_to(a, np.broadcast_shapes(a.shape[:-3], h.secret.shape[:-2])
                             + a.shape[-3:])
-    x, norms = _pack(table, a, h.ring)  # ([points,] ..., rows, l, size/2)
+    x, leaf, exact = _SCRATCH.blocks(_packed_shape(table, a.shape, h.ring))
+    x, norms = _pack(table, a, h.ring, x)  # ([points,] ..., rows, l, size/2)
     if h.ring:
         spectra = h.spectra
         bound = np.vecdot(norms, h.norms[..., None, :]).max() * _NORM_SLACK
@@ -495,16 +566,15 @@ def matvec(h: Programmed, a) -> np.ndarray:
         bound = bound.max()
     if not bound * _roundoff_factor(x.shape[-1], l) < _MAX_ROUNDOFF:
         raise ArithmeticError("operands exceed the exact range of the FFT leaf")
-    # freeing each block once used keeps a batch's peak memory down, and
-    # with it the page faults of allocations the C allocator returns
+    # freeing each new block once used keeps a batch's peak memory down
     x = np.fft.fft(x, axis=-1, out=x)
     x *= spectra[..., None, :, :]
-    leaf = x.sum(axis=-2)
+    leaf = np.add.reduce(x, axis=-2, out=leaf)
     del x
     leaf = np.fft.ifft(leaf, axis=-1, out=leaf)
     leaf *= _weights(2 * leaf.shape[-1])[1]
     flat = leaf.view(np.float64)  # low and high halves, interleaved
-    exact = np.rint(flat)
+    exact = np.rint(flat, out=exact)
     flat -= exact
     if not np.abs(flat, out=flat).max() < _MAX_ROUNDOFF:
         raise ArithmeticError("FFT leaf round-off reached 1/4")

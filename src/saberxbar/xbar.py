@@ -117,13 +117,31 @@ class Operand:
     `cells` (row_blocks, col_blocks, rows, cols) holds the stored bits and
     `flips` (row_blocks, col_blocks, cols) marks the columns stored
     complemented. Both are read-only; a stuck cell is an edit to a copy of
-    `cells`. `bias` is the value added to every stored coefficient, which
-    the read removes.
+    `cells` (`dataclasses.replace`), whose `adc_bits` is its own. `bias` is
+    the value added to every stored coefficient, which the read removes.
     """
 
     cells: np.ndarray
     flips: np.ndarray
     bias: int
+
+    @functools.cached_property
+    def adc_bits(self) -> int:
+        """The narrowest ADC width that reads the operand exactly, the
+        default of `crossbar_polymult`: a full scale of 2^bits - 1 covering
+        the largest stored column (a population tie at rows/2 reads rows/2)
+        and the unit column, which reads up to rows, maps integer levels
+        1:1 onto codes. Computed once per operand."""
+        return adc_bits_for(max(int(self.cells.sum(axis=2).max()), self.cells.shape[2]))
+
+
+def operand_shape(n: int) -> tuple:
+    """The shape (row_blocks, col_blocks, rows, cols) of the cells of an
+    operand of n coefficients (`program_operand`), on tiles of the default
+    geometry: n logical rows of `rows`, and n * bits_per_coeff physical
+    columns of `cols`, each rounded up to whole tiles."""
+    rows, cols = DEFAULT_TILE_ROWS, DEFAULT_TILE_COLS
+    return -(-n // rows), -(-n * DEFAULT_BITS_PER_COEFF // cols), rows, cols
 
 
 def program_operand(s_centered: np.ndarray, params: RingParams = DEFAULT_PARAMS) -> Operand:
@@ -138,12 +156,11 @@ def program_operand(s_centered: np.ndarray, params: RingParams = DEFAULT_PARAMS)
     s = np.asarray(s_centered, dtype=np.int64)
     if s.ndim != 1:
         raise ValueError("the operand must be one polynomial, a 1-D array of coefficients")
-    n, bias = len(s), params.mu // 2
-    bpc, rows, cols = DEFAULT_BITS_PER_COEFF, DEFAULT_TILE_ROWS, DEFAULT_TILE_COLS
+    n, bias, bpc = len(s), params.mu // 2, DEFAULT_BITS_PER_COEFF
     biased = build_negacyclic_matrix(s) + bias
     if biased.min() < 0 or biased.max() >= (1 << bpc):
         raise ValueError("biased operand does not fit bits_per_coeff")
-    row_blocks, col_blocks = -(-n // rows), -(-n * bpc // cols)
+    row_blocks, col_blocks, rows, cols = operand_shape(n)
     plane = np.zeros((row_blocks * rows, col_blocks * cols), dtype=np.uint8)
     plane[:n, :n * bpc] = np.unpackbits(biased.astype(np.uint8)[..., None], axis=-1,
                                         count=bpc, bitorder="little").reshape(n, n * bpc)
@@ -180,19 +197,17 @@ def crossbar_polymult(a: Poly, operand: Operand, noise: NoiseSpec = None,
 
     Each cycle streams one bit plane of `a` through all tiles, and every
     column and unit column is read by an ADC of `adc_bits` bits, by default
-    the narrowest that reads them exactly (`adc_read` rejects a width that
-    is not an integer >= 1). Accumulation shifts each cycle's signed per-coefficient dot product by
-    its bit weight and reduces modulo a.modulus; in ideal mode the result is
-    bit-identical to the software product. The operand stays programmed
-    across any number of reads.
+    the narrowest that reads them exactly (`Operand.adc_bits`; `adc_read`
+    rejects a width that is not an integer >= 1). Accumulation shifts each
+    cycle's signed per-coefficient dot product by its bit weight and
+    reduces modulo a.modulus; in ideal mode the result is bit-identical to
+    the software product. The operand stays programmed across any number
+    of reads.
     """
     row_blocks, col_blocks, rows, cols = operand.cells.shape
     bpc = DEFAULT_BITS_PER_COEFF
     if adc_bits is None:
-        # a full scale of 2^bits - 1 covering the largest stored column (a
-        # population tie at rows/2 reads rows/2) and the unit column, which
-        # reads up to rows, maps integer levels 1:1 onto codes
-        adc_bits = adc_bits_for(max(int(operand.cells.sum(axis=2).max()), rows))
+        adc_bits = operand.adc_bits
 
     n, cycles = a.n, a.modulus.bit_length() - 1
     planes = np.zeros((cycles, row_blocks * rows))

@@ -173,6 +173,15 @@ def test_run_verify_rejects_a_stuck_fault_outside_the_operand(fault):
         run_verify(ExperimentConfig(trials=1), trials_per_suite=1, stuck_fault=fault)
 
 
+def test_run_verify_checks_a_stuck_fault_without_programming(monkeypatch):
+    # the operand's tile shape follows from n; no operand is programmed
+    # before the fault is checked
+    monkeypatch.setattr(experiments, "program_operand", None)
+    with pytest.raises(ValueError, match=r"stuck fault \(16, 0, 0, 1\) is not \(tile < 16, "
+                                         r"row < 128, column < 128, level 0 or 1\)"):
+        run_verify(ExperimentConfig(trials=1), trials_per_suite=1, stuck_fault=(16, 0, 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # noise Monte Carlo
 

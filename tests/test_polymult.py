@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,3 +321,90 @@ def test_growth_bounds_every_sum_after_the_leaf(alg):
     halves = halves.transpose(0, 2, 1, 3).reshape(-1, rows, k)  # (2 * product limbs, ...)
     placed = np.einsum("gj,jrc->grc", np.abs(table._placement()), halves)
     assert (placed.max(axis=(1, 2)) <= limits[len(partial):]).all()
+
+
+def _exact_sums(a, s):
+    """(..., rows, n) sums of a (..., rows, l, n) times s (..., l, n),
+    each product an int64 convolution folded modulo x^n + 1."""
+    n = s.shape[-1]
+    a, s = np.broadcast_arrays(a, s[..., None, :, :])
+    products = [np.convolve(x, y) for x, y in zip(a.reshape(-1, n), s.reshape(-1, n))]
+    folded = fold_negacyclic(np.array(products), n).reshape(a.shape)
+    return folded.sum(axis=-2)
+
+
+@pytest.mark.parametrize("alg", list(MultAlgorithm))
+def test_reused_blocks_never_show_in_results_or_handles(alg):
+    # 16 rows make every table's packed block large enough for the
+    # thread's scratch buffer; a second product of the same shape reuses
+    # it and must leave the first product and the handle as they were
+    rng = np.random.default_rng(41)
+    s = rng.integers(-4, 5, (3, N))
+    first_rows, second_rows = rng.integers(0, Q, (2, 16, 3, N))
+    handle = program(alg, s)
+    spectra = handle.spectra.copy()
+    first = matvec(handle, first_rows)
+    kept = first.copy()
+    scratch = polymult._SCRATCH.buffer
+    assert scratch.size and not np.shares_memory(first, scratch)
+    assert not np.shares_memory(handle.spectra, scratch)
+    second = matvec(handle, second_rows)
+    assert polymult._SCRATCH.buffer is scratch
+    assert np.array_equal(first, kept) and np.array_equal(first, _exact_sums(first_rows, s))
+    assert np.array_equal(second, _exact_sums(second_rows, s))
+    assert np.array_equal(handle.spectra.view(np.uint64), spectra.view(np.uint64))
+
+
+def test_threads_multiplying_one_large_shape_agree_with_a_sequential_run():
+    # each thread packs into its own buffer: products of one large Toom
+    # shape running in 4 threads at once equal the same products run one
+    # after another
+    rng = np.random.default_rng(43)
+    handle = program(MultAlgorithm.TC4K2, rng.integers(-4, 5, (3, N)))
+    operands = rng.integers(0, Q, (4, 6, 4, 3, N))  # threads x products x rows
+    want = [[matvec(handle, a) for a in ops] for ops in operands]
+    got = [None] * len(operands)
+
+    def work(i):
+        got[i] = [matvec(handle, a) for a in operands[i]]
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(operands))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    for products, sequential in zip(got, want):
+        assert products is not None
+        assert all(np.array_equal(x, y) for x, y in zip(products, sequential))
+
+
+def test_scratch_stays_within_its_cap():
+    # products from 1 row up to blocks past the cap, on every table and on
+    # the folding leaf with a batch of secrets, all exact, and the buffer
+    # never larger than its cap
+    rng = np.random.default_rng(47)
+    s = rng.integers(-4, 5, (3, N))
+    cases = [(alg, s, rows) for alg in MultAlgorithm for rows in (1, 3, 4, 16, 40, 64)]
+    cases += [(MultAlgorithm.SB, rng.integers(-4, 5, (trials, 3, N)), 4) for trials in (8, 32, 64)]
+    for alg, secret, rows in cases:
+        a = rng.integers(0, Q, secret.shape[:-2] + (rows, 3, N))
+        assert np.array_equal(matvec(program(alg, secret), a), _exact_sums(a, secret))
+        assert polymult._SCRATCH.buffer.nbytes <= polymult._SCRATCH_CAP
+
+
+def test_warm_large_matvec_allocates_a_fraction_of_its_blocks():
+    # an encryption's 4-row product on TC4K2 packs 126 KiB of operands;
+    # once the thread's buffer holds them, the call's own allocations
+    # peak at most at 256 KiB (443 KiB when every block was new)
+    rng = np.random.default_rng(53)
+    handle = program(MultAlgorithm.TC4K2, rng.integers(-4, 5, (3, N)))
+    a = rng.integers(0, Q, (4, 3, N))
+    matvec(handle, a)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        matvec(handle, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024

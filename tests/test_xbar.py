@@ -11,7 +11,8 @@ from saberxbar.polymult import schoolbook_mul
 from saberxbar.pke import SoftwareBackend
 from saberxbar.xbar import (build_negacyclic_matrix,
                             NoiseSpec, adc_read, adc_bits_for,
-                            program_operand, read_columns, crossbar_polymult,
+                            operand_shape, program_operand, read_columns,
+                            crossbar_polymult,
                             XbarBackend,
                             NoisySampleBackend, DEFAULT_NOISE_GAIN, MAX_SAMPLE_STD, inject,
                             error_magnitudes, _magnitude_tails, _phi_tail)
@@ -118,12 +119,15 @@ def test_program_layout_geometry():
     # 2 row blocks of 128 logical rows x 8 column blocks of 32 coefficients
     # x 4 bit slices: 16 tiles of 128 x 128
     op = program_operand(np.zeros(P.n, dtype=np.int64), P)
-    assert op.cells.shape == (2, 8, 128, 128)
+    assert op.cells.shape == operand_shape(P.n) == (2, 8, 128, 128)
     assert op.flips.shape == (2, 8, 128)
     # a small operand pads its one tile with zero rows and columns
     small = program_operand(np.ones(16, dtype=np.int64), P)
-    assert small.cells.shape == (1, 1, 128, 128)
+    assert small.cells.shape == operand_shape(16) == (1, 1, 128, 128)
     assert not small.flips[0, 0, 64:].any()
+    # n that fill no whole tile round up to whole tiles
+    for n in (100, 129):
+        assert program_operand(np.zeros(n, dtype=np.int64), P).cells.shape == operand_shape(n)
 
 
 def test_program_operand_bits_match_matrix():
@@ -198,6 +202,23 @@ def test_stuck_fault_breaks_the_product():
     assert not np.array_equal(got.coeffs, want)
     # the programmed operand itself is untouched
     assert np.array_equal(crossbar_polymult(a, op).coeffs, want)
+
+
+def test_stuck_copy_reads_at_its_own_default_width():
+    # the default ADC width is computed once per operand; a stuck-cell
+    # copy is a new operand and computes its own from its cells
+    rng = np.random.default_rng(7)
+    a = Poly(rng.integers(0, P.p, P.n), P.p)
+    s = rng.integers(-4, 5, P.n)
+    op = program_operand(s, P)
+    assert crossbar_polymult(a, op) == schoolbook_mul(a, Poly(s, P.p))
+    assert op.adc_bits == adc_bits_for(128)
+    cells = op.cells.copy()
+    cells[1, 2, :, 7] = 1  # a whole column stuck at 1
+    stuck = replace(op, cells=cells)
+    width = adc_bits_for(max(int(cells.sum(axis=2).max()), 128))
+    assert stuck.adc_bits == width
+    assert crossbar_polymult(a, stuck) == crossbar_polymult(a, stuck, adc_bits=width)
 
 
 def test_noisy_reads_follow_the_cell_noise_law():
