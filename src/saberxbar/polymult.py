@@ -52,9 +52,10 @@ leaf sums and the rounded leaf, from a buffer kept per thread (`_Scratch`)
 when the packed block has 64 KiB or more, as a Toom-Cook encryption's does
 (126 KiB on TC4K2), up to 2 MiB in all. Allocated per call, blocks of that
 size made the C allocator grow its heap and give it back on every product,
-at a page fault per 4 KiB page. Smaller blocks are still allocated per
-call, which costs less than taking views of the buffer. Results and
-`Programmed.spectra` never view the buffer.
+at a page fault per 4 KiB page. Smaller blocks, as one key's products on
+the folding leaf have, are still allocated per call, and deciding so adds
+no call to their path. Results and `Programmed.spectra` never view the
+buffer.
 """
 
 import decimal
@@ -432,10 +433,10 @@ class _Scratch(threading.local):
     def blocks(self, shape: tuple) -> tuple:
         """(packed, leaf sums, rounded leaf) for packed operands of `shape`
         (..., l, size/2): views of the buffer, or None three times, for new
-        blocks, when the packed block is under `_SCRATCH_MIN` bytes or it
-        and the leaf sums together exceed `_SCRATCH_CAP`."""
+        blocks, when the packed block and the leaf sums together exceed
+        `_SCRATCH_CAP`."""
         count, leaf = math.prod(shape), math.prod(shape[:-2]) * shape[-1]
-        if not _SCRATCH_MIN <= 16 * count <= _SCRATCH_CAP - 16 * leaf:
+        if 16 * (count + leaf) > _SCRATCH_CAP:
             return None, None, None
         if len(self.buffer) < count + leaf:
             self.buffer = np.empty(count + leaf, dtype=np.complex128)
@@ -446,9 +447,10 @@ class _Scratch(threading.local):
 
 
 # packed blocks under `_SCRATCH_MIN` bytes are allocated per call: their
-# churn is small, and taking views of the buffer would cost them more time
-# than it saves. The buffer holds at most `_SCRATCH_CAP` bytes, twice what
-# a batch of 32 trials' encryption takes on the folding leaf at n = 256.
+# churn is small, and the few microseconds that taking views of the buffer
+# costs would be a visible share of their products. The buffer holds at most
+# `_SCRATCH_CAP` bytes, twice what a batch of 32 trials' encryption takes on
+# the folding leaf at n = 256.
 _SCRATCH_MIN = 1 << 16
 _SCRATCH_CAP = 1 << 21
 _SCRATCH = _Scratch()
@@ -478,10 +480,11 @@ def _pack(table: _Table, x: np.ndarray, folds: bool, packed: np.ndarray = None) 
     points, zero-padded to size = `_fft_size(k)` coefficients, into
     (points, ..., size/2) values, of which the first k are nonzero.
 
-    `packed`, if given, is the block of `_packed_shape` to pack into. The
-    values are copied into it and weighted in place there, as a product
-    with the complex weights written to `out` would first convert them to
-    complex in numpy's buffers, two of up to the whole block's size.
+    `packed`, if given, is the block of `_packed_shape` to pack into, else
+    a new one. The values are copied into it and weighted in place there,
+    as a product of the float values with the complex weights would first
+    convert them to complex in numpy's buffers, two of up to the whole
+    block's size.
 
     Every partial sum of an evaluated value is at most max |x| times the
     table's widest evaluation row (1 for one limb), and each call checks
@@ -501,15 +504,11 @@ def _pack(table: _Table, x: np.ndarray, folds: bool, packed: np.ndarray = None) 
     k = n // table.limbs
     size = _fft_size(k)
     values = _evaluate(table, x, k)  # (points, ..., k)
-    weights = _weights(size)[0, :k]
     if packed is None:
-        packed = values * weights
-        if 2 * k < size:
-            packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, size // 2 - k)])
-    else:
-        packed[..., :k] = values
-        packed[..., :k] *= weights
-        packed[..., k:] = 0
+        packed = np.empty(values.shape[:-1] + (size // 2,), dtype=np.complex128)
+    packed[..., :k] = values
+    packed[..., :k] *= _weights(size)[0, :k]
+    packed[..., k:] = 0
     return packed, _norms(values)
 
 
@@ -551,7 +550,11 @@ def matvec(h: Programmed, a) -> np.ndarray:
     if a.shape[:-3] != h.secret.shape[:-2]:  # shared operands or a shared secret
         a = np.broadcast_to(a, np.broadcast_shapes(a.shape[:-3], h.secret.shape[:-2])
                             + a.shape[-3:])
-    x, leaf, exact = _SCRATCH.blocks(_packed_shape(table, a.shape, h.ring))
+    # the packed block takes spectra.nbytes / secret.size bytes per
+    # coefficient of a; a small one is new, with no call to decide it
+    x = leaf = exact = None
+    if a.size * h.spectra.nbytes >= _SCRATCH_MIN * h.secret.size:
+        x, leaf, exact = _SCRATCH.blocks(_packed_shape(table, a.shape, h.ring))
     x, norms = _pack(table, a, h.ring, x)  # ([points,] ..., rows, l, size/2)
     if h.ring:
         spectra = h.spectra

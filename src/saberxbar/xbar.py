@@ -117,22 +117,13 @@ class Operand:
     `cells` (row_blocks, col_blocks, rows, cols) holds the stored bits and
     `flips` (row_blocks, col_blocks, cols) marks the columns stored
     complemented. Both are read-only; a stuck cell is an edit to a copy of
-    `cells` (`dataclasses.replace`), whose `adc_bits` is its own. `bias` is
-    the value added to every stored coefficient, which the read removes.
+    `cells`. `bias` is the value added to every stored coefficient, which
+    the read removes.
     """
 
     cells: np.ndarray
     flips: np.ndarray
     bias: int
-
-    @functools.cached_property
-    def adc_bits(self) -> int:
-        """The narrowest ADC width that reads the operand exactly, the
-        default of `crossbar_polymult`: a full scale of 2^bits - 1 covering
-        the largest stored column (a population tie at rows/2 reads rows/2)
-        and the unit column, which reads up to rows, maps integer levels
-        1:1 onto codes. Computed once per operand."""
-        return adc_bits_for(max(int(self.cells.sum(axis=2).max()), self.cells.shape[2]))
 
 
 def operand_shape(n: int) -> tuple:
@@ -197,17 +188,19 @@ def crossbar_polymult(a: Poly, operand: Operand, noise: NoiseSpec = None,
 
     Each cycle streams one bit plane of `a` through all tiles, and every
     column and unit column is read by an ADC of `adc_bits` bits, by default
-    the narrowest that reads them exactly (`Operand.adc_bits`; `adc_read`
-    rejects a width that is not an integer >= 1). Accumulation shifts each
-    cycle's signed per-coefficient dot product by its bit weight and
-    reduces modulo a.modulus; in ideal mode the result is bit-identical to
-    the software product. The operand stays programmed across any number
-    of reads.
+    the narrowest that reads them exactly (`adc_read` rejects a width that
+    is not an integer >= 1). Accumulation shifts each cycle's signed per-coefficient dot product by
+    its bit weight and reduces modulo a.modulus; in ideal mode the result is
+    bit-identical to the software product. The operand stays programmed
+    across any number of reads.
     """
     row_blocks, col_blocks, rows, cols = operand.cells.shape
     bpc = DEFAULT_BITS_PER_COEFF
     if adc_bits is None:
-        adc_bits = operand.adc_bits
+        # a full scale of 2^bits - 1 covering the unit column, which reads up
+        # to rows, maps integer levels 1:1 onto codes; a column of one-bit
+        # cells, stuck or not, reads no more than rows either
+        adc_bits = adc_bits_for(rows)
 
     n, cycles = a.n, a.modulus.bit_length() - 1
     planes = np.zeros((cycles, row_blocks * rows))

@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -368,10 +369,15 @@ def test_threads_multiplying_one_large_shape_agree_with_a_sequential_run():
     def work(i):
         got[i] = [matvec(handle, a) for a in operands[i]]
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(operands))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside each product
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     for products, sequential in zip(got, want):
         assert products is not None

@@ -204,21 +204,17 @@ def test_stuck_fault_breaks_the_product():
     assert np.array_equal(crossbar_polymult(a, op).coeffs, want)
 
 
-def test_stuck_copy_reads_at_its_own_default_width():
-    # the default ADC width is computed once per operand; a stuck-cell
-    # copy is a new operand and computes its own from its cells
+def test_default_width_reads_a_stuck_column_exactly():
+    # under an input whose every bit plane is all ones, a column stuck
+    # entirely at 1 reads rows, as the unit column does: the default width
+    # reads both as exactly as a far wider ADC
     rng = np.random.default_rng(7)
-    a = Poly(rng.integers(0, P.p, P.n), P.p)
-    s = rng.integers(-4, 5, P.n)
-    op = program_operand(s, P)
-    assert crossbar_polymult(a, op) == schoolbook_mul(a, Poly(s, P.p))
-    assert op.adc_bits == adc_bits_for(128)
+    a = Poly(np.full(P.n, P.p - 1), P.p)
+    op = program_operand(rng.integers(-4, 5, P.n), P)
     cells = op.cells.copy()
-    cells[1, 2, :, 7] = 1  # a whole column stuck at 1
+    cells[1, 2, :, 7] = 1
     stuck = replace(op, cells=cells)
-    width = adc_bits_for(max(int(cells.sum(axis=2).max()), 128))
-    assert stuck.adc_bits == width
-    assert crossbar_polymult(a, stuck) == crossbar_polymult(a, stuck, adc_bits=width)
+    assert crossbar_polymult(a, stuck) == crossbar_polymult(a, stuck, adc_bits=16)
 
 
 def test_noisy_reads_follow_the_cell_noise_law():
