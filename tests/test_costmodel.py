@@ -5,6 +5,7 @@ import math
 import pytest
 
 from saberxbar.experiments import default_sweep_points
+from saberxbar.params import RingParams, DEFAULT_PARAMS
 from saberxbar.polymult import MultAlgorithm
 from saberxbar.costmodel import (Operation, Architecture, ArchConfig,
                                  ComponentCatalog, DEFAULT_CATALOG,
@@ -13,8 +14,22 @@ from saberxbar.costmodel import (Operation, Architecture, ArchConfig,
                                  cascade_baseline, _kernels, _arrays_for)
 
 
+# the three Saber parameter sets: Saber, LightSaber and FireSaber ranks
+PARAM_SETS = (DEFAULT_PARAMS, RingParams(l=2, T=1 << 3, mu=10),
+              RingParams(l=4, T=1 << 6, mu=6))
+
+
 def _report(op, alg=MultAlgorithm.SB, arch=Architecture.BASELINE):
     return estimate(ArchConfig(op, alg, arch))
+
+
+def _hash_report(digest, r):
+    """Feed every field of report `r` into `digest`."""
+    ac = r.config
+    digest.update(repr((ac.operation.value, ac.algorithm.value, ac.architecture.value,
+                        r.latency_ns, sorted(r.energy_pj.items()),
+                        sorted(r.area_um2.items()), r.samples_converted,
+                        r.cells_written, r.logical_cell_bits)).encode())
 
 
 def test_adc_dac_fraction_fit_is_one_third():
@@ -190,10 +205,25 @@ def test_default_sweep_reports_are_pinned():
     digest = hashlib.sha256()
     for op in Operation:
         for ac in default_sweep_points(op):
-            r = estimate(ac)
-            digest.update(repr((op.value, ac.algorithm.value, ac.architecture.value,
-                                r.latency_ns, sorted(r.energy_pj.items()),
-                                sorted(r.area_um2.items()), r.samples_converted,
-                                r.cells_written, r.logical_cell_bits)).encode())
+            _hash_report(digest, estimate(ac))
     assert digest.hexdigest() == (
         "b1d67f1ac1aa47f9a4b4d794ec534017afa60e49616ea60a7f981dba6eba4704")
+
+
+@pytest.mark.parametrize("full_width_root, want", [
+    (False, "315e8abf935b6ff530ebf304c8ae0f8d772958b770d9384788681ebddf4cff94"),
+    (True, "6fd390a76f44d41777adc7f0196afaea67627db3c3da6fbc9108cdabcb3c7fae"),
+])
+def test_every_design_point_report_is_pinned(full_width_root, want):
+    # 3 parameter sets x 5 operations x 5 algorithms x 7 architectures, at
+    # both SAC-All root widths: every architecture at every operand shape
+    catalog = dataclasses.replace(DEFAULT_CATALOG,
+                                  sac_all_full_width_root=full_width_root)
+    digest = hashlib.sha256()
+    for params in PARAM_SETS:
+        for op in Operation:
+            for alg in MultAlgorithm:
+                for arch in Architecture:
+                    _hash_report(digest, estimate(ArchConfig(op, alg, arch, params),
+                                                  catalog))
+    assert digest.hexdigest() == want
