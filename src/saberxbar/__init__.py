@@ -20,7 +20,7 @@ from .schedule import (PrecisionMap, StaggeredSchedule, AdcAssignment,
                        assign_adcs)
 from .sac import SacVariant, SacTree, TiaSpec, build_sac_tree, eval_sac
 from .costmodel import (Operation, Architecture, ArchConfig, ComponentCatalog,
-                        CostReport, adc_scale, estimate, cascade_baseline)
+                        CostReport, adc_scale, estimate)
 from .experiments import (ExperimentConfig, run_verify, run_noise, run_sweep,
                           run_roundtrips)
 

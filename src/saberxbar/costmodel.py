@@ -17,7 +17,7 @@ writes with one full-width sample per coefficient.
 
 import enum
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 
 from .params import RingParams, DEFAULT_PARAMS
 from .polymult import MultAlgorithm, plan_for
@@ -89,6 +89,8 @@ class ComponentCatalog:
             raise ValueError("catalog.adc_rate must be > 0")
         if not (0.0 <= self.adc_dac_fraction <= 1.0):
             raise ValueError("adc_dac_fraction must be within [0, 1]")
+        if self.array_overhead_um2 < 0:
+            raise ValueError("catalog.array_area_um2 must cover its listed components")
 
     @property
     def array_overhead_um2(self) -> float:
@@ -208,114 +210,44 @@ def _kernels(config: ArchConfig):
     raise ValueError(f"unknown operation {op}")
 
 
-def _arrays_for(kernels, rows: int = TILE_ROWS, cols: int = TILE_COLS) -> int:
-    """Capacity-based array count: stored cell-bits packed into rows x cols
-    arrays (sub-operands of shrunken algorithms share arrays)."""
-    cells = sum(k.count * k.degree * k.out_coeffs * BITS_PER_COEFF
-                for k in _dedup_storage(kernels))
-    return max(1, math.ceil(cells / (rows * cols)))
+def _conversions(arch: Architecture, k: _Kernel, catalog: ComponentCatalog):
+    """(samples, ADC energy in pJ, widest sample in bits) per output
+    coefficient of kernel `k` on architecture `arch`."""
+    blocks = -(-k.degree // TILE_ROWS)     # row blocks the operand spans
+    if arch is Architecture.BASELINE:
+        per_coeff = k.target_bits * BITS_PER_COEFF * blocks
+        return per_coeff, per_coeff * adc_sample_energy_pj(6, catalog), 6
+    if arch is Architecture.ADC_SHARE:
+        pmap = PrecisionMap(k.target_bits, num_columns=BITS_PER_COEFF, coeff_groups=1)
+        asg = assign_adcs(build_stagger(1, k.target_bits, pmap), pmap, (6, 5, 4))
+        e_coeff = blocks * sum(lane.samples * adc_sample_energy_pj(lane.bits, catalog)
+                               for lane in asg.lanes)
+        return asg.total_samples * blocks, e_coeff, 6
+    if arch in _SAC_OF_ARCH:
+        # SAC columns span both row blocks, so blocks do not multiply
+        tree = build_sac_tree(_SAC_OF_ARCH[arch], BITS_PER_COEFF, k.target_bits)
+        # a root's analog value is bounded by the tree structure (10 bits for
+        # a Round-1 fold of 6-bit columns) and the modulo drops its bits at or
+        # above target - shift: SAC-All's single root is modulo-optimistic by
+        # default and keeps its full accumulated width behind the catalog switch
+        widths = [min(_max_ideal_root([(node, shift)]).bit_length(),
+                      max(1, k.target_bits - shift))
+                  for node, shift in tree.roots]
+        if arch is Architecture.SAC_ALL and catalog.sac_all_full_width_root:
+            widths = [tree.adc_bits_at_root]
+        e_coeff = sum(adc_sample_energy_pj(bits, catalog) for bits in widths)
+        return len(widths), e_coeff, max(widths)
+    if arch is Architecture.CASCADE_BASELINE:
+        # one full-width sample per coefficient; no modulo optimism
+        bits = build_sac_tree(SacVariant.ALL, BITS_PER_COEFF,
+                              k.target_bits).adc_bits_at_root
+        return 1, adc_sample_energy_pj(bits, catalog), bits
+    raise ValueError(f"unknown architecture {arch}")
 
 
-def _dedup_storage(kernels):
-    """matvec/vecvec reuse the same stored operand; count storage once."""
-    seen = set()
-    out = []
-    for k in kernels:
-        key = (k.count, k.degree, k.out_coeffs)
-        if key not in seen:
-            seen.add(key)
-            out.append(k)
-    return out
-
-
-def _row_blocks(degree: int, rows: int = TILE_ROWS) -> int:
-    return -(-degree // rows)
-
-
-def _sample_energy_and_count(config: ArchConfig, catalog: ComponentCatalog):
-    """(adc_energy_pj, samples, max_sample_bits) over the whole operation."""
-    arch = config.architecture
-    energy = 0.0
-    samples = 0
-    widest = 0
-    for k in _kernels(config):
-        blocks = _row_blocks(k.degree)
-        coeffs = k.count * k.out_coeffs * k.passes
-        if arch is Architecture.BASELINE:
-            per_coeff = k.target_bits * BITS_PER_COEFF * blocks
-            e_coeff = per_coeff * adc_sample_energy_pj(6, catalog)
-            widest = max(widest, 6)
-        elif arch is Architecture.ADC_SHARE:
-            pmap = PrecisionMap(k.target_bits, num_columns=BITS_PER_COEFF,
-                                coeff_groups=1)
-            sched = build_stagger(2, k.target_bits, pmap)
-            asg = assign_adcs(sched, pmap, (6, 5, 4))
-            per_coeff = asg.total_samples // 2 * blocks
-            e_coeff = blocks * sum(
-                lane.samples / 2 * adc_sample_energy_pj(lane.bits, catalog)
-                for lane in asg.lanes)
-            widest = max(widest, 6)
-        elif arch in _SAC_OF_ARCH:
-            variant = _SAC_OF_ARCH[arch]
-            # SAC columns span both row blocks, so blocks do not multiply
-            tree = build_sac_tree(variant, BITS_PER_COEFF, k.target_bits)
-            per_coeff = tree.samples_per_coefficient()
-            e_coeff = 0.0
-            for node, shift in tree.roots:
-                if variant is SacVariant.ALL:
-                    # single sample; modulo-optimistic by default, full
-                    # accumulated width behind the catalog switch
-                    bits = (tree.adc_bits_at_root
-                            if catalog.sac_all_full_width_root
-                            else k.target_bits)
-                else:
-                    bits = _root_width(node, shift, k.target_bits)
-                e_coeff += adc_sample_energy_pj(bits, catalog)
-                widest = max(widest, bits)
-        elif arch is Architecture.CASCADE_BASELINE:
-            # one full-width sample per coefficient; no modulo optimism
-            tree = build_sac_tree(SacVariant.ALL, BITS_PER_COEFF, k.target_bits)
-            per_coeff = 1
-            e_coeff = adc_sample_energy_pj(tree.adc_bits_at_root, catalog)
-            widest = max(widest, tree.adc_bits_at_root)
-        else:
-            raise ValueError(f"unknown architecture {arch}")
-        energy += coeffs * e_coeff
-        samples += coeffs * per_coeff
-    return energy, samples, widest
-
-
-def _root_width(node, digital_shift: int, target_bits: int) -> int:
-    """Effective conversion width of one SAC root sample.
-
-    The modulo drops bits at or above target - digital_shift; the analog
-    value itself is bounded by the tree structure (10 bits for a Round-1
-    fold of 6-bit columns).
-    """
-    peak = _max_ideal_root([(node, digital_shift)])
-    return min(peak.bit_length(), max(1, target_bits - digital_shift))
-
-
-def _write_costs(config: ArchConfig, catalog: ComponentCatalog):
-    """(energy_pj, physical_bits, logical_bits, program_latency_ns)."""
-    p = config.params
-    if not config.programs_secret:
-        return 0.0, 0, 0, 0.0
-    kernels = _dedup_storage(_kernels(config))
-    physical = sum(k.count * k.degree * k.out_coeffs * BITS_PER_COEFF
-                   for k in kernels)
-    logical = p.l * p.n * BITS_PER_COEFF
-    # rows of one array program sequentially; arrays program in parallel
-    rows = max(min(k.degree, TILE_ROWS) for k in kernels)
-    latency = rows * catalog.write_latency_ns
-    energy = physical * catalog.write_energy_pj_per_cell_bit
-    return energy, physical, logical, latency
-
-
-def _adcs(config: ArchConfig, catalog: ComponentCatalog, arrays: int,
+def _adcs(arch: Architecture, catalog: ComponentCatalog, arrays: int,
           samples: int, compute_ns: float, widest: int):
     """(ADC lanes converting in parallel, their total area in um^2)."""
-    arch = config.architecture
     if arch is Architecture.BASELINE:
         per_array = 16 * catalog.adc_6b.area_um2 + catalog.adc_7b.area_um2
         return arrays * (TILE_COLS // ADC_COLUMNS_SHARED), arrays * per_array
@@ -335,20 +267,39 @@ def _adcs(config: ArchConfig, catalog: ComponentCatalog, arrays: int,
 def estimate(config: ArchConfig,
              catalog: ComponentCatalog = DEFAULT_CATALOG) -> CostReport:
     """Cost one full operation at one design point."""
+    arch = config.architecture
     kernels = _kernels(config)
-    arrays = _arrays_for(kernels)
-    adc_pj, samples, widest = _sample_energy_and_count(config, catalog)
-    write_pj, physical_bits, logical_bits, program_ns = _write_costs(config, catalog)
+    # every kernel streams over the same stored operand, the first kernel's:
+    # it alone sets the arrays, the programming and the streamed cycles
+    stored = kernels[0]
+    stored_bits = stored.count * stored.degree * stored.out_coeffs * BITS_PER_COEFF
+    # capacity-based: sub-operands of shrunken algorithms share arrays
+    arrays = max(1, math.ceil(stored_bits / (TILE_ROWS * TILE_COLS)))
+    stream_cycles = stored.passes * stored.target_bits
+    if config.programs_secret:
+        write_pj = stored_bits * catalog.write_energy_pj_per_cell_bit
+        physical_bits = stored_bits
+        logical_bits = config.params.l * config.params.n * BITS_PER_COEFF
+        # rows of one array program sequentially; arrays program in parallel
+        program_ns = min(stored.degree, TILE_ROWS) * catalog.write_latency_ns
+    else:
+        write_pj, physical_bits, logical_bits, program_ns = 0.0, 0, 0, 0.0
+
+    adc_pj = 0.0
+    samples = 0
+    widest = 0
+    for k in kernels:
+        per_coeff, e_coeff, bits = _conversions(arch, k, catalog)
+        coeffs = k.count * k.out_coeffs * k.passes
+        adc_pj += coeffs * e_coeff
+        samples += coeffs * per_coeff
+        widest = max(widest, bits)
 
     # SAC-2x/4x stream 2 or 4 cycles in parallel on replicated crossbars
-    parallel = {Architecture.SAC_2X: 2, Architecture.SAC_4X: 4}.get(
-        config.architecture, 1)
+    parallel = {Architecture.SAC_2X: 2, Architecture.SAC_4X: 4}.get(arch, 1)
     arrays *= parallel
-    cycle_ns = READ_CYCLE_NS
-    stream_cycles = sum(k.passes * k.target_bits for k in _dedup_storage(kernels))
-    compute_ns = stream_cycles * cycle_ns / parallel
+    compute_ns = stream_cycles * READ_CYCLE_NS / parallel
 
-    arch = config.architecture
     tia_ns = 0.0
     tia_pj = 0.0
     sac_area = 0.0
@@ -370,17 +321,17 @@ def estimate(config: ArchConfig,
         physical_bits += buffer_bits
         program_ns += stream_cycles * catalog.write_latency_ns
 
-    lanes, adc_area = _adcs(config, catalog, arrays, samples, max(compute_ns, 1.0), widest)
+    lanes, adc_area = _adcs(arch, catalog, arrays, samples, max(compute_ns, 1.0), widest)
     drain_ns = samples / (lanes * catalog.adc_rate) * 1e9
     latency = program_ns + max(compute_ns, drain_ns) + tia_ns
 
     # per-event peripheral energies over the streamed cycles
-    active_rows = sum(k.count * min(k.degree, TILE_ROWS) * _row_blocks(k.degree)
+    active_rows = sum(k.count * min(k.degree, TILE_ROWS) * -(-k.degree // TILE_ROWS)
                       * k.passes * k.target_bits for k in kernels)
-    dac_pj = active_rows * catalog.dac_1b.power_uw * 1e-6 * cycle_ns * 1e-9 * 1e12
+    dac_pj = active_rows * catalog.dac_1b.power_uw * 1e-6 * READ_CYCLE_NS * 1e-9 * 1e12
     read_pj = (stream_cycles * arrays * catalog.xbar_128.power_uw
-               * 1e-6 * cycle_ns * 1e-9 * 1e12)
-    sh_pj = samples * catalog.sh_6b.power_uw * 1e-6 * cycle_ns * 1e-9 * 1e12
+               * 1e-6 * READ_CYCLE_NS * 1e-9 * 1e12)
+    sh_pj = samples * catalog.sh_6b.power_uw * 1e-6 * READ_CYCLE_NS * 1e-9 * 1e12
 
     energy = {"adc": adc_pj, "write": write_pj, "xbar_read": read_pj,
               "dac": dac_pj, "sh": sh_pj, "tia": tia_pj}
@@ -391,10 +342,3 @@ def estimate(config: ArchConfig,
     }
     return CostReport(config, latency, energy, area, samples,
                       physical_bits, logical_bits)
-
-
-def cascade_baseline(config: ArchConfig,
-                     catalog: ComponentCatalog = DEFAULT_CATALOG) -> CostReport:
-    if config.architecture is not Architecture.CASCADE_BASELINE:
-        config = replace(config, architecture=Architecture.CASCADE_BASELINE)
-    return estimate(config, catalog)

@@ -19,8 +19,7 @@ from saberxbar.schedule import (PrecisionMap, accumulate_coefficient,
 from saberxbar.sac import (SacVariant, build_sac_tree, sac_accumulate,
                            SacLeaf, MAX_WEIGHT)
 from saberxbar.costmodel import (Operation, Architecture, ArchConfig,
-                                 adc_scale, adc_sample_energy_pj, estimate,
-                                 cascade_baseline)
+                                 adc_scale, adc_sample_energy_pj, estimate)
 from saberxbar.experiments import (ExperimentConfig, run_noise, run_roundtrips)
 
 P = DEFAULT_PARAMS
@@ -230,8 +229,8 @@ def test_criterion_08_trend_reproduction(capsys):
     sac_all = estimate(ArchConfig(dec, MultAlgorithm.SB, Architecture.SAC_ALL))
     sac_2x = estimate(ArchConfig(dec, MultAlgorithm.SB, Architecture.SAC_2X))
     sac_basic = estimate(ArchConfig(dec, MultAlgorithm.SB, Architecture.SAC_BASIC))
-    cascade = cascade_baseline(ArchConfig(dec, MultAlgorithm.K2,
-                                          Architecture.CASCADE_BASELINE))
+    cascade = estimate(ArchConfig(dec, MultAlgorithm.K2,
+                                  Architecture.CASCADE_BASELINE))
     r_share = share_k2.ee_gbit_j / base_k2.ee_gbit_j
     r_sac = sac_all.ee_gbit_j / share_k2.ee_gbit_j
     enc_sb = estimate(ArchConfig(Operation.ENC, MultAlgorithm.SB))

@@ -244,12 +244,14 @@ def test_an_out_path_that_is_or_lies_under_a_file_exits_two_before_running(
     ("catalog.adc_rate = -1e9", "adc_rate"),
     ("catalog.write_energy_pj_per_cell_bit = -0.1", "write_energy_pj_per_cell_bit"),
     ("catalog.array_area_um2 = inf", "array_area_um2"),
+    ("catalog.array_area_um2 = 100", "array_area_um2"),
     ("catalog.write_latency_ns = nan", "write_latency_ns"),
     ("catalog.sac_all_full_width_root = ture", "sac_all_full_width_root"),
 ])
 def test_bad_catalog_values_exit_two_naming_the_field(tmp_path, capsys, line, named):
     # a zero ADC rate divided by zero, a negative one priced negative
-    # energies, and a misspelt boolean read as false
+    # energies, an array smaller than its parts priced negative area, and a
+    # misspelt boolean read as false
     (tmp_path / "point.cfg").write_text(line + "\n")
     assert main(["cost", "--config", str(tmp_path / "point.cfg")]) == EXIT_CONFIG_ERROR
     captured = capsys.readouterr()

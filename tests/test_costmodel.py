@@ -10,8 +10,7 @@ from saberxbar.polymult import MultAlgorithm
 from saberxbar.costmodel import (Operation, Architecture, ArchConfig,
                                  ComponentCatalog, DEFAULT_CATALOG,
                                  fit_adc_dac_fraction, adc_scale,
-                                 adc_sample_energy_pj, estimate,
-                                 cascade_baseline, _kernels, _arrays_for)
+                                 adc_sample_energy_pj, estimate, _kernels)
 
 
 # the three Saber parameter sets: Saber, LightSaber and FireSaber ranks
@@ -56,7 +55,10 @@ def test_adc_sample_energy_6bit():
 def test_catalog_validation_and_overhead():
     with pytest.raises(ValueError):
         ComponentCatalog(adc_dac_fraction=1.5)
-    cat = DEFAULT_CATALOG
+    # the listed components of one array take 7,637.522 um^2
+    with pytest.raises(ValueError, match="array_area_um2"):
+        ComponentCatalog(array_area_um2=7637.0)
+    cat = ComponentCatalog()
     assert cat.array_overhead_um2 > 0
     assert cat.array_non_adc_area_um2 + 16 * cat.adc_6b.area_um2 \
         + cat.adc_7b.area_um2 == pytest.approx(cat.array_area_um2)
@@ -69,14 +71,23 @@ def test_kernel_decomposition_counts():
     assert len(enc) == 2 and enc[0].target_bits == 13
     decaps = _kernels(ArchConfig(Operation.DECAPS, MultAlgorithm.SB))
     assert len(decaps) == 3
+    # every kernel streams over one stored operand: the l secret polynomials
+    for params in PARAM_SETS:
+        for op in Operation:
+            for alg in MultAlgorithm:
+                shapes = {(k.count, k.degree, k.out_coeffs)
+                          for k in _kernels(ArchConfig(op, alg, params=params))}
+                assert len(shapes) == 1, (params, op, alg, shapes)
 
 
 def test_array_packing():
     # ceil(stored cell-bits / 16384): SB packs 3 dense 256x256x4 operands;
     # decomposed algorithms store count x degree x (2*degree - 1) x 4
-    assert _arrays_for(_kernels(ArchConfig(Operation.DEC, MultAlgorithm.SB))) == 48
-    assert _arrays_for(_kernels(ArchConfig(Operation.DEC, MultAlgorithm.K2))) == 72
-    assert _arrays_for(_kernels(ArchConfig(Operation.ENC, MultAlgorithm.TC4K2))) == 32
+    per_array = DEFAULT_CATALOG.array_non_adc_area_um2
+    for op, alg, arrays in ((Operation.DEC, MultAlgorithm.SB, 48),
+                            (Operation.DEC, MultAlgorithm.K2, 72),
+                            (Operation.ENC, MultAlgorithm.TC4K2, 32)):
+        assert _report(op, alg).area_um2["arrays"] == arrays * per_array
 
 
 def test_xsb_area_anchor():
@@ -130,8 +141,8 @@ def test_sac_ee_ordering_for_decryption():
                                 Architecture.ADC_SHARE))
     base = estimate(ArchConfig(Operation.DEC, MultAlgorithm.K2,
                                Architecture.BASELINE))
-    cascade = cascade_baseline(ArchConfig(Operation.DEC, MultAlgorithm.K2,
-                                          Architecture.ADC_SHARE))
+    cascade = estimate(ArchConfig(Operation.DEC, MultAlgorithm.K2,
+                                  Architecture.CASCADE_BASELINE))
     ees = [r.ee_gbit_j for r in (sac_all, sac_2x, sac_basic, share, base,
                                  cascade)]
     assert ees == sorted(ees, reverse=True)
@@ -159,8 +170,8 @@ def test_sac_all_sample_count_and_tia_latency():
 
 
 def test_cascade_buffer_writes_per_coefficient():
-    rep = cascade_baseline(ArchConfig(Operation.DEC, MultAlgorithm.SB,
-                                      Architecture.CASCADE_BASELINE))
+    rep = estimate(ArchConfig(Operation.DEC, MultAlgorithm.SB,
+                              Architecture.CASCADE_BASELINE))
     # 10 cycles x 4 columns x 6 buffer cell-bits = 240 per output coefficient
     assert rep.cells_written == 3 * 256 * 240
     assert rep.energy_pj["write"] == pytest.approx(rep.cells_written * 0.1)
