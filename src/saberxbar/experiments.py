@@ -45,6 +45,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_count(value, what: str, least: int, error=ValueError) -> None:
+    """Counts and seeds are integers of at least `least`: a float one would
+    fail later, inside `range` or `SeedSequence`, and a bool is a slip."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
+        raise error(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 def _check_noise_level(value: float, what: str) -> None:
     """Variances and gains must be finite and >= 0: an infinite one never
     terminates the error-magnitude table, a negative one turns noise off."""
@@ -64,10 +72,8 @@ class ExperimentConfig:
     params: RingParams = DEFAULT_PARAMS
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        _check_count(self.trials, "trials", 1, ConfigError)
+        _check_count(self.seed, "seed", 0, ConfigError)
         _check_noise_level(self.noise_gain, "noise_gain")
 
     def as_dict(self) -> dict:
@@ -197,7 +203,10 @@ def run_verify(config: ExperimentConfig, stuck_fault=None,
     """Oracle-equivalence suites; `stuck_fault` = (tile, row, col, level)
     injects a stuck cell into the crossbar suite's programmed tiles, which
     are numbered row block by row block. A fault outside the operand's
-    tiles, or at a level other than 0 or 1, raises ValueError."""
+    tiles, or at a level other than 0 or 1, raises ValueError, as does a
+    `trials_per_suite` below 1, which would leave suites that ran nothing
+    reported as passed."""
+    _check_count(trials_per_suite, "trials per suite", 1)
     rng = np.random.default_rng(config.seed)
     p = config.params
     if stuck_fault is not None:
@@ -460,8 +469,8 @@ def run_noise(config: ExperimentConfig,
     """
     if not variance_grid or not retries_grid:
         raise ConfigError("variance and retries grids must be non-empty")
-    if min(retries_grid) < 0:
-        raise ConfigError("retry budgets must be >= 0")
+    for r in retries_grid:
+        _check_count(r, "retry budget", 0, ConfigError)
     for var in variance_grid:
         _check_noise_level(var, "cell variance")
         if var * config.noise_gain > MAX_SAMPLE_STD:
@@ -614,7 +623,9 @@ def noise_to_json(curve: FailureCurve) -> str:
 
 def run_roundtrips(trials: int, seed: int = 0, backend=None,
                    params: RingParams = DEFAULT_PARAMS) -> int:
-    """Full keygen/encrypt/decrypt roundtrips; returns the failure count."""
+    """Full keygen/encrypt/decrypt roundtrips; returns the failure count.
+    `trials` must be an integer >= 1, as on the command line."""
+    _check_count(trials, "trials", 1)
     backend = backend or XbarBackend(params)
     rng = np.random.default_rng(seed)
     failures = 0

@@ -4,10 +4,14 @@ Key generation, encryption and decryption are parameterized over a
 polynomial-multiplication backend so the same code path runs on the software
 algorithms and on the crossbar simulator. Each operation multiplies public
 polynomials by one small centered secret vector, and multiplies the way a
-crossbar does: it programs the secret once (`backend.program`) and streams
-every product against it in one `backend.matvec` call, whose rows are the
-rows of A (its columns for A^T s) and the vector b. Backends receive the
-secret in centered form.
+crossbar does: it programs the secret once (the handle that
+`backend.install_boot_secret` or `backend.program_secret` returns, or
+`backend.program` in decryption) and streams every product against it in
+one `backend.matvec` call, whose rows are the rows of A (its columns for
+A^T s) and the vector b. Backends receive the secret in centered form.
+`encrypt` also holds, per thread, the transform of the rows [A; b] of a
+public key it encrypts to twice in a row (`_HeldRows`), so that a stream of
+messages to one key transforms them once.
 
 The equations themselves (`keygen_arrays`, `encrypt_arrays`,
 `decrypt_arrays`) work on coefficient arrays with an optional leading axis
@@ -18,6 +22,7 @@ products already computed, which a noisy read can reuse. Keys and
 ciphertexts hold those coefficient arrays as they are, and compare by value.
 """
 
+import threading
 import zlib
 from dataclasses import dataclass
 
@@ -64,11 +69,14 @@ class SoftwareBackend:
         self.mult_count = 0
         self.secret_evaluations = 0
 
-    def install_boot_secret(self, s_centered: np.ndarray) -> None:
-        pass
+    def install_boot_secret(self, s_centered: np.ndarray) -> Programmed:
+        """The handle of the (..., l, n) key-generation secret (`program`);
+        software has no slot to write."""
+        return self.program(s_centered)
 
-    def program_secret(self, s_centered: np.ndarray) -> None:
-        pass
+    def program_secret(self, s_centered: np.ndarray) -> Programmed:
+        """The handle of the (..., l, n) ephemeral secret (`program`)."""
+        return self.program(s_centered)
 
     def program(self, s_centered: np.ndarray) -> Programmed:
         """Evaluate the (..., l, n) centered secret for any number of
@@ -78,11 +86,11 @@ class SoftwareBackend:
         self.secret_evaluations += handle.evaluations
         return handle
 
-    def matvec(self, rows: np.ndarray, handle: Programmed, moduli) -> np.ndarray:
+    def matvec(self, rows, handle: Programmed, moduli) -> np.ndarray:
         """Sum over j of rows[..., i, j] * s_j for every row i of the
-        (..., rows, l, n) array, as signed length-n arrays not yet reduced
-        modulo the rows' `moduli`, on which exact products do not depend."""
-        rows = np.asarray(rows, dtype=np.int64)
+        (..., rows, l, n) array, or of the rows programmed (`matvec` of
+        `polymult`), as signed length-n arrays not yet reduced modulo the
+        rows' `moduli`, on which exact products do not depend."""
         self.mult_count += rows.size // rows.shape[-1]
         return matvec(handle, rows)
 
@@ -104,8 +112,8 @@ class SoftwareBackend:
 def keygen_arrays(A: np.ndarray, s: np.ndarray, params: RingParams, backend) -> np.ndarray:
     """b = ((A^T s + h) mod q) >> (eps_q - eps_p), (..., l, n) mod p, for
     A (..., l, l, n) mod q and the centered secret s (..., l, n)."""
-    backend.install_boot_secret(s)
-    As = backend.matvec(np.swapaxes(A, -3, -2), backend.program(s), [params.q] * params.l)
+    handle = backend.install_boot_secret(s)
+    As = backend.matvec(np.swapaxes(A, -3, -2), handle, [params.q] * params.l)
     return _reduce(As + constants(params).h1_value, params.q) >> (params.eps_q - params.eps_p)
 
 
@@ -113,15 +121,62 @@ def encrypt_arrays(A: np.ndarray, b: np.ndarray, m: np.ndarray, s_prime: np.ndar
                    params: RingParams, backend):
     """(c_m (..., n) mod T, b' (..., l, n) mod p) for the message bits m
     (..., n), the public key (A, b) and the centered ephemeral secret s'."""
-    backend.program_secret(s_prime)
-    # A s' rather than A^T s', so that b^T s' and b'^T s cancel in decryption
-    rows = np.concatenate([A, b[..., None, :, :]], axis=-3)
-    sums = backend.matvec(rows, backend.program(s_prime),
-                          [params.q] * params.l + [params.p])
+    handle = backend.program_secret(s_prime)
+    return _encrypt_rows(_public_rows(A, b), m, handle, params, backend)
+
+
+def _public_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows that stream against s' in encryption, [A; b] (..., l + 1, l,
+    n): A s' rather than A^T s', so that b^T s' and b'^T s cancel in
+    decryption."""
+    return np.concatenate([A, b[..., None, :, :]], axis=-3)
+
+
+def _encrypt_rows(rows, m: np.ndarray, handle: Programmed, params: RingParams, backend):
+    """The encryption equation on the rows [A; b], as coefficients or
+    programmed, streamed against the handle of s'."""
+    sums = backend.matvec(rows, handle, [params.q] * params.l + [params.p])
     h1 = constants(params).h1_value
     b_prime = _reduce(sums[..., :-1, :] + h1, params.q) >> (params.eps_q - params.eps_p)
     pre = _reduce(sums[..., -1, :] + h1 - (m << (params.eps_p - 1)), params.p)
     return pre >> (params.eps_p - params.eps_T), b_prime
+
+
+class _HeldRows(threading.local):
+    """The rows [A; b] of the public key this thread last encrypted to,
+    programmed once the key repeats.
+
+    As the crossbar's slots hold the secret's transform, a key that many
+    messages go to need not be packed and transformed for each of them.
+    The second encryption in a row to an equal key (the same parameters,
+    the algorithm of the secret's handle, the same seed_A and a b equal by
+    value) programs its rows (`polymult.program`), and every further one
+    streams them as they are. A key's first encryption transforms nothing:
+    a fresh key costs one comparison and one copy of b, and no transform
+    that would serve one product. A thread holds one entry: a copy of b's
+    bytes and at most one transform (24 KiB on SB at the default
+    parameters, 126 KiB on TC4K2)."""
+
+    def __init__(self):
+        self.key = None   # (seed_A, params, algorithm, b's dtype and shape)
+        self.b = None     # b's bytes: with its dtype and shape, its value
+        self.rows = None  # the programmed rows, once the key repeated
+
+    def rows_for(self, pk: PublicKey, A: np.ndarray, params: RingParams,
+                 algorithm: MultAlgorithm):
+        """The rows of `pk` to stream against a secret of `algorithm`:
+        programmed when the key repeats, else coefficients."""
+        key = (pk.seed_A, params, algorithm, pk.b.dtype, pk.b.shape)
+        b = pk.b.tobytes()
+        if key == self.key and b == self.b:
+            if self.rows is None:
+                self.rows = program(algorithm, _read_only(_public_rows(A, pk.b)))
+            return self.rows
+        self.key, self.b, self.rows = key, b, None
+        return _public_rows(A, pk.b)
+
+
+_HELD_ROWS = _HeldRows()
 
 
 def decrypt_arrays(s: np.ndarray, c_m: np.ndarray, b_prime: np.ndarray,
@@ -157,7 +212,9 @@ def encrypt(pk: PublicKey, m: Poly, r_prime: bytes,
     backend = backend or SoftwareBackend()
     A = gen_matrix(pk.seed_A, params)
     s_prime = sample_secret(r_prime, params)
-    c_m, b_prime = encrypt_arrays(A, pk.b, m.coeffs, s_prime, params, backend)
+    handle = backend.program_secret(s_prime)
+    rows = _HELD_ROWS.rows_for(pk, A, params, handle.algorithm)
+    c_m, b_prime = _encrypt_rows(rows, m.coeffs, handle, params, backend)
     return Ciphertext(_read_only(c_m), _read_only(b_prime))
 
 

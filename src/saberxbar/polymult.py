@@ -39,7 +39,9 @@ evaluates a secret vector once, and `matvec` streams rows of public operands
 against it, summing each row's products in the evaluation domain so that it
 interpolates once per output polynomial (Bermudo Mera, Karmakar and
 Verbauwhede, "Time-memory trade-off in Toom-Cook multiplication", TCHES
-2020). Both take optional leading axes, so one call multiplies a batch of
+2020). Public rows that stream against many secrets can be programmed the
+same way, and `matvec` then multiplies their held transforms as they are.
+Both take optional leading axes, so one call multiplies a batch of
 independent secrets by their own operands. `multiply` is their one-pair
 form, and `conv_raw` the unreduced one: the product of the two operands
 zero-padded to 2n coefficients, modulo x^(2n) + 1, which does not wrap.
@@ -386,16 +388,19 @@ def _roundoff_factor(size: int, terms: int) -> float:
 @dataclass(frozen=True)
 class Programmed:
     """A secret vector (..., l, n) transformed once, in the form its
-    products use.
+    products use; or, the same way, public rows (..., rows, l, n) that
+    stream against many secrets (`matvec`).
 
     `spectra` holds the leaf's transform of each weighted, packed operand,
-    and `norms` the Euclidean norms of the coefficients each packs. On the
-    folding leaf (`ring`), the operands are the secret polynomials:
-    (..., l, n/2) and (..., l). Otherwise they are the limbs evaluated at the
-    algorithm's points and zero-padded to `_fft_size(k)` coefficients:
-    (points, ..., l, size/2) and (points, ..., l), with the points axis
-    leading, as everywhere in the core. Leading axes `...`, if any, index
-    independent secrets (one per trial of a batch).
+    and `norms` the Euclidean norms of the coefficients each packs, both
+    read-only. On the folding leaf (`ring`), the operands are the secret
+    polynomials: (..., l, n/2) and (..., l). Otherwise they are the limbs
+    evaluated at the algorithm's points and zero-padded to `_fft_size(k)`
+    coefficients: (points, ..., l, size/2) and (points, ..., l), with the
+    points axis leading, as everywhere in the core. Leading axes `...`, if
+    any, index independent secrets (one per trial of a batch). `shape` and
+    `size` are those of the coefficients, so that a count of products reads
+    them as it reads an array's.
     """
 
     algorithm: MultAlgorithm
@@ -412,6 +417,14 @@ class Programmed:
     @property
     def l(self) -> int:
         return self.secret.shape[-2]
+
+    @property
+    def shape(self) -> tuple:
+        return self.secret.shape
+
+    @property
+    def size(self) -> int:
+        return self.secret.size
 
 
 class _Scratch(threading.local):
@@ -514,20 +527,28 @@ def _pack(table: _Table, x: np.ndarray, folds: bool, packed: np.ndarray = None) 
 
 def program(alg: MultAlgorithm, s) -> Programmed:
     """Transform the secret vector `s` (..., l, n) once, for any number of
-    `matvec`s."""
+    `matvec`s; or public rows (..., rows, l, n), for `matvec`s against any
+    number of secrets."""
     s = np.asarray(s, dtype=np.int64)
     table = _TABLES[alg]
     n = s.shape[-1]
     _limb_size(table, alg, n)
     folds = _folds(table, n)
     packed, norms = _pack(table, s, folds)
-    return Programmed(alg, s, np.fft.fft(packed, axis=-1, out=packed), norms,
-                      s.size // n * table.points, folds)
+    spectra = np.fft.fft(packed, axis=-1, out=packed)
+    spectra.setflags(write=False)
+    norms.setflags(write=False)
+    return Programmed(alg, s, spectra, norms, s.size // n * table.points, folds)
 
 
 def matvec(h: Programmed, a) -> np.ndarray:
     """(..., rows, n) negacyclic sums sum_j a[..., i, j] * s_j for a of shape
     (..., rows, l, n), unreduced.
+
+    `a` is the rows' coefficients, or the rows programmed once for many
+    secrets, `program(h.algorithm, a)`, with the secret's leading axes: then
+    their packing and forward transforms are already done, and their norms
+    are read from the handle. Every check below runs either way.
 
     Each row's l leaf products at a point are summed in the frequency
     domain, so the row takes one inverse transform per point. A coefficient
@@ -542,12 +563,20 @@ def matvec(h: Programmed, a) -> np.ndarray:
     so that every float64 sum after the leaf is exact.
     """
     table = _TABLES[h.algorithm]
-    a = np.asarray(a, dtype=np.int64)
+    held = type(a) is Programmed
+    if held:
+        if a.algorithm is not h.algorithm:
+            raise ValueError(f"rows programmed for {a.algorithm.value} do not stream "
+                             f"against a {h.algorithm.value} secret")
+    else:
+        a = np.asarray(a, dtype=np.int64)
     l, n = a.shape[-2:]
     if (l, n) != (h.l, h.n):
         raise ValueError(f"operand rows of {l} x {n} coefficients do not match "
                          f"the programmed {h.l} x {h.n} secret")
     if a.shape[:-3] != h.secret.shape[:-2]:  # shared operands or a shared secret
+        if held:
+            raise ValueError("programmed rows must have the secret's leading axes")
         a = np.broadcast_to(a, np.broadcast_shapes(a.shape[:-3], h.secret.shape[:-2])
                             + a.shape[-3:])
     # the packed block takes spectra.nbytes / secret.size bytes per
@@ -555,23 +584,29 @@ def matvec(h: Programmed, a) -> np.ndarray:
     x = leaf = exact = None
     if a.size * h.spectra.nbytes >= _SCRATCH_MIN * h.secret.size:
         x, leaf, exact = _SCRATCH.blocks(_packed_shape(table, a.shape, h.ring))
-    x, norms = _pack(table, a, h.ring, x)  # ([points,] ..., rows, l, size/2)
+    if held:
+        norms = a.norms
+    else:
+        x, norms = _pack(table, a, h.ring, x)  # ([points,] ..., rows, l, size/2)
     if h.ring:
         spectra = h.spectra
         bound = np.vecdot(norms, h.norms[..., None, :]).max() * _NORM_SLACK
     else:
-        extra = x.ndim - h.spectra.ndim - 1  # leading axes a has beyond s
+        extra = norms.ndim - h.norms.ndim - 1  # leading axes a has beyond s
         spectra = _widen(h.spectra, extra)
         bound = np.vecdot(norms, _widen(h.norms, extra)[..., None, :])
         bound = bound.reshape(len(bound), -1).max(axis=1) * _NORM_SLACK  # per point
         if not np.dot(table.growth, bound).max() < _EXACT_FLOAT_LIMIT:
             raise ArithmeticError("operands exceed the exact float64 range of the interpolation")
         bound = bound.max()
-    if not bound * _roundoff_factor(x.shape[-1], l) < _MAX_ROUNDOFF:
+    if not bound * _roundoff_factor(h.spectra.shape[-1], l) < _MAX_ROUNDOFF:
         raise ArithmeticError("operands exceed the exact range of the FFT leaf")
+    if held:  # the held spectra stay as they are
+        x = np.multiply(a.spectra, spectra[..., None, :, :], out=x)
+    else:
+        x = np.fft.fft(x, axis=-1, out=x)
+        x *= spectra[..., None, :, :]
     # freeing each new block once used keeps a batch's peak memory down
-    x = np.fft.fft(x, axis=-1, out=x)
-    x *= spectra[..., None, :, :]
     leaf = np.add.reduce(x, axis=-2, out=leaf)
     del x
     leaf = np.fft.ifft(leaf, axis=-1, out=leaf)

@@ -132,6 +132,8 @@ def _expand(seeds, what: str, count: int, width: int) -> np.ndarray:
     stream, (seeds * count,) seed by seed, all unpacked in one call."""
     if any(len(seed) != 32 for seed in seeds):
         raise ValueError(f"{what} must be 32 bytes")
+    if not len(seeds):
+        return np.zeros(0, dtype=np.int64)
     size = (count * width + 7) // 8
     data = b"".join(Shake128Xof(seed).squeeze(size) for seed in seeds)
     return unpack_values(data, width, count, len(seeds))

@@ -237,9 +237,10 @@ class XbarBackend:
 
     A slot also holds the transform of the (..., l, n) key it was programmed
     with, a single key or a batch, next to a read-only copy of the key:
-    `program` returns it for an equal secret, and `matvec` multiplies by it
-    without checking the slots polynomial by polynomial. An ad hoc eviction
-    from the work slot drops the work slot's transform.
+    `install_boot_secret` and `program_secret` return it, `program` returns
+    it for an equal secret, and `matvec` multiplies by it without checking
+    the slots polynomial by polynomial. An ad hoc eviction from the work
+    slot drops the work slot's transform.
     """
 
     def __init__(self, params: RingParams = DEFAULT_PARAMS):
@@ -254,7 +255,7 @@ class XbarBackend:
         # per slot, the handle of the key it was programmed with
         self._held = {"boot": None, "work": None}
 
-    def _install(self, s_centered: np.ndarray, slot: str) -> None:
+    def _install(self, s_centered: np.ndarray, slot: str) -> Programmed:
         s = np.asarray(s_centered, dtype=np.int64)
         polys = s.reshape(-1, s.shape[-1])
         self._slots[slot] = dict.fromkeys(row.tobytes() for row in polys)
@@ -265,13 +266,18 @@ class XbarBackend:
             self.cell_bits_written += bits
         key = s.copy()  # the caller's array may change in place
         key.setflags(write=False)
-        self._held[slot] = program(MultAlgorithm.SB, key)
+        self._held[slot] = handle = program(MultAlgorithm.SB, key)
+        return handle
 
-    def install_boot_secret(self, s_centered: np.ndarray) -> None:
-        self._install(s_centered, "boot")
+    def install_boot_secret(self, s_centered: np.ndarray) -> Programmed:
+        """Write the (..., l, n) key-generation secret into the boot slot;
+        returns the handle the slot holds."""
+        return self._install(s_centered, "boot")
 
-    def program_secret(self, s_centered: np.ndarray) -> None:
-        self._install(s_centered, "work")
+    def program_secret(self, s_centered: np.ndarray) -> Programmed:
+        """Write the (..., l, n) ephemeral secret into the work slot;
+        returns the handle the slot holds."""
+        return self._install(s_centered, "work")
 
     def _ensure_programmed(self, s_poly_centered: np.ndarray) -> None:
         key = s_poly_centered.tobytes()
@@ -298,11 +304,11 @@ class XbarBackend:
                 return held
         return program(MultAlgorithm.SB, s)
 
-    def matvec(self, rows: np.ndarray, handle: Programmed, moduli) -> np.ndarray:
+    def matvec(self, rows, handle: Programmed, moduli) -> np.ndarray:
         """Sum over j of rows[..., i, j] * s_j for every row i of the
-        (..., rows, l, n) array, as signed length-n arrays not yet reduced
-        modulo the rows' `moduli`."""
-        rows = np.asarray(rows, dtype=np.int64)
+        (..., rows, l, n) array, or of the rows programmed (`matvec` of
+        `polymult`), as signed length-n arrays not yet reduced modulo the
+        rows' `moduli`."""
         self.mult_count += rows.size // rows.shape[-1]
         if not any(handle is held for held in self._held.values()):
             for s in handle.secret.reshape(-1, handle.n):
@@ -406,7 +412,7 @@ class NoisySampleBackend(XbarBackend):
         self.noise_gain = noise_gain
         self.last_injected = np.zeros(0, dtype=np.int64)
 
-    def matvec(self, rows: np.ndarray, handle: Programmed, moduli) -> np.ndarray:
+    def matvec(self, rows, handle: Programmed, moduli) -> np.ndarray:
         """The exact sums of `XbarBackend.matvec` plus sample errors. The
         rows' moduli set each product's number of input cycles."""
         sums, self.last_injected = inject(super().matvec(rows, handle, moduli), moduli,

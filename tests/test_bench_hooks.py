@@ -9,6 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from saberxbar.pke import SoftwareBackend
+from saberxbar.polymult import MultAlgorithm
+from saberxbar.xbar import NoiseSpec, NoisySampleBackend, XbarBackend
+
 _SPEC = importlib.util.spec_from_file_location(
     "bench_tracing", Path(__file__).parents[1] / "bench" / "tracing.py")
 tracing = importlib.util.module_from_spec(_SPEC)
@@ -41,3 +45,13 @@ def test_tracer_installs_every_hook_and_uninstalls():
     finally:
         tracer.uninstall()
     assert ring.gen_matrix is gen_matrix
+
+
+def test_backend_labels_keep_the_backends_apart():
+    # the spans of pke calls are named by these labels: a software backend
+    # by its algorithm, the crossbar backends by their class, so that no
+    # new backend attribute merges two backends' spans
+    for alg in MultAlgorithm:
+        assert tracing.backend_label(SoftwareBackend(alg)) == alg.value
+    assert tracing.backend_label(XbarBackend()) == "Xbar"
+    assert tracing.backend_label(NoisySampleBackend(NoiseSpec(0.0))) == "NoisySample"

@@ -402,3 +402,25 @@ def test_run_roundtrips_clean():
 
 def test_run_roundtrips_deterministic():
     assert run_roundtrips(2, seed=1) == run_roundtrips(2, seed=1)
+
+
+@pytest.mark.parametrize("trials", [-1, 0, 2.5, True])
+def test_run_roundtrips_rejects_bad_trial_counts(trials):
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        run_roundtrips(trials)
+
+
+def test_counts_and_seeds_must_be_integers():
+    # a float would fail later, inside range or SeedSequence
+    for bad in ({"trials": 2.5}, {"seed": 1.5}, {"trials": True}):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ExperimentConfig(**bad)
+    with pytest.raises(ConfigError, match="retry budget must be an integer >= 0"):
+        run_noise(ExperimentConfig(trials=1), variance_grid=(0.0,), retries_grid=(0, 1.5))
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_run_verify_refuses_an_empty_run(trials):
+    # with no trials three of the four suites would pass having run nothing
+    with pytest.raises(ValueError, match="trials per suite must be an integer >= 1"):
+        run_verify(ExperimentConfig(trials=1), trials_per_suite=trials)

@@ -1,16 +1,18 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saberxbar import xbar
+from saberxbar import pke, xbar
 from saberxbar.params import DEFAULT_PARAMS, RingParams
 from saberxbar.experiments import run_roundtrips
 from saberxbar.ring import Poly, fold_negacyclic, gen_matrix, sample_secret
 from saberxbar.polymult import MultAlgorithm, plan_for, schoolbook_mul
 from saberxbar.xbar import XbarBackend
-from saberxbar.pke import (SoftwareBackend, keygen, encrypt, decrypt,
+from saberxbar.pke import (SoftwareBackend, keygen, encrypt, decrypt, encrypt_arrays,
                            encode_message, encode_messages, decode_message, frame_payload,
                            check_frame, pack_values, unpack_values,
                            pack_public_key, unpack_public_key,
@@ -369,3 +371,100 @@ def test_public_keys_and_ciphertexts_pack_only_values_in_range(value):
         else:
             with pytest.raises(SerializationError):
                 pack(edit(v), P)
+
+
+# ---------------------------------------------------------------------------
+# the rows of a repeated public key, programmed and held per thread
+
+def _backend_makers(params):
+    return ([lambda alg=alg: SoftwareBackend(alg) for alg in MultAlgorithm]
+            + [lambda: XbarBackend(params)])
+
+
+def _fresh_bytes(pk, msg, r, params, make):
+    """The ciphertext bytes of the coefficient path on a fresh backend."""
+    c_m, b_prime = encrypt_arrays(gen_matrix(pk.seed_A, params), pk.b, msg.coeffs,
+                                  sample_secret(r, params), params, make())
+    return pack_ciphertext(Ciphertext(c_m, b_prime), params)
+
+
+@pytest.mark.parametrize("name", _SABER_SETS)
+def test_repeated_encryptions_give_the_bytes_of_a_fresh_backend(name):
+    # five encryptions in a row to each of two keys, then the keys
+    # interleaved, then a key whose b the caller edits in place between
+    # encryptions: every ciphertext is byte for byte the coefficient path's
+    # on a fresh backend, and the rows are held exactly when the key
+    # repeated unchanged
+    params = _SABER_SETS[name][0]
+    rng = np.random.default_rng(61)
+    for make in _backend_makers(params):
+        backend = make()
+        keys = [keygen(rng.bytes(32), rng.bytes(32), params, backend)[0] for _ in range(2)]
+        b = np.array(keys[0].b)  # writable, as a caller's own array may be
+        keys.append(PublicKey(keys[0].seed_A, b))
+        previous = None
+        for which, edit in ([(0, False)] * 5 + [(1, False)] * 5 + [(0, False), (1, False)]
+                            + [(2, False), (2, False), (2, True), (2, False), (2, True)]):
+            if edit:
+                i, j = rng.integers(params.l), rng.integers(params.n)
+                b[i, j] = (b[i, j] + 1) % params.p
+            pk = keys[which]
+            msg, r = encode_message(rng.bytes(params.n // 8), params), rng.bytes(32)
+            got = pack_ciphertext(encrypt(pk, msg, r, params, backend), params)
+            assert got == _fresh_bytes(pk, msg, r, params, make)
+            value = (pk.seed_A, pk.b.tobytes())
+            assert (pke._HELD_ROWS.rows is not None) == (value == previous)
+            previous = value
+
+
+@pytest.mark.parametrize("make", _backend_makers(P))
+def test_census_holds_on_every_repeated_encryption(make):
+    # criterion 10 on each of five encryptions in a row to one key, held
+    # rows or not: 12 PolyMults, the secret evaluated once, and on the
+    # crossbar 3072 work-slot cell bits and no boot bits
+    rng = np.random.default_rng(73)
+    backend = make()
+    pk, sk = keygen(rng.bytes(32), rng.bytes(32), P, backend)
+    for _ in range(5):
+        backend.reset_counters()
+        msg = frame_payload(rng.bytes(P.n // 8 - 4), P)
+        ct = encrypt(pk, encode_message(msg, P), rng.bytes(32), P, backend)
+        assert backend.mult_count == 12
+        if isinstance(backend, SoftwareBackend):
+            assert backend.secret_evaluations == P.l * plan_for(backend.algorithm, P).sub_mults
+        else:
+            assert (backend.cell_bits_written, backend.boot_cell_bits) == (3072, 0)
+        assert decode_message(decrypt(sk, ct, P, backend)) == msg
+    assert pke._HELD_ROWS.rows is not None
+
+
+def test_threads_alternating_keys_hold_their_own_rows():
+    # two threads encrypt to two keys in runs of two, out of phase, while
+    # switching often: each gets the ciphertexts of a sequential run, and
+    # each holds one entry, its own last key's
+    rng = np.random.default_rng(79)
+    keys = [keygen(rng.bytes(32), rng.bytes(32), P)[0] for _ in range(2)]
+    plans = [[0, 0, 1, 1] * 4, [1, 1, 0, 0] * 4]
+    inputs = [[(encode_message(rng.bytes(P.n // 8), P), rng.bytes(32)) for _ in plan]
+              for plan in plans]
+    want = [[_fresh_bytes(keys[k], msg, r, P, SoftwareBackend)
+             for k, (msg, r) in zip(plan, ins)] for plan, ins in zip(plans, inputs)]
+    got, held = [None, None], [None, None]
+
+    def work(t):
+        backend = SoftwareBackend()
+        got[t] = [pack_ciphertext(encrypt(keys[k], msg, r, P, backend), P)
+                  for k, (msg, r) in zip(plans[t], inputs[t])]
+        held[t] = pke._HELD_ROWS.key[0]
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert held == [keys[plans[t][-1]].seed_A for t in range(2)]

@@ -414,3 +414,99 @@ def test_warm_large_matvec_allocates_a_fraction_of_its_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 256 * 1024
+
+
+# ---------------------------------------------------------------------------
+# public rows programmed once and streamed against many secrets
+
+@pytest.mark.parametrize("alg", list(MultAlgorithm))
+def test_programmed_rows_give_the_coefficient_path_and_stay_unchanged(alg):
+    rng = np.random.default_rng(59)
+    rows = rng.integers(0, Q, (4, 3, N))
+    held = program(alg, rows)
+    spectra, norms = held.spectra.copy(), held.norms.copy()
+    assert not held.spectra.flags.writeable and not held.norms.flags.writeable
+    assert (held.shape, held.size) == (rows.shape, rows.size)
+    for _ in range(3):
+        handle = program(alg, rng.integers(-4, 5, (3, N)))
+        got = matvec(handle, held)
+        assert np.array_equal(got, matvec(handle, rows))
+        assert np.array_equal(got, _exact_sums(rows, handle.secret))
+        assert not np.shares_memory(got, held.spectra)
+    assert np.array_equal(held.spectra.view(np.uint64), spectra.view(np.uint64))
+    assert np.array_equal(held.norms, norms)
+
+
+@pytest.mark.parametrize("alg", list(MultAlgorithm))
+def test_leaf_bound_is_checked_on_programmed_rows(alg):
+    # the bound comes from the held norms: programmed rows have the
+    # coefficient path's edge, exact at it and ArithmeticError one past it
+    s = np.zeros(16, dtype=np.int64)
+    s[[0, 5]] = (1, -1)
+    signs = np.random.default_rng(13).choice([-1, 1], 16)
+    handle = program(alg, s[None])
+
+    def passes(magnitude):
+        try:
+            matvec(handle, (magnitude * signs)[None, None])
+        except ArithmeticError:
+            return False
+        return True
+    edge = _edge(passes)
+    a = (edge * signs)[None, None]
+    assert np.array_equal(matvec(handle, program(alg, a)), matvec(handle, a))
+    with pytest.raises(ArithmeticError, match="FFT leaf"):
+        matvec(handle, program(alg, ((edge + 1) * signs)[None, None]))
+
+
+def test_interpolation_bound_is_checked_on_programmed_rows():
+    alg = MultAlgorithm.TC4K2
+    a1, s = np.zeros(16, dtype=np.int64), np.zeros(16, dtype=np.int64)
+    a1[:2], s[:2] = (1, -1), (1, 1)
+    handle = program(alg, s[None])
+
+    def passes(magnitude):
+        try:
+            matvec(handle, (magnitude * a1)[None, None])
+        except ArithmeticError:
+            return False
+        return True
+    edge = _edge(passes)
+    a = (edge * a1)[None, None]
+    assert np.array_equal(matvec(handle, program(alg, a)), matvec(handle, a))
+    with pytest.raises(ArithmeticError, match="interpolation"):
+        matvec(handle, program(alg, a + a1))
+
+
+def test_residual_and_division_checks_run_on_programmed_rows(monkeypatch):
+    rng = np.random.default_rng(67)
+    a, s = rng.integers(0, Q, (2, 3, N)), rng.integers(-4, 5, (3, N))
+    cases = [(MultAlgorithm.SB, 0.3, "round-off"), (MultAlgorithm.TC4, 1, "non-integer"),
+             (MultAlgorithm.TC4K2, 1, "non-integer")]
+    ifft = np.fft.ifft
+    for alg, shift, message in cases:
+        handle, held = program(alg, s), program(alg, a)
+        spectra = held.spectra.copy()
+
+        def shifted(*args, **kwargs):
+            leaf = ifft(*args, **kwargs)
+            leaf[(0,) * leaf.ndim] += shift
+            return leaf
+        monkeypatch.setattr(np.fft, "ifft", shifted)
+        with pytest.raises(ArithmeticError, match=message):
+            matvec(handle, held)
+        monkeypatch.setattr(np.fft, "ifft", ifft)
+        assert np.array_equal(held.spectra.view(np.uint64), spectra.view(np.uint64))
+        assert np.array_equal(matvec(handle, held), _exact_sums(a, s))
+
+
+def test_programmed_rows_must_match_the_secret():
+    rng = np.random.default_rng(71)
+    rows = rng.integers(0, Q, (2, 3, N))
+    handle = program(MultAlgorithm.SB, rng.integers(-4, 5, (3, N)))
+    with pytest.raises(ValueError, match="programmed for K2"):
+        matvec(handle, program(MultAlgorithm.K2, rows))
+    with pytest.raises(ValueError, match="leading axes"):
+        matvec(handle, program(MultAlgorithm.SB, rows[None]))
+    with pytest.raises(ValueError, match="do not match"):
+        matvec(handle, program(MultAlgorithm.SB, rows[:, :2]))

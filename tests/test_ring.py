@@ -201,6 +201,15 @@ def test_batched_seed_expansion_equals_seed_by_seed(n, l, mu, eps_q, seeds):
         assert got.ravel().tolist() == one.ravel().tolist() == want
 
 
+@pytest.mark.parametrize("params", [DEFAULT_PARAMS, RingParams(l=2, T=1 << 3, mu=10)])
+def test_batched_seed_expansion_of_no_seeds_is_empty(params):
+    # as encode_messages([]) gives (0, n)
+    l, n = params.l, params.n
+    for got, shape in ((gen_matrices([], params), (0, l, l, n)),
+                       (sample_secrets([], params), (0, l, n))):
+        assert got.shape == shape and got.dtype == np.int64
+
+
 def test_unpack_values_reads_equal_streams_back_to_back():
     streams = [bytes([i]) * 3 + bytes([255]) for i in (1, 2, 3)]  # 30 of 32 bits used
     got = unpack_values(b"".join(streams), 10, 3, streams=3)
