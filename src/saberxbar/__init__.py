@@ -7,7 +7,7 @@ Layers, bottom-up: exact ring arithmetic (`ring`), multiplication algorithms
 orchestration plus the CLI (`experiments`, `cli`).
 """
 
-from .params import RingParams, DEFAULT_PARAMS, constants
+from .params import RingParams, DEFAULT_PARAMS
 from .ring import Poly
 from .polymult import MultAlgorithm, multiply, plan_for
 from .pke import (PublicKey, SecretKey, Ciphertext, SoftwareBackend,

@@ -88,15 +88,10 @@ def _check_output_flags_follow_the_command(parser, argv) -> None:
 
 
 def _load(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if args.config:
-        cfg = load_config(args.config, cfg)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    return replace(cfg, **overrides) if overrides else cfg
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    overrides = {key: getattr(args, key) for key in ("seed", "trials")
+                 if getattr(args, key) is not None}
+    return replace(cfg, **overrides)
 
 
 def _check_out(out: str) -> None:

@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, fields
 from .params import RingParams, DEFAULT_PARAMS
 from .polymult import MultAlgorithm, plan_for
 from .schedule import PrecisionMap, build_stagger, assign_adcs
-from .sac import SacVariant, build_sac_tree, _max_ideal_root
+from .sac import SacVariant, build_sac_tree
 from .xbar import (DEFAULT_TILE_ROWS as TILE_ROWS, DEFAULT_TILE_COLS as TILE_COLS,
                    DEFAULT_BITS_PER_COEFF as BITS_PER_COEFF)
 
@@ -230,9 +230,7 @@ def _conversions(arch: Architecture, k: _Kernel, catalog: ComponentCatalog):
         # a Round-1 fold of 6-bit columns) and the modulo drops its bits at or
         # above target - shift: SAC-All's single root is modulo-optimistic by
         # default and keeps its full accumulated width behind the catalog switch
-        widths = [min(_max_ideal_root([(node, shift)]).bit_length(),
-                      max(1, k.target_bits - shift))
-                  for node, shift in tree.roots]
+        widths = tree.root_widths(k.target_bits)
         if arch is Architecture.SAC_ALL and catalog.sac_all_full_width_root:
             widths = [tree.adc_bits_at_root]
         e_coeff = sum(adc_sample_energy_pj(bits, catalog) for bits in widths)

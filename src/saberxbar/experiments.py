@@ -76,17 +76,6 @@ class ExperimentConfig:
         _check_count(self.seed, "seed", 0, ConfigError)
         _check_noise_level(self.noise_gain, "noise_gain")
 
-    def as_dict(self) -> dict:
-        return {
-            "operation": self.operation.value,
-            "algorithm": self.algorithm.value,
-            "architecture": self.architecture.value,
-            "noise.gain": self.noise_gain,
-            "trials": self.trials,
-            "seed": self.seed,
-            "catalog": dataclasses.asdict(self.catalog),
-        }
-
 
 def parse_config_text(text: str) -> dict:
     """key = value lines; '#' starts a comment; blank lines ignored."""
@@ -121,6 +110,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}")
 
 
+# config key -> (ExperimentConfig field, parser of its text)
+_CONFIG_KEYS = {
+    "operation": ("operation", lambda v: _enum_by_value(Operation, v, "operation")),
+    "algorithm": ("algorithm", lambda v: _enum_by_value(MultAlgorithm, v, "algorithm")),
+    "architecture": ("architecture",
+                     lambda v: _enum_by_value(Architecture, v, "architecture")),
+    "noise.gain": ("noise_gain", float),
+    "trials": ("trials", int),
+    "seed": ("seed", int),
+}
+
 _CATALOG_SCALARS = {
     "adc_rate": float,
     "write_latency_ns": float,
@@ -138,19 +138,9 @@ def build_config(mapping: dict, base: ExperimentConfig = None) -> ExperimentConf
     updates = {}
     try:
         for key, value in mapping.items():
-            if key == "operation":
-                updates["operation"] = _enum_by_value(Operation, value, "operation")
-            elif key == "algorithm":
-                updates["algorithm"] = _enum_by_value(MultAlgorithm, value, "algorithm")
-            elif key == "architecture":
-                updates["architecture"] = _enum_by_value(Architecture, value,
-                                                         "architecture")
-            elif key == "noise.gain":
-                updates["noise_gain"] = float(value)
-            elif key == "trials":
-                updates["trials"] = int(value)
-            elif key == "seed":
-                updates["seed"] = int(value)
+            if key in _CONFIG_KEYS:
+                field, parse = _CONFIG_KEYS[key]
+                updates[field] = parse(value)
             elif key.startswith("catalog."):
                 name = key[len("catalog."):]
                 if name not in _CATALOG_SCALARS:
@@ -198,14 +188,62 @@ def _first_mismatch(got: np.ndarray, want: np.ndarray) -> str:
     return f"first failing coefficient {idx}: got {int(got[idx])}, want {int(want[idx])}"
 
 
+# Each suite yields one value per case, in order: a failure detail, or a
+# false value when the case passes. All suites draw from one stream.
+
+def _polymult_cases(rng, p: RingParams, trials: int):
+    for alg in MultAlgorithm:
+        for _ in range(trials):
+            a = Poly(rng.integers(0, p.q, p.n), p.q)
+            b = Poly(rng.integers(0, p.q, p.n), p.q)
+            got, want = multiply(alg, a, b), schoolbook_mul(a, b)
+            yield got != want and f"{alg.value}: " + _first_mismatch(got.coeffs, want.coeffs)
+
+
+def _crossbar_cases(rng, p: RingParams, trials: int, stuck_fault):
+    injected = "" if stuck_fault is None else (
+        "; injected stuck-at-{3} cell at tile {0}, row {1}, column {2}".format(*stuck_fault))
+    for _ in range(max(2, trials // 8)):
+        a = Poly(rng.integers(0, p.p, p.n), p.p)
+        s = rng.integers(-p.mu // 2, p.mu // 2 + 1, p.n)
+        operand = program_operand(s, p)
+        if stuck_fault is not None:
+            t, row, col, level = stuck_fault
+            cells = operand.cells.copy()
+            cells.reshape(-1, *cells.shape[-2:])[t, row, col] = level
+            operand = replace(operand, cells=cells)
+        got = crossbar_polymult(a, operand).coeffs
+        want = schoolbook_mul(a, Poly(s, p.p)).coeffs
+        yield not np.array_equal(got, want) and _first_mismatch(got, want) + injected
+
+
+def _sac_cases(rng, p: RingParams, trials: int):
+    for variant in SacVariant:
+        tree = build_sac_tree(variant, 4, p.eps_p)
+        for _ in range(trials):
+            grid = rng.integers(0, 64, (p.eps_p, 4))
+            got = sac_accumulate(tree, grid, p.eps_p)
+            want = accumulate_coefficient(grid, p.eps_p)
+            yield got != want and f"{variant.value}: got {got}, want {want}"
+
+
+def _truncation_cases(rng, p: RingParams, trials: int):
+    pmap = PrecisionMap(p.eps_p)
+    for _ in range(trials * 4):
+        grid = rng.integers(0, 64, (p.eps_p, 4))
+        a = accumulate_coefficient(grid, p.eps_p)
+        b = accumulate_coefficient(truncate_to_required(grid, pmap), p.eps_p)
+        yield a != b and f"truncated {b} != full {a}"
+
+
 def run_verify(config: ExperimentConfig, stuck_fault=None,
                trials_per_suite: int = 25) -> VerifyReport:
-    """Oracle-equivalence suites; `stuck_fault` = (tile, row, col, level)
-    injects a stuck cell into the crossbar suite's programmed tiles, which
-    are numbered row block by row block. A fault outside the operand's
-    tiles, or at a level other than 0 or 1, raises ValueError, as does a
-    `trials_per_suite` below 1, which would leave suites that ran nothing
-    reported as passed."""
+    """Oracle-equivalence suites, each stopping at its first failure;
+    `stuck_fault` = (tile, row, col, level) injects a stuck cell into the
+    crossbar suite's programmed tiles, which are numbered row block by row
+    block. A fault outside the operand's tiles, or at a level other than 0
+    or 1, raises ValueError, as does a `trials_per_suite` below 1, which
+    would leave suites that ran nothing reported as passed."""
     _check_count(trials_per_suite, "trials per suite", 1)
     rng = np.random.default_rng(config.seed)
     p = config.params
@@ -217,76 +255,14 @@ def run_verify(config: ExperimentConfig, stuck_fault=None,
                         for v, limit in zip(stuck_fault, limits))):
             raise ValueError(f"stuck fault {tuple(stuck_fault)} is not (tile < {limits[0]}, "
                              f"row < {limits[1]}, column < {limits[2]}, level 0 or 1)")
-    suites = []
-
-    # polymult algorithms vs schoolbook
-    detail, ok = "", True
-    for alg in MultAlgorithm:
-        for _ in range(trials_per_suite):
-            a = Poly(rng.integers(0, p.q, p.n), p.q)
-            b = Poly(rng.integers(0, p.q, p.n), p.q)
-            got, want = multiply(alg, a, b), schoolbook_mul(a, b)
-            if got != want:
-                ok = False
-                detail = f"{alg.value}: " + _first_mismatch(got.coeffs, want.coeffs)
-                break
-        if not ok:
-            break
-    suites.append(SuiteResult("polymult-vs-schoolbook", ok, detail))
-
-    # crossbar pipeline vs software, with optional fault injection
-    detail, ok = "", True
-    for _ in range(max(2, trials_per_suite // 8)):
-        a = Poly(rng.integers(0, p.p, p.n), p.p)
-        s = rng.integers(-p.mu // 2, p.mu // 2 + 1, p.n)
-        operand = program_operand(s, p)
-        if stuck_fault is not None:
-            t, row, col, level = stuck_fault
-            cells = operand.cells.copy()
-            cells.reshape(-1, *cells.shape[-2:])[t, row, col] = level
-            operand = replace(operand, cells=cells)
-        got = crossbar_polymult(a, operand)
-        want = schoolbook_mul(a, Poly(s, p.p)).coeffs
-        if not np.array_equal(got.coeffs, want):
-            ok = False
-            detail = _first_mismatch(got.coeffs, want)
-            if stuck_fault is not None:
-                t, row, col, level = stuck_fault
-                detail += (f"; injected stuck-at-{level} cell at tile {t}, "
-                           f"row {row}, column {col}")
-            break
-    suites.append(SuiteResult("crossbar-vs-software", ok, detail))
-
-    # SAC trees vs digital Algorithm-1 accumulation
-    detail, ok = "", True
-    for variant in SacVariant:
-        tree = build_sac_tree(variant, 4, p.eps_p)
-        for _ in range(trials_per_suite):
-            grid = rng.integers(0, 64, (p.eps_p, 4))
-            got = sac_accumulate(tree, grid, p.eps_p)
-            want = accumulate_coefficient(grid, p.eps_p)
-            if got != want:
-                ok = False
-                detail = f"{variant.value}: got {got}, want {want}"
-                break
-        if not ok:
-            break
-    suites.append(SuiteResult("sac-vs-digital-accumulate", ok, detail))
-
-    # modulo truncation safety
-    detail, ok = "", True
-    pmap = PrecisionMap(p.eps_p)
-    for _ in range(trials_per_suite * 4):
-        grid = rng.integers(0, 64, (p.eps_p, 4))
-        a = accumulate_coefficient(grid, p.eps_p)
-        b = accumulate_coefficient(truncate_to_required(grid, pmap), p.eps_p)
-        if a != b:
-            ok = False
-            detail = f"truncated {b} != full {a}"
-            break
-    suites.append(SuiteResult("truncation-safety", ok, detail))
-
-    return VerifyReport(tuple(suites))
+    k = trials_per_suite
+    suites = {"polymult-vs-schoolbook": _polymult_cases(rng, p, k),
+              "crossbar-vs-software": _crossbar_cases(rng, p, k, stuck_fault),
+              "sac-vs-digital-accumulate": _sac_cases(rng, p, k),
+              "truncation-safety": _truncation_cases(rng, p, k)}
+    # a suite draws only while it runs: after the one before it has stopped
+    details = {name: next(filter(None, cases), "") for name, cases in suites.items()}
+    return VerifyReport(tuple(SuiteResult(name, not d, d) for name, d in details.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -547,19 +523,23 @@ def sweep_to_csv(rows, catalog: ComponentCatalog = DEFAULT_CATALOG) -> str:
     buf.write(f"# catalog={json.dumps(dataclasses.asdict(catalog), sort_keys=True)}\n")
     buf.write(",".join(_CSV_COLUMNS) + "\n")
     for row in rows:
+        vals = [row.operation, row.algorithm, row.architecture]
         if row.report is None:
-            vals = [row.operation, row.algorithm, row.architecture,
-                    "", "", "", "", "", "", "", "", "", row.error]
+            vals += [""] * 9 + [row.error]
         else:
             r = row.report
-            vals = [row.operation, row.algorithm, row.architecture,
-                    f"{r.latency_ns:.3f}", f"{r.total_energy_pj:.3f}",
+            vals += [f"{r.latency_ns:.3f}", f"{r.total_energy_pj:.3f}",
                     f"{r.energy_pj['adc']:.3f}", f"{r.energy_pj['write']:.3f}",
                     f"{r.total_area_um2:.3f}", str(r.samples_converted),
                     str(r.cells_written), f"{r.ce_gbit_s_mm2:.4f}",
                     f"{r.ee_gbit_j:.4f}", ""]
         buf.write(",".join(vals) + "\n")
     return buf.getvalue()
+
+
+_REPORT_FIELDS = ("latency_ns", "energy_pj", "total_energy_pj", "area_um2",
+                  "total_area_um2", "samples_converted", "cells_written",
+                  "logical_cell_bits", "ce_gbit_s_mm2", "ee_gbit_j")
 
 
 def report_fields(row: SweepRow) -> dict:
@@ -570,19 +550,7 @@ def report_fields(row: SweepRow) -> dict:
     if row.report is None:
         entry["error"] = row.error
     else:
-        r = row.report
-        entry.update({
-            "latency_ns": r.latency_ns,
-            "energy_pj": r.energy_pj,
-            "total_energy_pj": r.total_energy_pj,
-            "area_um2": r.area_um2,
-            "total_area_um2": r.total_area_um2,
-            "samples_converted": r.samples_converted,
-            "cells_written": r.cells_written,
-            "logical_cell_bits": r.logical_cell_bits,
-            "ce_gbit_s_mm2": r.ce_gbit_s_mm2,
-            "ee_gbit_j": r.ee_gbit_j,
-        })
+        entry.update({name: getattr(row.report, name) for name in _REPORT_FIELDS})
     return entry
 
 

@@ -16,7 +16,9 @@ class RingParams:
     """Module-LWR ring parameters.
 
     Defaults match the SABER PKE parameter set: n=256, l=3,
-    q=2^13, p=2^10, T=2^4, mu=8.
+    q=2^13, p=2^10, T=2^4, mu=8. `h1` and `h2` are the coefficients of the
+    constant polynomials h1, h (l copies of h1) and h2 that turn rounding
+    into shifts.
     """
 
     n: int = 256
@@ -49,29 +51,14 @@ class RingParams:
     def eps_T(self) -> int:
         return _log2_exact(self.T)
 
+    @functools.cached_property
+    def h1(self) -> int:
+        return 1 << (self.eps_q - self.eps_p - 1)
+
+    @functools.cached_property
+    def h2(self) -> int:
+        return (1 << (self.eps_p - 2)) - (1 << (self.eps_p - self.eps_T - 1)) + self.h1
+
 
 DEFAULT_PARAMS = RingParams()
 
-
-@dataclass(frozen=True)
-class SaberConstants:
-    """The coefficients of the constant polynomials h1, h (l copies of h1)
-    and h2 that turn rounding into shifts.
-
-    h1 coefficients are 2^(eps_q - eps_p - 1);
-    h2 coefficients are 2^(eps_p - 2) - 2^(eps_p - eps_T - 1) + 2^(eps_q - eps_p - 1).
-    """
-
-    h1_value: int
-    h2_value: int
-
-
-@functools.lru_cache(maxsize=16)
-def constants(params: RingParams = DEFAULT_PARAMS) -> SaberConstants:
-    h1 = 1 << (params.eps_q - params.eps_p - 1)
-    h2 = (
-        (1 << (params.eps_p - 2))
-        - (1 << (params.eps_p - params.eps_T - 1))
-        + (1 << (params.eps_q - params.eps_p - 1))
-    )
-    return SaberConstants(h1_value=h1, h2_value=h2)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import RingParams, DEFAULT_PARAMS, constants
+from .params import RingParams, DEFAULT_PARAMS
 from .ring import Poly, _ByValue, _reduce, gen_matrix, sample_secret, unpack_values
 from .polymult import MultAlgorithm, Programmed, program, matvec
 
@@ -95,9 +95,11 @@ class SoftwareBackend:
         return matvec(handle, rows)
 
     def mul_raw(self, a: Poly, s_poly_centered: np.ndarray) -> np.ndarray:
-        """One negacyclic product, not yet reduced modulo a.modulus."""
-        return self.matvec(a.coeffs[None, None],
-                           self.program(np.asarray(s_poly_centered)[None]), [a.modulus])[0]
+        """One negacyclic product, reduced modulo a.modulus, as every
+        backend's `mul_raw` returns it."""
+        s = np.asarray(s_poly_centered)
+        return _reduce(self.matvec(a.coeffs[None, None], self.program(s[None]),
+                                   [a.modulus])[0], a.modulus)
 
     def reset_counters(self) -> None:
         self.mult_count = 0
@@ -114,7 +116,7 @@ def keygen_arrays(A: np.ndarray, s: np.ndarray, params: RingParams, backend) -> 
     A (..., l, l, n) mod q and the centered secret s (..., l, n)."""
     handle = backend.install_boot_secret(s)
     As = backend.matvec(np.swapaxes(A, -3, -2), handle, [params.q] * params.l)
-    return _reduce(As + constants(params).h1_value, params.q) >> (params.eps_q - params.eps_p)
+    return _reduce(As + params.h1, params.q) >> (params.eps_q - params.eps_p)
 
 
 def encrypt_arrays(A: np.ndarray, b: np.ndarray, m: np.ndarray, s_prime: np.ndarray,
@@ -136,9 +138,8 @@ def _encrypt_rows(rows, m: np.ndarray, handle: Programmed, params: RingParams, b
     """The encryption equation on the rows [A; b], as coefficients or
     programmed, streamed against the handle of s'."""
     sums = backend.matvec(rows, handle, [params.q] * params.l + [params.p])
-    h1 = constants(params).h1_value
-    b_prime = _reduce(sums[..., :-1, :] + h1, params.q) >> (params.eps_q - params.eps_p)
-    pre = _reduce(sums[..., -1, :] + h1 - (m << (params.eps_p - 1)), params.p)
+    b_prime = _reduce(sums[..., :-1, :] + params.h1, params.q) >> (params.eps_q - params.eps_p)
+    pre = _reduce(sums[..., -1, :] + params.h1 - (m << (params.eps_p - 1)), params.p)
     return pre >> (params.eps_p - params.eps_T), b_prime
 
 
@@ -152,28 +153,32 @@ class _HeldRows(threading.local):
     the algorithm of the secret's handle, the same seed_A and a b equal by
     value) programs its rows (`polymult.program`), and every further one
     streams them as they are. A key's first encryption transforms nothing:
-    a fresh key costs one comparison and one copy of b, and no transform
-    that would serve one product. A thread holds one entry: a copy of b's
-    bytes and at most one transform (24 KiB on SB at the default
-    parameters, 126 KiB on TC4K2)."""
+    a fresh key costs one comparison, one copy of b and `_check_public_key`,
+    and no transform that would serve one product; a repeat equals a key
+    that passed, so it is not checked again. A thread holds one entry: a
+    copy of b's bytes and at most one transform (24 KiB on SB at the
+    default parameters, 126 KiB on TC4K2)."""
 
     def __init__(self):
         self.key = None   # (seed_A, params, algorithm, b's dtype and shape)
         self.b = None     # b's bytes: with its dtype and shape, its value
         self.rows = None  # the programmed rows, once the key repeated
 
-    def rows_for(self, pk: PublicKey, A: np.ndarray, params: RingParams,
-                 algorithm: MultAlgorithm):
+    def rows_for(self, pk: PublicKey, params: RingParams, algorithm: MultAlgorithm):
         """The rows of `pk` to stream against a secret of `algorithm`:
         programmed when the key repeats, else coefficients."""
         key = (pk.seed_A, params, algorithm, pk.b.dtype, pk.b.shape)
         b = pk.b.tobytes()
-        if key == self.key and b == self.b:
-            if self.rows is None:
-                self.rows = program(algorithm, _read_only(_public_rows(A, pk.b)))
-            return self.rows
-        self.key, self.b, self.rows = key, b, None
-        return _public_rows(A, pk.b)
+        repeat = key == self.key and b == self.b
+        if not repeat:
+            _check_public_key(pk, params)
+            self.key, self.b, self.rows = key, b, None
+        A = gen_matrix(pk.seed_A, params)
+        if not repeat:
+            return _public_rows(A, pk.b)
+        if self.rows is None:
+            self.rows = program(algorithm, _read_only(_public_rows(A, pk.b)))
+        return self.rows
 
 
 _HELD_ROWS = _HeldRows()
@@ -191,8 +196,7 @@ def decrypt_sums(v: np.ndarray, c_m: np.ndarray, params: RingParams) -> np.ndarr
     """The decryption equation on products already computed: the message
     coefficients before rounding, (..., n) mod p, from the unreduced sums
     v = b'^T s (..., n) and c_m (..., n) mod T."""
-    return _reduce(v - (c_m << (params.eps_p - params.eps_T)) + constants(params).h2_value,
-                   params.p)
+    return _reduce(v - (c_m << (params.eps_p - params.eps_T)) + params.h2, params.p)
 
 
 def keygen(seed_A: bytes, r: bytes, params: RingParams = DEFAULT_PARAMS,
@@ -210,10 +214,9 @@ def encrypt(pk: PublicKey, m: Poly, r_prime: bytes,
     if m.modulus != 2 or m.n != params.n:
         raise ValueError("message must be a degree-n polynomial over modulus 2")
     backend = backend or SoftwareBackend()
-    A = gen_matrix(pk.seed_A, params)
     s_prime = sample_secret(r_prime, params)
     handle = backend.program_secret(s_prime)
-    rows = _HELD_ROWS.rows_for(pk, A, params, handle.algorithm)
+    rows = _HELD_ROWS.rows_for(pk, params, handle.algorithm)
     c_m, b_prime = _encrypt_rows(rows, m.coeffs, handle, params, backend)
     return Ciphertext(_read_only(c_m), _read_only(b_prime))
 
@@ -270,10 +273,7 @@ def pack_values(values: np.ndarray, width: int) -> bytes:
     if not 0 <= width <= 25:
         raise ValueError(f"value width must be 0..25 bits, got {width}")
     values = np.asarray(values, dtype=np.int64)
-    # one reduction: a negative value sets the sign bit, a large one a bit
-    # at or above `width`
-    if np.bitwise_or.reduce(values, axis=None) >> width:
-        raise SerializationError(f"values must lie in [0, 2^{width})")
+    _check_width(values, width)
     words = values.astype("<u4").view(np.uint8)
     bits = np.unpackbits(words.reshape(-1, 4), axis=1, count=width, bitorder="little")
     return np.packbits(bits, bitorder="little").tobytes()
@@ -281,6 +281,24 @@ def pack_values(values: np.ndarray, width: int) -> bytes:
 
 class SerializationError(ValueError):
     """Bytes of the wrong length, or values outside their serialized range."""
+
+
+def _check_width(values: np.ndarray, width: int) -> None:
+    """Every integer value lies in [0, 2^width), in one reduction: a
+    negative value sets the sign bit, a large one a bit at or above `width`."""
+    if np.bitwise_or.reduce(values, axis=None) >> width:
+        raise SerializationError(f"values must lie in [0, 2^{width})")
+
+
+def _check_public_key(pk: PublicKey, params: RingParams) -> None:
+    """A key that serializes at `params`: a 32-byte seed_A, and b an (l, n)
+    integer array of values in [0, p)."""
+    if not isinstance(pk.seed_A, bytes) or len(pk.seed_A) != 32:
+        raise SerializationError("public key seed_A must be 32 bytes")
+    if pk.b.shape != (params.l, params.n) or not np.can_cast(pk.b.dtype, np.int64):
+        raise SerializationError(f"public key b must be an ({params.l}, {params.n}) integer "
+                                 f"array, got {pk.b.dtype} of shape {pk.b.shape}")
+    _check_width(pk.b, params.eps_p)
 
 
 def _check_length(data: bytes, want: int, what: str) -> None:

@@ -82,6 +82,12 @@ class SacTree:
     def samples_per_coefficient(self) -> int:
         return len(self.roots)
 
+    def root_widths(self, target_mod_bits: int) -> list:
+        """Each root's ADC width modulo 2^target_mod_bits: its largest ideal
+        value's width, less the bits at or above target - shift, at least 1."""
+        return [min(_max_ideal_value(node).bit_length(), max(1, target_mod_bits - shift))
+                for node, shift in self.roots]
+
 
 def _depth(node) -> int:
     if isinstance(node, SacLeaf):
@@ -160,18 +166,15 @@ def build_sac_tree(variant: SacVariant, columns_per_coeff: int = 4,
         roots = tuple(level)
         stages = max(_depth(node) for node, _ in roots) + 1
 
-    adc_bits = max(1, _max_ideal_root(roots).bit_length())
+    adc_bits = max(1, *(_max_ideal_value(node).bit_length() for node, _ in roots))
     tree = SacTree(variant, roots, num_cycles, columns_per_coeff, stages, adc_bits)
     _check_paths(tree)
     return tree
 
 
-def _max_ideal_root(roots) -> int:
-    """Largest ideal root value, every leaf a full MAX_CELL_BITS-bit sample."""
-    full = (1 << MAX_CELL_BITS) - 1
-    return max(sum(full << s for _, s in _leaf_shifts(node))
-               if not isinstance(node, SacLeaf) else full
-               for node, _ in roots)
+def _max_ideal_value(node) -> int:
+    """Largest ideal value of a node or leaf, each leaf a full MAX_CELL_BITS-bit sample."""
+    return sum(((1 << MAX_CELL_BITS) - 1) << s for _, s in _leaf_shifts(node))
 
 
 def _check_paths(tree: SacTree) -> None:

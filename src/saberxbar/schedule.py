@@ -129,7 +129,6 @@ class AdcLane:
 class AdcAssignment:
     lanes: tuple          # AdcLane per configured ADC, widest first
     total_samples: int
-    samples_by_width: dict
 
     def fraction(self, bits: int) -> float:
         for lane in self.lanes:
@@ -152,18 +151,12 @@ def assign_adcs(schedule: StaggeredSchedule, pmap: PrecisionMap,
     be provisioned once per group instead of once per crossbar.
     """
     ladder = sorted(adc_bits, reverse=True)
-    hist_one = pmap.width_histogram()
     num_xbars = sum(len(g) for g in schedule.groups)
-    samples_by_width = {w: c * num_xbars for w, c in hist_one.items()}
-
-    lane_counts = {b: 0 for b in ladder}
-    for width, count in sorted(samples_by_width.items()):
+    lane_counts = dict.fromkeys(ladder, 0)
+    for width, count in sorted(pmap.width_histogram().items()):
         fits = [b for b in ladder if b >= width]
         if not fits:
             raise AssignmentError(f"sample width {width} exceeds every ADC")
-        lane_counts[min(fits)] += count
-
+        lane_counts[min(fits)] += count * num_xbars
     lanes = tuple(AdcLane(b, lane_counts[b]) for b in ladder)
-    total = sum(samples_by_width.values())
-    assert sum(l.samples for l in lanes) == total
-    return AdcAssignment(lanes, total, samples_by_width)
+    return AdcAssignment(lanes, sum(lane_counts.values()))

@@ -316,7 +316,8 @@ class XbarBackend:
         return matvec(handle, rows)
 
     def mul_raw(self, a: Poly, s_poly_centered: np.ndarray) -> np.ndarray:
-        """One product, reduced modulo a.modulus."""
+        """One negacyclic product, reduced modulo a.modulus, as every
+        backend's `mul_raw` returns it."""
         s = np.asarray(s_poly_centered, dtype=np.int64)
         return self.matvec(a.coeffs[None, None], self.program(s[None]),
                            [a.modulus])[0] % a.modulus

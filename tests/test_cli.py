@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +267,11 @@ def test_catalog_booleans_take_six_spellings(tmp_path, capsys, spelling, value):
     (tmp_path / "point.cfg").write_text(f"catalog.sac_all_full_width_root = {spelling}\n")
     assert main(["cost", "--config", str(tmp_path / "point.cfg")]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["catalog"]["sac_all_full_width_root"] is value
+
+
+def test_the_tests_import_this_checkouts_package():
+    # as the benchmark's loader requires: the package under test is the one
+    # in this checkout's src/, not another installed copy
+    import saberxbar
+    src = (Path(__file__).parents[1] / "src").resolve()
+    assert Path(saberxbar.__file__).resolve().is_relative_to(src)

@@ -110,9 +110,10 @@ def test_readme_lists_the_config_keys_that_take_effect():
     mapping = parse_config_text(_readme_config_block())
     cfg = build_config(mapping)
     listed = {k for k in mapping if not k.startswith("catalog.")}
-    assert {k for k in cfg.as_dict() if k != "catalog"} == listed
+    assert set(experiments._CONFIG_KEYS) == listed
     for key in listed:
-        assert str(cfg.as_dict()[key]).lower() == mapping[key].lower()
+        value = getattr(cfg, experiments._CONFIG_KEYS[key][0])
+        assert str(getattr(value, "value", value)).lower() == mapping[key].lower()
     assert ({k.removeprefix("catalog.") for k in mapping if k.startswith("catalog.")}
             == set(experiments._CATALOG_SCALARS))
 

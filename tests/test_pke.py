@@ -468,3 +468,46 @@ def test_threads_alternating_keys_hold_their_own_rows():
         sys.setswitchinterval(interval)
     assert got == want
     assert held == [keys[plans[t][-1]].seed_A for t in range(2)]
+
+
+def _malformed_keys(pk):
+    return {"b out of range": PublicKey(pk.seed_A, pk.b + 5000),
+            "b negative": PublicKey(pk.seed_A, pk.b - P.p),
+            "b of the wrong shape": PublicKey(pk.seed_A, pk.b[:2]),
+            "b of floats": PublicKey(pk.seed_A, pk.b.astype(np.float64)),
+            "short seed_A": PublicKey(pk.seed_A[:31], pk.b),
+            "long seed_A": PublicKey(pk.seed_A + b"\0", pk.b)}
+
+
+@pytest.mark.parametrize("make", _backend_makers(P))
+@pytest.mark.parametrize("what", list(_malformed_keys(keygen(bytes(32), bytes(32))[0])))
+def test_encrypt_refuses_a_malformed_public_key(make, what):
+    # whether its key is fresh or follows a held one, a key that would not
+    # serialize is refused with a typed error, and the held key stays
+    rng = np.random.default_rng(83)
+    backend = make()
+    pk, sk = keygen(rng.bytes(32), rng.bytes(32), P, backend)
+    msg = encode_message(rng.bytes(P.n // 8), P)
+    bad = _malformed_keys(pk)[what]
+    with pytest.raises(SerializationError):
+        encrypt(bad, msg, rng.bytes(32), P, backend)
+    for _ in range(2):
+        encrypt(pk, msg, rng.bytes(32), P, backend)
+    with pytest.raises(SerializationError):
+        encrypt(bad, msg, rng.bytes(32), P, backend)
+    assert pke._HELD_ROWS.key[0] == pk.seed_A and pke._HELD_ROWS.b == pk.b.tobytes()
+    ct = encrypt(pk, msg, rng.bytes(32), P, backend)
+    assert decrypt(sk, ct, P, backend) == msg
+
+
+def test_a_public_key_is_checked_only_when_it_is_not_the_one_held(monkeypatch):
+    rng = np.random.default_rng(89)
+    keys = [keygen(rng.bytes(32), rng.bytes(32), P)[0] for _ in range(2)]
+    checked = []
+    check = pke._check_public_key
+    monkeypatch.setattr(pke, "_check_public_key",
+                        lambda pk, params: checked.append(pk) or check(pk, params))
+    msg = encode_message(rng.bytes(P.n // 8), P)
+    for which in (0, 0, 0, 1, 1, 0):
+        encrypt(keys[which], msg, rng.bytes(32), P)
+    assert checked == [keys[0], keys[1], keys[0]]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from saberxbar.params import RingParams, DEFAULT_PARAMS, constants
+from saberxbar.params import RingParams, DEFAULT_PARAMS
 from saberxbar.ring import (Poly, DimensionError, fold_negacyclic,
                             gen_matrix, gen_matrices, sample_secret, sample_secrets,
                             unpack_values, _expand)
@@ -82,9 +82,8 @@ def test_negacyclic_product_exact_at_worst_saber_magnitude():
 
 
 def test_constants_values():
-    cst = constants(DEFAULT_PARAMS)
-    assert cst.h1_value == 1 << 2
-    assert cst.h2_value == (1 << 8) - (1 << 5) + (1 << 2)
+    assert DEFAULT_PARAMS.h1 == 1 << 2
+    assert DEFAULT_PARAMS.h2 == (1 << 8) - (1 << 5) + (1 << 2)
 
 
 def test_params_validation():

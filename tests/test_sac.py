@@ -114,3 +114,22 @@ def test_tia_spec_validation():
         with pytest.raises(ValueError):
             TiaSpec(variance=bad)
     assert TiaSpec(variance=0.0).variance == 0.0
+
+
+def test_root_widths_drop_the_bits_the_modulo_drops():
+    # a root keeps the width of its largest ideal value (every leaf a full
+    # 6-bit sample), less the bits at or above target - shift, and at least
+    # one bit
+    for variant in SacVariant:
+        for cycles in (10, 13):
+            tree = build_sac_tree(variant, 4, cycles)
+            peaks = eval_sac(tree, np.full((cycles, 4), 63))
+            for target in (1, 10, 13, 40):
+                want = [min(int(peak).bit_length(), max(1, target - shift))
+                        for peak, shift in peaks]
+                assert tree.root_widths(target) == want
+            assert max(tree.root_widths(99)) == tree.adc_bits_at_root
+    # Round-1 folds of the 10 cycles at mod p: a 10-bit root per cycle, cut
+    # to 10 - c bits at cycle c
+    basic = build_sac_tree(SacVariant.BASIC, 4, 10)
+    assert basic.root_widths(10) == [10, 9, 8, 7, 6, 5, 4, 3, 2, 1]

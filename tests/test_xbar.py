@@ -7,7 +7,7 @@ import pytest
 
 from saberxbar.params import DEFAULT_PARAMS
 from saberxbar.ring import Poly, fold_negacyclic
-from saberxbar.polymult import schoolbook_mul
+from saberxbar.polymult import MultAlgorithm, schoolbook_mul
 from saberxbar.pke import SoftwareBackend
 from saberxbar.xbar import (build_negacyclic_matrix,
                             NoiseSpec, adc_read, adc_bits_for,
@@ -591,3 +591,16 @@ def test_pipeline_outputs_are_pinned():
         "adc6": "858d40e42c68d1687889bacd5231f89b1c627c910b08771ed7af4508cefd86c1",
         "stuck": "aa3a503a95f01f271c0cd0f4f65b52803b552f55dba4bf682783028c1c7956f0",
     }
+
+
+def test_every_backend_mul_raw_returns_the_reduced_product():
+    # one contract: the negacyclic product reduced modulo a.modulus
+    rng = np.random.default_rng(97)
+    backends = ([SoftwareBackend(alg) for alg in MultAlgorithm]
+                + [XbarBackend(P), NoisySampleBackend(NoiseSpec(0.0, 1), P)])
+    for modulus in (P.q, P.p):
+        a = Poly(rng.integers(0, modulus, P.n), modulus)
+        s = rng.integers(-P.mu // 2, P.mu // 2 + 1, P.n)
+        want = schoolbook_mul(a, Poly(s, modulus)).coeffs
+        for backend in backends:
+            assert np.array_equal(backend.mul_raw(a, s), want)
