@@ -470,17 +470,18 @@ def test_threads_alternating_keys_hold_their_own_rows():
     assert held == [keys[plans[t][-1]].seed_A for t in range(2)]
 
 
-def _malformed_keys(pk):
-    return {"b out of range": PublicKey(pk.seed_A, pk.b + 5000),
-            "b negative": PublicKey(pk.seed_A, pk.b - P.p),
-            "b of the wrong shape": PublicKey(pk.seed_A, pk.b[:2]),
-            "b of floats": PublicKey(pk.seed_A, pk.b.astype(np.float64)),
-            "short seed_A": PublicKey(pk.seed_A[:31], pk.b),
-            "long seed_A": PublicKey(pk.seed_A + b"\0", pk.b)}
+_MALFORMED_KEYS = {
+    "b out of range": lambda pk: PublicKey(pk.seed_A, pk.b + 5000),
+    "b negative": lambda pk: PublicKey(pk.seed_A, pk.b - P.p),
+    "b of the wrong shape": lambda pk: PublicKey(pk.seed_A, pk.b[:2]),
+    "b of floats": lambda pk: PublicKey(pk.seed_A, pk.b.astype(np.float64)),
+    "short seed_A": lambda pk: PublicKey(pk.seed_A[:31], pk.b),
+    "long seed_A": lambda pk: PublicKey(pk.seed_A + b"\0", pk.b),
+}
 
 
 @pytest.mark.parametrize("make", _backend_makers(P))
-@pytest.mark.parametrize("what", list(_malformed_keys(keygen(bytes(32), bytes(32))[0])))
+@pytest.mark.parametrize("what", list(_MALFORMED_KEYS))
 def test_encrypt_refuses_a_malformed_public_key(make, what):
     # whether its key is fresh or follows a held one, a key that would not
     # serialize is refused with a typed error, and the held key stays
@@ -488,7 +489,7 @@ def test_encrypt_refuses_a_malformed_public_key(make, what):
     backend = make()
     pk, sk = keygen(rng.bytes(32), rng.bytes(32), P, backend)
     msg = encode_message(rng.bytes(P.n // 8), P)
-    bad = _malformed_keys(pk)[what]
+    bad = _MALFORMED_KEYS[what](pk)
     with pytest.raises(SerializationError):
         encrypt(bad, msg, rng.bytes(32), P, backend)
     for _ in range(2):
