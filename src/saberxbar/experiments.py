@@ -15,6 +15,7 @@ failure-curve point does not depend on trial order, batching or the rest of
 the grid.
 """
 
+import csv
 import dataclasses
 import io
 import json
@@ -121,15 +122,9 @@ _CONFIG_KEYS = {
     "seed": ("seed", int),
 }
 
-_CATALOG_SCALARS = {
-    "adc_rate": float,
-    "write_latency_ns": float,
-    "write_energy_pj_per_cell_bit": float,
-    "adc_dac_fraction": float,
-    "array_area_um2": float,
-    "tia_sense_transfer_ns": float,
-    "sac_all_full_width_root": _parse_bool,
-}
+# catalog.<field> -> parser of its text, for each scalar field of the catalog
+_CATALOG_SCALARS = {f.name: _parse_bool if f.type is bool else float
+                    for f in dataclasses.fields(ComponentCatalog) if f.type in (float, bool)}
 
 
 def build_config(mapping: dict, base: ExperimentConfig = None) -> ExperimentConfig:
@@ -521,7 +516,8 @@ def sweep_to_csv(rows, catalog: ComponentCatalog = DEFAULT_CATALOG) -> str:
     buf = io.StringIO()
     buf.write(f"# schema_version={SCHEMA_VERSION}\n")
     buf.write(f"# catalog={json.dumps(dataclasses.asdict(catalog), sort_keys=True)}\n")
-    buf.write(",".join(_CSV_COLUMNS) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")  # quotes an error that holds a comma
+    writer.writerow(_CSV_COLUMNS)
     for row in rows:
         vals = [row.operation, row.algorithm, row.architecture]
         if row.report is None:
@@ -533,7 +529,7 @@ def sweep_to_csv(rows, catalog: ComponentCatalog = DEFAULT_CATALOG) -> str:
                     f"{r.total_area_um2:.3f}", str(r.samples_converted),
                     str(r.cells_written), f"{r.ce_gbit_s_mm2:.4f}",
                     f"{r.ee_gbit_j:.4f}", ""]
-        buf.write(",".join(vals) + "\n")
+        writer.writerow(vals)
     return buf.getvalue()
 
 

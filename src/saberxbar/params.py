@@ -1,10 +1,13 @@
 """Parameter sets and the bit-shift rounding constants."""
 
 import functools
+import operator
 from dataclasses import dataclass
 
 
 def _log2_exact(x: int) -> int:
+    """log2 of x: the one rule for the ring's n and moduli, integer powers of two."""
+    x = operator.index(x)
     b = x.bit_length() - 1
     if x <= 0 or (1 << b) != x:
         raise ValueError(f"{x} is not a positive power of two")

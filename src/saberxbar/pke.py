@@ -144,37 +144,42 @@ def _encrypt_rows(rows, m: np.ndarray, handle: Programmed, params: RingParams, b
 
 
 class _HeldRows(threading.local):
-    """The rows [A; b] of the public key this thread last encrypted to,
+    """The public key this thread last encrypted to, and its rows [A; b],
     programmed once the key repeats.
 
     As the crossbar's slots hold the secret's transform, a key that many
     messages go to need not be packed and transformed for each of them.
-    The second encryption in a row to an equal key (the same parameters,
-    the algorithm of the secret's handle, the same seed_A and a b equal by
-    value) programs its rows (`polymult.program`), and every further one
-    streams them as they are. A key's first encryption transforms nothing:
-    a fresh key costs one comparison, one copy of b and `_check_public_key`,
-    and no transform that would serve one product; a repeat equals a key
-    that passed, so it is not checked again. A thread holds one entry: a
-    copy of b's bytes and at most one transform (24 KiB on SB at the
-    default parameters, 126 KiB on TC4K2)."""
+    `encrypt` holds the key before it programs the secret, so that a key
+    that would not serialize is refused before any backend work. The second
+    encryption in a row to an equal key (the same parameters, seed_A and b
+    by value) with the same algorithm programs its rows (`polymult.program`),
+    and every further one streams them as they are. A key's first
+    encryption with an algorithm transforms nothing: a fresh key costs one
+    comparison, one copy of b and `_check_public_key`, and a held key is not
+    checked again. A thread holds one entry: a copy of b's bytes and at most
+    one transform (24 KiB on SB at the default parameters, 126 KiB on
+    TC4K2)."""
 
     def __init__(self):
-        self.key = None   # (seed_A, params, algorithm, b's dtype and shape)
-        self.b = None     # b's bytes: with its dtype and shape, its value
-        self.rows = None  # the programmed rows, once the key repeated
+        self.key = None        # (seed_A, params, b's dtype and shape)
+        self.b = None          # b's bytes: with its dtype and shape, its value
+        self.algorithm = None  # of the held key's latest encryption
+        self.rows = None       # the rows programmed for it, once it repeated
+
+    def hold(self, pk: PublicKey, params: RingParams) -> None:
+        """Hold `pk`, checked unless it is the key already held."""
+        key = (pk.seed_A, params, pk.b.dtype, pk.b.shape)
+        b = pk.b.tobytes()
+        if key != self.key or b != self.b:
+            _check_public_key(pk, params)
+            self.key, self.b, self.algorithm, self.rows = key, b, None, None
 
     def rows_for(self, pk: PublicKey, params: RingParams, algorithm: MultAlgorithm):
-        """The rows of `pk` to stream against a secret of `algorithm`:
-        programmed when the key repeats, else coefficients."""
-        key = (pk.seed_A, params, algorithm, pk.b.dtype, pk.b.shape)
-        b = pk.b.tobytes()
-        repeat = key == self.key and b == self.b
-        if not repeat:
-            _check_public_key(pk, params)
-            self.key, self.b, self.rows = key, b, None
+        """The rows of the held `pk` to stream against a secret of `algorithm`:
+        programmed when the key repeats with it, else coefficients."""
         A = gen_matrix(pk.seed_A, params)
-        if not repeat:
+        if algorithm is not self.algorithm:
+            self.algorithm, self.rows = algorithm, None
             return _public_rows(A, pk.b)
         if self.rows is None:
             self.rows = program(algorithm, _read_only(_public_rows(A, pk.b)))
@@ -214,6 +219,7 @@ def encrypt(pk: PublicKey, m: Poly, r_prime: bytes,
     if m.modulus != 2 or m.n != params.n:
         raise ValueError("message must be a degree-n polynomial over modulus 2")
     backend = backend or SoftwareBackend()
+    _HELD_ROWS.hold(pk, params)
     s_prime = sample_secret(r_prime, params)
     handle = backend.program_secret(s_prime)
     rows = _HELD_ROWS.rows_for(pk, params, handle.algorithm)

@@ -19,20 +19,21 @@ into a cyclic convolution of size/2 points, so the unweighted inverse
 transform's real and imaginary parts are the low and high halves of the
 product.
 
-The one-limb (schoolbook) table at n a power of two runs the leaf at
-size = n: the leaf itself folds, and nothing follows it. Every other table
-(a Toom table, or schoolbook at another n) packs its evaluated limbs of k
-coefficients zero-padded to size = `_fft_size(k)`, a power of two of at
-least 2k, so that the product modulo x^size + 1 cannot wrap and is the
-limbs' linear product. Evaluation, interpolation and the overlap-add with
-the fold are then float64 matrix products over the whole block, with the
-points axis leading so that each is one BLAS call; the interpolation
-divides exactly and checks it by multiplying back (tables whose
-denominators are all 1, SB, K2 and K4, fold the interpolation into the
-overlap-add matrix instead). Each call checks a rigorous round-off bound
-before it transforms, the observed rounding residual after, and a per-table
-bound that keeps every float64 sum after the leaf an exact integer below
-2^53, and raises ArithmeticError rather than return an inexact product.
+Every n is a power of two of at least the table's limb count (ValueError
+otherwise), so every limb of k = n / limbs coefficients is a power of two
+too. The one-limb (schoolbook) table runs the leaf at size = n: the leaf
+itself folds, and nothing follows it. Every Toom table packs its evaluated
+limbs zero-padded to size = 2k, so that the product modulo x^size + 1
+cannot wrap and is the limbs' linear product. Evaluation, interpolation and
+the overlap-add with the fold are then float64 matrix products over the
+whole block, with the points axis leading so that each is one BLAS call;
+the interpolation divides exactly and checks it by multiplying back (tables
+whose denominators are all 1, SB, K2 and K4, fold the interpolation into
+the overlap-add matrix instead). Each call checks a rigorous round-off
+bound before it transforms, the observed rounding residual after, and a
+per-table bound that keeps every float64 sum after the leaf an exact
+integer below 2^53, and raises ArithmeticError rather than return an
+inexact product.
 
 The secret side of a product is stationary, as on the crossbar: `program`
 evaluates a secret vector once, and `matvec` streams rows of public operands
@@ -70,7 +71,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .params import RingParams, DEFAULT_PARAMS
+from .params import RingParams, DEFAULT_PARAMS, _log2_exact
 from .ring import Poly, _check_pair, fold_negacyclic
 
 
@@ -273,8 +274,12 @@ _TABLES = {
 
 
 def _limb_size(table: _Table, alg: MultAlgorithm, n: int) -> int:
+    """n / limbs; ValueError unless n is a power of two (`_log2_exact`) of at
+    least the table's limbs, themselves powers of two."""
     if n < table.limbs or n % table.limbs:
-        raise ValueError(f"{alg.value} requires n divisible by {table.limbs}, got n={n}")
+        raise ValueError(f"{alg.value} requires n divisible by {table.limbs} and a power of "
+                         f"two, got n={n}")
+    _log2_exact(n)
     return n // table.limbs
 
 
@@ -301,22 +306,6 @@ _ROOT_ERROR = 2.0 ** -52
 _NORM_SLACK = 1.0 + 2.0 ** -20
 # a leaf coefficient within this of an integer rounds to it exactly
 _MAX_ROUNDOFF = 0.25
-
-
-def _fft_size(k: int) -> int:
-    """Smallest power of two of at least 2k coefficients: a (2k-1)-term
-    linear convolution and one zero, so that a leaf product modulo
-    x^size + 1 does not wrap and splits into two halves of k
-    coefficients."""
-    return 1 << (2 * k - 1).bit_length()
-
-
-def _folds(table: _Table, n: int) -> bool:
-    """Whether products of `table` at n coefficients run on the leaf at
-    size = n, which folds modulo x^n + 1 itself: one limb, and n a power of
-    two, so that its n/2-point transform has the radix-2 size that the
-    round-off bound models."""
-    return table.limbs == 1 and n > 1 and not n & (n - 1)
 
 
 @lru_cache(maxsize=16)
@@ -395,8 +384,8 @@ class Programmed:
     and `norms` the Euclidean norms of the coefficients each packs, both
     read-only. On the folding leaf (`ring`), the operands are the secret
     polynomials: (..., l, n/2) and (..., l). Otherwise they are the limbs
-    evaluated at the algorithm's points and zero-padded to `_fft_size(k)`
-    coefficients: (points, ..., l, size/2) and (points, ..., l), with the
+    of k coefficients evaluated at the algorithm's points and zero-padded to
+    2k: (points, ..., l, k) and (points, ..., l), with the
     points axis leading, as everywhere in the core. Leading axes `...`, if
     any, index independent secrets (one per trial of a batch). `shape` and
     `size` are those of the coefficients, so that a count of products reads
@@ -482,7 +471,7 @@ def _packed_shape(table: _Table, shape: tuple, folds: bool) -> tuple:
     """The shape of the packed operands of (..., n) coefficients (`_pack`)."""
     if folds:
         return shape[:-1] + (shape[-1] // 2,)
-    return (table.points,) + shape[:-1] + (_fft_size(shape[-1] // table.limbs) // 2,)
+    return (table.points,) + shape[:-1] + (shape[-1] // table.limbs,)
 
 
 def _pack(table: _Table, x: np.ndarray, folds: bool, packed: np.ndarray = None) -> tuple:
@@ -490,8 +479,8 @@ def _pack(table: _Table, x: np.ndarray, folds: bool, packed: np.ndarray = None) 
     and the Euclidean norms of the coefficients they pack. The folding leaf
     packs each polynomial into (..., n/2) complex values x_lo + i x_hi. Any
     other leaf packs each limb of k coefficients evaluated at the table's
-    points, zero-padded to size = `_fft_size(k)` coefficients, into
-    (points, ..., size/2) values, of which the first k are nonzero.
+    points, zero-padded to 2k coefficients, into (points, ..., k) values
+    whose imaginary parts, the padding, are 0.
 
     `packed`, if given, is the block of `_packed_shape` to pack into, else
     a new one. The values are copied into it and weighted in place there,
@@ -515,13 +504,11 @@ def _pack(table: _Table, x: np.ndarray, folds: bool, packed: np.ndarray = None) 
         packed *= _weights(n)[0]
         return packed, norms
     k = n // table.limbs
-    size = _fft_size(k)
     values = _evaluate(table, x, k)  # (points, ..., k)
     if packed is None:
-        packed = np.empty(values.shape[:-1] + (size // 2,), dtype=np.complex128)
-    packed[..., :k] = values
-    packed[..., :k] *= _weights(size)[0, :k]
-    packed[..., k:] = 0
+        packed = np.empty(values.shape, dtype=np.complex128)
+    packed[...] = values
+    packed *= _weights(2 * k)[0]
     return packed, _norms(values)
 
 
@@ -533,7 +520,9 @@ def program(alg: MultAlgorithm, s) -> Programmed:
     table = _TABLES[alg]
     n = s.shape[-1]
     _limb_size(table, alg, n)
-    folds = _folds(table, n)
+    # one limb of n > 1 coefficients runs on the leaf at size = n, which
+    # folds modulo x^n + 1 itself
+    folds = table.limbs == 1 and n > 1
     packed, norms = _pack(table, s, folds)
     spectra = np.fft.fft(packed, axis=-1, out=packed)
     spectra.setflags(write=False)
@@ -621,11 +610,8 @@ def matvec(h: Programmed, a) -> np.ndarray:
         return halves.astype(np.int64, order="C").reshape(exact.shape)
     # the limb products in halves of k coefficients, row 2p + h for half h
     # of point p
-    k, size = n // table.limbs, exact.shape[-1]
-    halves = halves.reshape(len(halves), -1, 2, size // 2)  # (points, rows, 2, size/2)
-    if size > 2 * k:  # the limb products fill only their first 2k coefficients
-        halves = halves.reshape(len(halves), -1, size)[..., : 2 * k]
-        halves = halves.reshape(len(halves), -1, 2, k)
+    k = n // table.limbs
+    halves = halves.reshape(len(halves), -1, 2, k)  # (points, rows, 2, k)
     halves = halves.swapaxes(1, 2).reshape(2 * len(halves), -1)
     if table.divides:
         sums = np.dot(table.float_interpolation, halves.reshape(table.points, -1))

@@ -1,11 +1,12 @@
 """Exact arithmetic in Z_q and the negacyclic ring R_q = Z_q[x]/(x^n + 1).
 
 Coefficients live in numpy int64 arrays, and products come back from the
-multipliers as exact int64 sums, unreduced before the final power-of-two
-reduction. A `Poly` is one polynomial with its modulus; vectors and
-matrices of polynomials are plain (l, n) and (l, l, n) arrays whose modulus
-is the one of the equation that uses them. All values are treated as
-immutable after construction.
+multipliers as exact int64 sums, unreduced before the final reduction. Every
+modulus is a power of two, as SABER's are, so every reduction is a mask
+(`_reduce`). A `Poly` is one polynomial with its modulus, which it checks;
+vectors and matrices of polynomials are plain (l, n) and (l, l, n) arrays
+whose modulus is the one of the equation that uses them. All values are
+treated as immutable after construction.
 
 Seed expansion is batched: `gen_matrices` and `sample_secrets` expand any
 number of seeds, each from its own XOF stream, and unpack every stream with
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import RingParams, DEFAULT_PARAMS
+from .params import RingParams, DEFAULT_PARAMS, _log2_exact
 from .xof import Shake128Xof
 
 
@@ -27,12 +28,9 @@ class DimensionError(ValueError):
 
 
 def _reduce(coeffs: np.ndarray, modulus: int) -> np.ndarray:
-    """int64 `coeffs` modulo `modulus`, into [0, modulus): a mask for a power
-    of two (two's complement makes it exact for negatives too), which takes
-    a fraction of the time of numpy's integer modulo."""
-    if modulus > 0 and not modulus & (modulus - 1):
-        return coeffs & (modulus - 1)
-    return coeffs % modulus
+    """int64 `coeffs` modulo the power of two `modulus`, into [0, modulus):
+    a mask, which two's complement makes exact for negatives too."""
+    return coeffs & (modulus - 1)
 
 
 class _ByValue:
@@ -47,12 +45,14 @@ class _ByValue:
 
 @dataclass(frozen=True, eq=False)
 class Poly(_ByValue):
-    """A polynomial of degree < n with coefficients reduced into [0, modulus)."""
+    """A polynomial of degree < n with coefficients reduced into [0, modulus),
+    for a modulus that is a power of two (ValueError otherwise)."""
 
     coeffs: np.ndarray
     modulus: int
 
     def __post_init__(self):
+        _log2_exact(self.modulus)
         c = _reduce(np.asarray(self.coeffs, dtype=np.int64), self.modulus)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import RingParams, DEFAULT_PARAMS
-from .ring import Poly
+from .params import RingParams, DEFAULT_PARAMS, _log2_exact
+from .ring import Poly, _reduce
 from .polymult import MultAlgorithm, Programmed, program, matvec
 
 DEFAULT_TILE_ROWS = 128
@@ -189,10 +189,11 @@ def crossbar_polymult(a: Poly, operand: Operand, noise: NoiseSpec = None,
     Each cycle streams one bit plane of `a` through all tiles, and every
     column and unit column is read by an ADC of `adc_bits` bits, by default
     the narrowest that reads them exactly (`adc_read` rejects a width that
-    is not an integer >= 1). Accumulation shifts each cycle's signed per-coefficient dot product by
-    its bit weight and reduces modulo a.modulus; in ideal mode the result is
-    bit-identical to the software product. The operand stays programmed
-    across any number of reads.
+    is not an integer >= 1). Accumulation shifts each cycle's signed
+    per-coefficient dot product by its bit weight, and `Poly` reduces the
+    sum modulo a.modulus; in ideal mode the result is bit-identical to the
+    software product. The operand stays programmed across any number of
+    reads.
     """
     row_blocks, col_blocks, rows, cols = operand.cells.shape
     bpc = DEFAULT_BITS_PER_COEFF
@@ -202,7 +203,7 @@ def crossbar_polymult(a: Poly, operand: Operand, noise: NoiseSpec = None,
         # cells, stuck or not, reads no more than rows either
         adc_bits = adc_bits_for(rows)
 
-    n, cycles = a.n, a.modulus.bit_length() - 1
+    n, cycles = a.n, _log2_exact(a.modulus)
     planes = np.zeros((cycles, row_blocks * rows))
     planes[:, :n] = (a.coeffs >> np.arange(cycles)[:, None]) & 1
     columns, unit = read_columns(operand, planes.reshape(cycles, row_blocks, rows), noise)
@@ -216,9 +217,7 @@ def crossbar_polymult(a: Poly, operand: Operand, noise: NoiseSpec = None,
     slices = true.reshape(cycles, row_blocks, col_blocks * cols // bpc, bpc)
     biased = (slices @ (1 << np.arange(bpc))).sum(axis=1)[:, :n]
     signed = biased - operand.bias * unit_codes[:, :, 0].sum(axis=1)[:, None]
-    mod = a.modulus
-    weighted = ((signed % mod) << np.arange(cycles)[:, None]) % mod
-    return Poly(weighted.sum(axis=0) % mod, mod)
+    return Poly((signed << np.arange(cycles)[:, None]).sum(axis=0), a.modulus)
 
 
 class XbarBackend:
@@ -226,10 +225,10 @@ class XbarBackend:
 
     An ideal crossbar yields the exact negacyclic product, so `matvec`
     computes it directly, with the schoolbook table of `polymult`'s core,
-    whose leaf multiplies modulo x^n + 1 itself for n a power of two, with
-    nothing after it. What the backend models is the stationary secret:
-    which secret polynomials the boot and work slots hold, and the cell bits
-    written to program them. The work slot holds at most l polynomials, its
+    whose leaf multiplies modulo x^n + 1 itself, with nothing after it.
+    What the backend models is the stationary secret: which secret
+    polynomials the boot and work slots hold, and the cell bits written to
+    program them. The work slot holds at most l polynomials, its
     physical size; multiplying by a secret held in neither slot programs it
     into the work slot ad hoc, evicting the oldest entry, and counts its
     writes. Secrets with a leading axis (a batch of independent crossbars,
@@ -319,8 +318,8 @@ class XbarBackend:
         """One negacyclic product, reduced modulo a.modulus, as every
         backend's `mul_raw` returns it."""
         s = np.asarray(s_poly_centered, dtype=np.int64)
-        return self.matvec(a.coeffs[None, None], self.program(s[None]),
-                           [a.modulus])[0] % a.modulus
+        return _reduce(self.matvec(a.coeffs[None, None], self.program(s[None]),
+                                   [a.modulus])[0], a.modulus)
 
     def reset_counters(self) -> None:
         self.mult_count = 0
@@ -337,7 +336,8 @@ def inject(exact: np.ndarray, moduli, terms: int, noise, gain: float):
     a batch; entry i draws its errors from noise[i].rng at a sample-referred
     std of its cell variance x `gain`, and one at zero std draws nothing and
     gets the exact sums. Row i's products read its modulus' bits, one input
-    cycle per bit. The number of errors an entry draws does not depend on
+    cycle per bit, for a modulus that is a power of two (ValueError
+    otherwise). The number of errors an entry draws does not depend on
     the exact sums, so sums computed once can take the errors of several
     reads, one call each: a decryption retry rereads the same exact
     product."""
@@ -354,8 +354,7 @@ def inject(exact: np.ndarray, moduli, terms: int, noise, gain: float):
     # cycles: (rows, cycles). Drawing each run with a scalar count and a
     # scalar bound gives the same draws as per-row array arguments, at a
     # fraction of numpy's per-call cost for arrays.
-    runs = [(len(list(group)), m.bit_length() - 1)
-            for m, group in itertools.groupby(moduli)]
+    runs = [(len(list(group)), _log2_exact(m)) for m, group in itertools.groupby(moduli)]
     starts = np.cumsum([0] + [rows for rows, _ in runs[:-1]])
     samples_per_cycle = n * slices * -(-n // DEFAULT_TILE_ROWS)
     for i, (spec, result) in enumerate(zip(np.broadcast_to(sources, lead).ravel(), entries)):

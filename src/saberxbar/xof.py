@@ -1,5 +1,5 @@
-"""Seed expansion stream: SHAKE-128 as an incremental extendable-output
-function, deterministic for a given seed and single-owner (not thread safe).
+"""Seed expansion stream: SHAKE-128 as an extendable-output function,
+deterministic for a given seed and single-owner (not thread safe).
 """
 
 import hashlib
@@ -7,22 +7,13 @@ import hashlib
 
 class Shake128Xof:
     def __init__(self, seed: bytes = b""):
-        self._data = bytes(seed)
-        self._buf = b""
+        self._seed = bytes(seed)
         self._off = 0
 
-    def absorb(self, data: bytes) -> None:
-        if self._off:
-            raise RuntimeError("cannot absorb after squeezing started")
-        self._data += bytes(data)
-
     def squeeze(self, count: int) -> bytes:
+        """The stream's next `count` bytes; each call derives the stream from
+        its start, so a seed is best squeezed once, as seed expansion does."""
         end = self._off + count
-        if end > len(self._buf):
-            # hashlib SHAKE re-derives the whole prefix; grow geometrically
-            need = max(end, 2 * len(self._buf), 512)
-            self._buf = hashlib.shake_128(self._data).digest(need)
-        out = self._buf[self._off:end]
+        out = hashlib.shake_128(self._seed).digest(end)[self._off:]
         self._off = end
         return out
-

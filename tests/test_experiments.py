@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import itertools
 import json
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 from saberxbar import experiments, xbar
-from saberxbar.params import DEFAULT_PARAMS
+from saberxbar.params import DEFAULT_PARAMS, RingParams
 from saberxbar.ring import gen_matrix
-from saberxbar.costmodel import Operation, Architecture
+from saberxbar.costmodel import Operation, Architecture, ArchConfig
 from saberxbar.polymult import MultAlgorithm
 from saberxbar.experiments import (ConfigError, ExperimentConfig,
                                    parse_config_text, build_config,
@@ -391,6 +392,25 @@ def test_run_sweep_captures_per_row_errors():
         architecture = Architecture.BASELINE
     rows = run_sweep([Boom()])
     assert rows[0].report is None and rows[0].error
+
+
+def test_a_failing_design_point_is_a_row_of_its_error():
+    # TC4K2 needs n >= 8: the point between two good ones records its
+    # message, the next is still priced, and both outputs carry the error
+    points = [ArchConfig(Operation.DEC, MultAlgorithm.SB),
+              ArchConfig(Operation.DEC, MultAlgorithm.TC4K2, params=RingParams(n=4)),
+              ArchConfig(Operation.DEC, MultAlgorithm.K2)]
+    rows = run_sweep(points)
+    assert rows[1].report is None and "TC4K2 requires n divisible by 8" in rows[1].error
+    assert rows[0].report is not None and rows[2].report is not None and not rows[2].error
+    records = list(csv.reader(sweep_to_csv(rows).splitlines()[2:]))
+    assert all(len(record) == len(records[0]) for record in records)
+    assert records[2] == ["dec", "TC4K2", "baseline"] + [""] * 9 + [rows[1].error]
+    assert records[3][-1] == "" and records[3][3]
+    entries = json.loads(sweep_to_json(rows))["rows"]
+    assert entries[1] == {"operation": "dec", "algorithm": "TC4K2",
+                          "architecture": "baseline", "error": rows[1].error}
+    assert "error" not in entries[2] and "latency_ns" in entries[2]
 
 
 def test_run_sweep_rejects_empty():

@@ -501,6 +501,38 @@ def test_encrypt_refuses_a_malformed_public_key(make, what):
     assert decrypt(sk, ct, P, backend) == msg
 
 
+@pytest.mark.parametrize("what", list(_MALFORMED_KEYS))
+def test_a_refused_key_leaves_the_crossbar_unwritten(what):
+    # the key is checked before the ephemeral secret is programmed, so a
+    # refused encryption writes no work-slot cell bits and multiplies nothing
+    rng = np.random.default_rng(87)
+    backend = XbarBackend(P)
+    pk, _ = keygen(rng.bytes(32), rng.bytes(32), P, backend)
+    backend.reset_counters()
+    with pytest.raises(SerializationError):
+        encrypt(_MALFORMED_KEYS[what](pk), encode_message(rng.bytes(P.n // 8), P),
+                rng.bytes(32), P, backend)
+    assert (backend.cell_bits_written, backend.mult_count) == (0, 0)
+
+
+def test_held_rows_follow_the_algorithm_of_the_secret():
+    # one key, encrypted to on backends of alternating algorithms: the rows
+    # are programmed on the second encryption in a row with one algorithm,
+    # for that algorithm, and the key is checked once
+    rng = np.random.default_rng(88)
+    pk, sk = keygen(rng.bytes(32), rng.bytes(32), P)
+    msg = encode_message(rng.bytes(P.n // 8), P)
+    held = []
+    for alg in (MultAlgorithm.SB, MultAlgorithm.TC4, MultAlgorithm.TC4, MultAlgorithm.SB,
+                MultAlgorithm.SB):
+        backend = SoftwareBackend(alg)
+        ct = encrypt(pk, msg, rng.bytes(32), P, backend)
+        assert decrypt(sk, ct, P, backend) == msg
+        rows = pke._HELD_ROWS.rows
+        held.append(None if rows is None else rows.algorithm)
+    assert held == [None, None, MultAlgorithm.TC4, None, MultAlgorithm.SB]
+
+
 def test_a_public_key_is_checked_only_when_it_is_not_the_one_held(monkeypatch):
     rng = np.random.default_rng(89)
     keys = [keygen(rng.bytes(32), rng.bytes(32), P)[0] for _ in range(2)]

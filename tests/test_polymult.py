@@ -176,17 +176,22 @@ def test_ring_leaf_matches_schoolbook_sums_at_saber_extremes(backend):
 
 
 @pytest.mark.parametrize("n", [15, 12])
-def test_odd_or_non_power_of_two_n_runs_on_the_linear_leaf(n):
-    # the ring leaf needs n/2 a power of two; other n fall back to the
-    # zero-padded linear leaf and still fold exactly
-    rng = np.random.default_rng(n)
-    a, s = rng.integers(0, Q, (3, 2, n)), rng.integers(-4, 5, (2, n))
-    handle = program(MultAlgorithm.SB, s)
-    assert not handle.ring
-    got = matvec(handle, a)
-    for row, sums in zip(a, got):
-        want = sum(np.array(fold_negacyclic(_oracle_conv(row[j], s[j]), n)) for j in range(2))
-        assert list(sums) == list(want)
+@pytest.mark.parametrize("alg", list(MultAlgorithm))
+def test_an_n_that_is_not_a_power_of_two_is_refused(alg, n):
+    # every limb size must be a power of two; no leaf takes another n
+    a, s = np.ones((1, 2, n), dtype=np.int64), np.ones((2, n), dtype=np.int64)
+    with pytest.raises(ValueError, match="power of two"):
+        program(alg, s)
+    with pytest.raises(ValueError, match="power of two"):
+        multiply(alg, Poly(a[0, 0], Q), Poly(s[0], Q))
+    with pytest.raises(ValueError, match="power of two"):
+        conv_raw(alg, a[0, 0], s[0])
+    # matvec's n is its handle's, which only `program` makes, so rows of n
+    # coefficients meet a handle of another n, or fail to program
+    with pytest.raises(ValueError, match="do not match"):
+        matvec(program(alg, np.ones((2, 16), dtype=np.int64)), a)
+    with pytest.raises(ValueError, match="power of two"):
+        matvec(program(alg, np.ones((2, 16), dtype=np.int64)), program(alg, a))
 
 
 def test_ring_leaf_residual_check_catches_a_wrong_leaf(monkeypatch):

@@ -31,6 +31,18 @@ def test_poly_dimension_and_modulus_checks():
         schoolbook_mul(Poly([1, 2], 8), Poly([1, 2], 16))
 
 
+@pytest.mark.parametrize("modulus", [3329, 0, -4])
+def test_poly_refuses_a_modulus_that_is_not_a_power_of_two(modulus):
+    with pytest.raises(ValueError, match="power of two"):
+        Poly(np.arange(4), modulus)
+
+
+def test_poly_takes_a_numpy_integer_modulus_and_refuses_a_float():
+    assert Poly([-1, 9], np.int64(8)) == Poly([7, 1], 8)
+    with pytest.raises(TypeError):
+        Poly([1, 2], 8.0)
+
+
 def test_reduce_negacyclic_basic_identity():
     # x^n == -1: coefficient i of the result is c[i] - c[i+n]
     params = RingParams(n=4)
@@ -256,5 +268,3 @@ def test_xof_streams_are_deterministic_and_incremental():
     one = Shake128Xof(b"seed")
     two = Shake128Xof(b"seed")
     assert one.squeeze(10) + one.squeeze(10) == two.squeeze(20)
-    with pytest.raises(RuntimeError):
-        one.absorb(b"late")

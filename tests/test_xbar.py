@@ -552,6 +552,15 @@ def test_inject_is_the_noisy_backends_read():
     assert np.array_equal(exact, kept) and np.array_equal(sums[1], exact)
 
 
+def test_inject_refuses_a_modulus_that_is_not_a_power_of_two():
+    # a row reads one input cycle per bit of its modulus, a power of two;
+    # the check runs whatever the noise, even with none to draw
+    exact = np.zeros((1, P.n), dtype=np.int64)
+    for noise in (NoiseSpec(0.3, seed=1), NoiseSpec(0.0)):
+        with pytest.raises(ValueError, match="power of two"):
+            inject(exact, [3329], P.l, noise, 1.0)
+
+
 def _stick(a, s, seed):
     """The product of `a` by `s` with one cell stuck at the complement of
     its stored bit, at a tile, row and column drawn from `seed`."""
